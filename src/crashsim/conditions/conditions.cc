@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <span>
+#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -27,30 +29,69 @@ formatValue(const std::optional<uint64_t> &value)
     return std::to_string(*value);
 }
 
-/** Invoked operations of @p ops touching @p key, in history order. */
-std::vector<const HistoryOp *>
-opsOnKey(const std::vector<HistoryOp> &ops, uint64_t key)
+/**
+ * The invoked operations of a history grouped by key: keys ascending,
+ * each key's operations in history order. Built with one sort of the
+ * invoked operations (O(n log n)), so the per-key checkers visit every
+ * operation once instead of rescanning the history for each key.
+ */
+class KeyGroups
 {
-    std::vector<const HistoryOp *> result;
-    for (const HistoryOp &op : ops) {
-        if (op.invoked && op.key == key)
-            result.push_back(&op);
-    }
-    return result;
-}
+  public:
+    using Group = std::span<const HistoryOp *const>;
 
-/** Every key any invoked operation touches. */
-std::vector<uint64_t>
-touchedKeys(const std::vector<HistoryOp> &ops)
-{
-    std::vector<uint64_t> keys;
-    for (const HistoryOp &op : ops) {
-        if (op.invoked)
-            keys.push_back(op.key);
+    explicit KeyGroups(const std::vector<HistoryOp> &ops)
+    {
+        byKey_.reserve(ops.size());
+        for (const HistoryOp &op : ops) {
+            if (op.invoked)
+                byKey_.push_back(&op);
+        }
+        // Ties on key fall back to history position (the ops live in
+        // one vector), keeping each group in history order.
+        std::sort(byKey_.begin(), byKey_.end(),
+                  [](const HistoryOp *a, const HistoryOp *b) {
+                      return a->key != b->key ? a->key < b->key : a < b;
+                  });
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
+
+    /** Call @p fn(key, ops on key) for every touched key, ascending. */
+    template <typename Fn>
+    void forEach(Fn fn) const
+    {
+        for (size_t begin = 0; begin < byKey_.size();) {
+            const uint64_t key = byKey_[begin]->key;
+            size_t end = begin + 1;
+            while (end < byKey_.size() && byKey_[end]->key == key)
+                ++end;
+            fn(key, Group(byKey_).subspan(begin, end - begin));
+            begin = end;
+        }
+    }
+
+    /** Some invoked operation touched @p key. */
+    bool touches(uint64_t key) const
+    {
+        auto it = std::lower_bound(
+            byKey_.begin(), byKey_.end(), key,
+            [](const HistoryOp *op, uint64_t k) { return op->key < k; });
+        return it != byKey_.end() && (*it)->key == key;
+    }
+
+  private:
+    std::vector<const HistoryOp *> byKey_;
+};
+
+/** Index of the last responded op in @p kops, or -1. */
+ptrdiff_t
+lastResponded(KeyGroups::Group kops)
+{
+    ptrdiff_t last = -1;
+    for (size_t i = 0; i < kops.size(); ++i) {
+        if (kops[i]->responded)
+            last = static_cast<ptrdiff_t>(i);
+    }
+    return last;
 }
 
 std::optional<uint64_t>
@@ -83,14 +124,11 @@ appendViolation(ConditionResult *result, const char *fmt, ...)
  * common to every condition (no checker admits invented keys).
  */
 void
-checkNoInventedKeys(const std::vector<HistoryOp> &ops, const KvState &state,
+checkNoInventedKeys(const KeyGroups &groups, const KvState &state,
                     const char *checker, ConditionResult *result)
 {
     for (const auto &[key, value] : state) {
-        bool touched = false;
-        for (const HistoryOp &op : ops)
-            touched = touched || (op.invoked && op.key == key);
-        if (!touched)
+        if (!groups.touches(key))
             appendViolation(result,
                             "%s: key %llu=%llu survived but no operation "
                             "in the history ever touched it",
@@ -111,13 +149,9 @@ checkDurableLinearizable(const std::vector<HistoryOp> &ops,
     // are the value after the last *responded* op (all responded ops
     // must be included; earlier in-flight inclusions are overwritten)
     // plus the value after each later in-flight op.
-    for (uint64_t key : touchedKeys(ops)) {
-        const std::vector<const HistoryOp *> kops = opsOnKey(ops, key);
-        ptrdiff_t last_responded = -1;
-        for (size_t i = 0; i < kops.size(); ++i) {
-            if (kops[i]->responded)
-                last_responded = static_cast<ptrdiff_t>(i);
-        }
+    const KeyGroups groups(ops);
+    groups.forEach([&](uint64_t key, KeyGroups::Group kops) {
+        const ptrdiff_t last_responded = lastResponded(kops);
 
         std::vector<std::optional<uint64_t>> admissible;
         admissible.push_back(last_responded >= 0
@@ -149,8 +183,8 @@ checkDurableLinearizable(const std::vector<HistoryOp> &ops,
                                       kops[last_responded]->id).c_str()
                                 : "none");
         }
-    }
-    checkNoInventedKeys(ops, state, "durable-lin", &result);
+    });
+    checkNoInventedKeys(groups, state, "durable-lin", &result);
     return result;
 }
 
@@ -167,22 +201,23 @@ checkBufferedDurableLinearizable(const std::vector<HistoryOp> &ops,
             min_cut = i + 1;
     }
 
-    KvState replayed;
-    bool found = false;
-    size_t cut = 0;
-    for (size_t p = 0; p <= ops.size(); ++p) {
-        if (p > 0 && ops[p - 1].invoked) {
-            const HistoryOp &op = ops[p - 1];
-            if (op.isErase)
-                replayed.erase(op.key);
-            else
-                replayed[op.key] = op.value;
+    // Replay the prefix while counting the keys on which it disagrees
+    // with the surviving state: the prefix replays to the state
+    // exactly when that count is zero, so no cut compares whole maps.
+    std::unordered_map<uint64_t, std::optional<uint64_t>> replayed;
+    size_t mismatched = state.size();
+    bool found = mismatched == 0 && min_cut == 0;
+    for (size_t p = 1; p <= ops.size() && !found; ++p) {
+        const HistoryOp &op = ops[p - 1];
+        if (op.invoked) {
+            const std::optional<uint64_t> want = stateValue(state, op.key);
+            std::optional<uint64_t> &value = replayed[op.key];
+            const std::optional<uint64_t> after = valueAfter(op);
+            mismatched -= value != want ? 1 : 0;
+            mismatched += after != want ? 1 : 0;
+            value = after;
         }
-        if (p >= min_cut && replayed == state) {
-            found = true;
-            cut = p;
-            break;
-        }
+        found = p >= min_cut && mismatched == 0;
     }
     if (!found) {
         appendViolation(&result,
@@ -190,9 +225,7 @@ checkBufferedDurableLinearizable(const std::vector<HistoryOp> &ops,
                         "containing all persisted ops (earliest legal "
                         "cut %zu) replays to the surviving state",
                         ops.size(), min_cut);
-        checkNoInventedKeys(ops, state, "buffered", &result);
-    } else {
-        (void)cut;
+        checkNoInventedKeys(KeyGroups(ops), state, "buffered", &result);
     }
     return result;
 }
@@ -205,13 +238,9 @@ checkDetectableExecution(
     ConditionResult result;
     std::vector<std::pair<uint64_t, OpVerdict>> assigned;
 
-    for (uint64_t key : touchedKeys(ops)) {
-        const std::vector<const HistoryOp *> kops = opsOnKey(ops, key);
-        ptrdiff_t last_responded = -1;
-        for (size_t i = 0; i < kops.size(); ++i) {
-            if (kops[i]->responded)
-                last_responded = static_cast<ptrdiff_t>(i);
-        }
+    const KeyGroups groups(ops);
+    groups.forEach([&](uint64_t key, KeyGroups::Group kops) {
+        const ptrdiff_t last_responded = lastResponded(kops);
         const std::optional<uint64_t> got = stateValue(state, key);
 
         // Find the cut within this key's ops that explains the
@@ -239,7 +268,7 @@ checkDetectableExecution(
                             "explains it (partial effect survived?)",
                             static_cast<unsigned long long>(key),
                             formatValue(got).c_str(), kops.size());
-            continue;
+            return;
         }
         for (size_t i = 0; i < kops.size(); ++i) {
             assigned.emplace_back(kops[i]->id,
@@ -247,9 +276,9 @@ checkDetectableExecution(
                                       ? OpVerdict::Committed
                                       : OpVerdict::Aborted);
         }
-    }
+    });
 
-    checkNoInventedKeys(ops, state, "detectable", &result);
+    checkNoInventedKeys(groups, state, "detectable", &result);
     if (result.ok && verdicts != nullptr) {
         std::sort(assigned.begin(), assigned.end());
         *verdicts = std::move(assigned);

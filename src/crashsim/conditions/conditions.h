@@ -33,7 +33,8 @@
  * after the last responded operation plus the value after each later
  * in-flight one — and lets a brute-force linearization searcher
  * (subset enumeration) differentially validate them on small
- * histories.
+ * histories. Costs below are for n history operations and m keys in
+ * the surviving state.
  */
 
 #pragma once
@@ -99,8 +100,10 @@ replay(const std::vector<HistoryOp> &ops, Pred include)
 /**
  * Durable linearizability: does a subset S of the invoked operations
  * exist, with every responded operation in S, whose replay equals
- * @p state? Exact per-key decision procedure (O(n + keys)); failure
- * messages name the offending key and the admissible values.
+ * @p state? Exact per-key decision procedure over the invoked
+ * operations grouped by key with one sort — O(n log n + m log n);
+ * failure messages name the offending key (ascending) and the
+ * admissible values, then any invented keys.
  */
 ConditionResult checkDurableLinearizable(const std::vector<HistoryOp> &ops,
                                          const KvState &state);
@@ -108,7 +111,8 @@ ConditionResult checkDurableLinearizable(const std::vector<HistoryOp> &ops,
 /**
  * Buffered durable linearizability: does a prefix cut of the history
  * exist whose replay equals @p state, with every persisted operation
- * inside the cut? O(n · keys-per-compare) incremental prefix scan.
+ * inside the cut? One incremental prefix scan that keeps a running
+ * count of keys on which the replay and @p state disagree — O(n log m).
  */
 ConditionResult
 checkBufferedDurableLinearizable(const std::vector<HistoryOp> &ops,
@@ -123,6 +127,7 @@ enum class OpVerdict : uint8_t { Committed, Aborted };
  * a partial effect survived (e.g. a torn slot) — or when the state is
  * not explainable by any commit/abort assignment at all. On success
  * @p verdicts (if non-null) receives one entry per invoked operation.
+ * Same key grouping as checkDurableLinearizable — O(n log n + m log n).
  */
 ConditionResult
 checkDetectableExecution(const std::vector<HistoryOp> &ops,

@@ -394,7 +394,7 @@ Fleet::killSubset(uint64_t mask, Tick outage, Tick window)
         }
     }
 
-    if (!storm_.active || storm_.remaining == 0) {
+    if (!stormRunning()) {
         storm_ = StormState{};
         storm_.active = true;
         storm_.start = now_;
@@ -519,21 +519,17 @@ Fleet::processEvent(Tick when, const Event &event)
     }
 }
 
-StormOutcome
-Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
-                double put_fraction)
+Fleet::StormState
+Fleet::stormBaseline() const
 {
-    const StormState before = storm_;
-    killSubset(mask, outage, window);
+    // killSubset() joins a running storm but restarts the counters of
+    // a finished one, so only a running storm's totals are the base.
+    return stormRunning() ? storm_ : StormState{};
+}
 
-    // Drive sampled client traffic between recovery events until the
-    // fleet is whole again.
-    while (!agenda_.empty()) {
-        const Tick next = agenda_.begin()->first;
-        trafficUntil(next, put_fraction);
-        advanceTo(next);
-    }
-
+StormOutcome
+Fleet::closeStorm(const StormState &before)
+{
     StormOutcome outcome;
     outcome.start = storm_.start;
     outcome.powerRestored = storm_.powerRestored;
@@ -553,6 +549,23 @@ Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
         storm_.shardsRepaired - before.shardsRepaired;
     storm_.active = false;
     return outcome;
+}
+
+StormOutcome
+Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
+                double put_fraction)
+{
+    const StormState before = stormBaseline();
+    killSubset(mask, outage, window);
+
+    // Drive sampled client traffic between recovery events until the
+    // fleet is whole again.
+    while (!agenda_.empty()) {
+        const Tick next = agenda_.begin()->first;
+        trafficUntil(next, put_fraction);
+        advanceTo(next);
+    }
+    return closeStorm(before);
 }
 
 StormOutcome
@@ -590,7 +603,7 @@ Fleet::runStormThreaded(ThreadPool &pool, uint64_t mask, Tick outage,
             // sampled client traffic popped from the generator rings
             // (round-robin by request index) instead of drawn from
             // the fleet rng. Fleet state stays single-threaded.
-            const StormState before = storm_;
+            const StormState before = stormBaseline();
             killSubset(mask, outage, window);
             unsigned turn = 0;
             apps::KvOp op{};
@@ -624,27 +637,7 @@ Fleet::runStormThreaded(ThreadPool &pool, uint64_t mask, Tick outage,
                 advanceTo(next);
             }
             done.store(true, std::memory_order_release);
-
-            outcome.start = storm_.start;
-            outcome.powerRestored = storm_.powerRestored;
-            outcome.fullCapacityAt = storm_.lastReady;
-            outcome.timeToFullCapacity =
-                storm_.lastReady > storm_.powerRestored
-                    ? storm_.lastReady - storm_.powerRestored
-                    : 0;
-            outcome.victims = storm_.victims - before.victims;
-            outcome.wspRecoveries =
-                storm_.wspRecoveries - before.wspRecoveries;
-            outcome.salvageBoots =
-                storm_.salvageBoots - before.salvageBoots;
-            outcome.backendRefills =
-                storm_.backendRefills - before.backendRefills;
-            outcome.digestsExchanged = storm_.digests - before.digests;
-            outcome.repairStreamedBytes =
-                storm_.streamed - before.streamed;
-            outcome.shardsRepaired =
-                storm_.shardsRepaired - before.shardsRepaired;
-            storm_.active = false;
+            outcome = closeStorm(before);
             return;
         }
 

@@ -369,6 +369,16 @@ class Fleet
         unsigned shardsRepaired = 0;
     } storm_;
 
+    /** Victims of the current storm are still recovering. */
+    bool stormRunning() const { return storm_.active && storm_.remaining > 0; }
+
+    /** Counters the next killSubset() continues from: the running
+     *  storm's, or all zero when it will start a new storm. */
+    StormState stormBaseline() const;
+
+    /** Outcome of the storm since @p before; ends the storm. */
+    StormOutcome closeStorm(const StormState &before);
+
     RequestStats stats_;
     std::vector<Histogram> latency_;
     Series capacity_;

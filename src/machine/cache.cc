@@ -152,9 +152,16 @@ CacheModel::registerRegionView(uint64_t base, uint64_t bytes)
 {
     if (store_ != LineStore::Flat)
         return; // reference store keeps its map; view stays disabled
-    regionBase_ = base & ~(kLineSize - 1);
-    regionSpan_ = (base - regionBase_ + bytes + kLineSize - 1) &
-                  ~(kLineSize - 1);
+    const uint64_t region_base = base & ~(kLineSize - 1);
+    const uint64_t region_span =
+        (base - region_base + bytes + kLineSize - 1) & ~(kLineSize - 1);
+    // The same region is already current: the insert/erase funnel and
+    // dropDirty have kept its slots in step, so there is nothing to
+    // adopt and the LRU walk below can be skipped.
+    if (region_base == regionBase_ && region_span == regionSpan_)
+        return;
+    regionBase_ = region_base;
+    regionSpan_ = region_span;
     regionSlots_.assign(regionSpan_ / kLineSize, kNoSlot);
     // Adopt lines already dirty inside the region (the LRU chain
     // enumerates every live slot).

@@ -234,7 +234,8 @@ class CacheModel
      * table, so both always agree; lines outside the region (and all
      * lines under the reference store, where this is a no-op) keep
      * the existing paths. Costs 4 bytes of view per region line.
-     * Re-registering replaces the previous view.
+     * Registering a different region replaces the previous view;
+     * re-registering the current one returns at once.
      */
     void registerRegionView(uint64_t base, uint64_t bytes);
 

@@ -516,7 +516,9 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
             }
             if (record.seq < expected) {
                 ++result.staleSlots;
-                char note[96];
+                // 43 fixed characters, three u64s of up to 20 digits
+                // each, and the terminator.
+                char note[43 + 3 * 20 + 1];
                 std::snprintf(note, sizeof(note),
                               "slot %llu holds stale seq %llu where "
                               "%llu was published",

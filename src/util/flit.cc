@@ -26,6 +26,10 @@ FlitTracker::beginApply(uint64_t id)
     op.invoked = true;
     op.invokeTick = now();
     currentOp_ = id;
+    // A re-applied op may have left the waiting lists of lines it
+    // already dirtied; it can store to them again.
+    for (const auto &entry : op.lines)
+        lines_[entry.first].waiting.push_back(id);
 }
 
 void
@@ -80,8 +84,10 @@ FlitTracker::onStore(uint64_t addr, uint64_t len)
                 break;
             }
         }
-        if (!found)
+        if (!found) {
             op.lines.emplace_back(line, ls.lastStoreSeq);
+            ls.waiting.push_back(currentOp_);
+        }
         op.persistTick = kNoTick;
     }
 }
@@ -93,7 +99,7 @@ FlitTracker::onWriteback(uint64_t line_base)
     ls.pending = 0;
     ls.lastWritebackSeq = ls.lastStoreSeq;
     ls.lastWritebackTick = now();
-    settleOpsOn(lineBase(line_base));
+    settleOpsOn(ls);
 }
 
 void
@@ -159,21 +165,20 @@ FlitTracker::outstandingLines() const
 }
 
 void
-FlitTracker::settleOpsOn(uint64_t line_base)
+FlitTracker::settleOpsOn(LineState &ls)
 {
-    for (FlitOp &op : ops_) {
-        if (op.persistTick != kNoTick || op.lines.empty())
-            continue;
-        bool touches = false;
-        for (const auto &entry : op.lines) {
-            if (entry.first == line_base) {
-                touches = true;
-                break;
-            }
-        }
-        if (touches && opPersisted(op))
+    // Only this line's waiters can have just completed: the write-back
+    // changed no other line. Settled ops leave the list (the op being
+    // applied excepted); the rest wait for a later write-back.
+    size_t kept = 0;
+    for (const uint64_t id : ls.waiting) {
+        FlitOp &op = ops_[id];
+        if (op.persistTick == kNoTick && opPersisted(op))
             op.persistTick = now();
+        if (op.persistTick == kNoTick || id == currentOp_)
+            ls.waiting[kept++] = id;
     }
+    ls.waiting.resize(kept);
 }
 
 void

@@ -153,12 +153,23 @@ class FlitTracker
          */
         uint64_t lostSeq = 0;
         uint64_t wbAtLoss = 0;
+
+        /**
+         * Ops that stored to this line and were not yet found
+         * persisted at one of its write-backs: a superset of the
+         * unpersisted ops touching the line, so a write-back visits
+         * only them instead of every op in the history. The op being
+         * applied stays listed until endApply(), since it can store
+         * to the line again after a write-back in the middle of its
+         * apply.
+         */
+        std::vector<uint64_t> waiting;
     };
 
     Tick now() const { return clock_ ? clock_() : 0; }
 
-    /** Stamp persistTick on ops completed by clearing @p line_base. */
-    void settleOpsOn(uint64_t line_base);
+    /** Stamp persistTick on the ops @p ls's write-back completed. */
+    void settleOpsOn(LineState &ls);
 
     std::function<Tick()> clock_;
     std::vector<FlitOp> ops_;

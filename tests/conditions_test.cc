@@ -14,7 +14,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,6 +141,224 @@ TEST(Flit, CoveredPredicateGatesPersistence)
                                  [](uint64_t) { return true; }));
 }
 
+TEST(Flit, MidApplyWritebackThenRestoreKeepsTheOpWaiting)
+{
+    // A write-back in the middle of an apply settles the op for a
+    // moment; its next store to the same line reopens it, so the
+    // line's later write-back must still find and settle it.
+    util::FlitTracker flit;
+    Tick now = 0;
+    flit.setClock([&now]() { return now; });
+    const uint64_t id = flit.declareOp(0, 1, 1);
+    flit.beginApply(id);
+    flit.onStore(0, 8);
+    now = 5;
+    flit.onWriteback(0);
+    EXPECT_EQ(flit.op(id).persistTick, 5u);
+    flit.onStore(8, 8); // same line again
+    EXPECT_EQ(flit.op(id).persistTick, util::kNoTick);
+    flit.endApply();
+    EXPECT_EQ(flit.op(id).persistTick, util::kNoTick);
+
+    now = 9;
+    flit.onWriteback(0);
+    EXPECT_TRUE(flit.opPersisted(flit.op(id)));
+    EXPECT_EQ(flit.op(id).persistTick, 9u);
+}
+
+/**
+ * Reference FliT settling for the differential test below: the same
+ * per-line counters, but a write-back settles by rescanning every op
+ * in the history — the tracker's algorithm before its per-line
+ * waiting lists.
+ */
+class RescanFlit
+{
+  public:
+    struct Op
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> lines; ///< line, seq
+        Tick persistTick = util::kNoTick;
+    };
+
+    std::vector<Op> ops;
+
+    void declare() { ops.emplace_back(); }
+    void beginApply(uint64_t id) { current_ = id; }
+
+    void endApply(Tick now)
+    {
+        if (current_ != kNone) {
+            Op &op = ops[current_];
+            if (op.persistTick == util::kNoTick && persisted(op))
+                op.persistTick = now;
+        }
+        current_ = kNone;
+    }
+
+    void store(uint64_t line)
+    {
+        Line &ls = lines_[line];
+        ls.lastStoreSeq = ++seq_;
+        if (current_ == kNone)
+            return;
+        Op &op = ops[current_];
+        auto it = std::find_if(op.lines.begin(), op.lines.end(),
+                               [line](const auto &entry) {
+                                   return entry.first == line;
+                               });
+        if (it != op.lines.end())
+            it->second = ls.lastStoreSeq;
+        else
+            op.lines.emplace_back(line, ls.lastStoreSeq);
+        op.persistTick = util::kNoTick;
+    }
+
+    void writeback(uint64_t line, Tick now)
+    {
+        Line &ls = lines_[line];
+        ls.lastWritebackSeq = ls.lastStoreSeq;
+        for (Op &op : ops) {
+            const bool touches = std::any_of(
+                op.lines.begin(), op.lines.end(),
+                [line](const auto &entry) { return entry.first == line; });
+            if (op.persistTick == util::kNoTick && touches && persisted(op))
+                op.persistTick = now;
+        }
+    }
+
+    void lose(uint64_t line)
+    {
+        Line &ls = lines_[line];
+        ls.wbAtLoss = ls.lastWritebackSeq;
+        ls.lostSeq = ls.lastStoreSeq;
+    }
+
+    bool persisted(const Op &op) const
+    {
+        for (const auto &[line, seq] : op.lines) {
+            auto it = lines_.find(line);
+            if (it == lines_.end() || it->second.lastWritebackSeq < seq)
+                return false;
+            if (seq > it->second.wbAtLoss && seq <= it->second.lostSeq)
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    struct Line
+    {
+        uint64_t lastStoreSeq = 0;
+        uint64_t lastWritebackSeq = 0;
+        uint64_t lostSeq = 0;
+        uint64_t wbAtLoss = 0;
+    };
+    static constexpr uint64_t kNone = ~0ull;
+    std::map<uint64_t, Line> lines_;
+    uint64_t current_ = kNone;
+    uint64_t seq_ = 0;
+};
+
+TEST(Flit, PerLineSettlingMatchesFullRescan)
+{
+    // Random declare / apply / store / write-back / loss sequences over
+    // a few lines, with write-backs and losses in the middle of
+    // applies, stores that straddle two lines, stray stores outside
+    // any op, and the occasional re-applied op. After every step each
+    // op's persist tick and persisted verdict must match the rescan.
+    constexpr uint64_t kLines = 6;
+    size_t stores_after_mid_apply_writeback = 0;
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        const uint64_t pinned = seed * 0x666c6974ull + seed; // "flit"
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                     wsp::testing::seedTrace(pinned));
+        Rng rng(wsp::testing::testSeed(pinned));
+        for (int round = 0; round < 20; ++round) {
+            util::FlitTracker flit;
+            RescanFlit ref;
+            Tick now = 0;
+            flit.setClock([&now]() { return now; });
+            const auto compare = [&](const char *step) {
+                for (uint64_t id = 0; id < ref.ops.size(); ++id) {
+                    ASSERT_EQ(flit.op(id).persistTick,
+                              ref.ops[id].persistTick)
+                        << step << ", round " << round << ", op " << id;
+                    ASSERT_EQ(flit.opPersisted(flit.op(id)),
+                              ref.persisted(ref.ops[id]))
+                        << step << ", round " << round << ", op " << id;
+                }
+            };
+            // Returns whether it was a write-back.
+            const auto writebackOrLoss = [&](const char **step) {
+                const uint64_t line = rng.next(kLines);
+                if (rng.chance(0.8)) {
+                    flit.onWriteback(line * 64);
+                    ref.writeback(line, now);
+                    *step = "write-back";
+                    return true;
+                }
+                flit.onLineLost(line * 64);
+                ref.lose(line);
+                *step = "loss";
+                return false;
+            };
+            const auto store = [&]() {
+                // Up to two lines; the tracker splits the store by line
+                // in ascending order, as the reference does.
+                const uint64_t line = rng.next(kLines - 1);
+                const bool straddle = rng.chance(0.2);
+                flit.onStore(line * 64 + (straddle ? 60 : rng.next(8) * 8),
+                             8);
+                ref.store(line);
+                if (straddle)
+                    ref.store(line + 1);
+            };
+
+            for (int step = 0; step < 120; ++step) {
+                now += 1 + rng.next(3);
+                const char *what = "stray store";
+                if (rng.chance(0.3)) {
+                    // Apply a fresh op, or now and then re-apply one.
+                    uint64_t id;
+                    if (!ref.ops.empty() && rng.chance(0.1)) {
+                        id = rng.next(ref.ops.size());
+                    } else {
+                        id = flit.declareOp(0, 1, 1);
+                        ref.declare();
+                    }
+                    flit.beginApply(id);
+                    ref.beginApply(id);
+                    bool wrote_back = false;
+                    const int actions = static_cast<int>(rng.next(6));
+                    for (int a = 0; a < actions; ++a) {
+                        now += rng.next(2);
+                        if (rng.chance(0.6)) {
+                            store();
+                            what = "store in apply";
+                            stores_after_mid_apply_writeback +=
+                                wrote_back ? 1 : 0;
+                        } else {
+                            wrote_back =
+                                writebackOrLoss(&what) || wrote_back;
+                        }
+                        compare(what);
+                    }
+                    flit.endApply();
+                    ref.endApply(now);
+                    what = "end apply";
+                } else if (rng.chance(0.8)) {
+                    writebackOrLoss(&what);
+                } else {
+                    store();
+                }
+                compare(what);
+            }
+        }
+    }
+    EXPECT_GT(stores_after_mid_apply_writeback, 0u);
+}
+
 // Checker unit tests ---------------------------------------------------
 
 HistoryOp
@@ -258,6 +479,62 @@ TEST(Detectable, ClassifiesEveryOpOrFails)
               std::string::npos);
 }
 
+TEST(Conditions, ViolationStringsAndOrderArePinned)
+{
+    // Three keys break the conditions (2 and 4 lost responded puts, 3
+    // holds a torn value) and key 9 was invented: every checker names
+    // them in ascending key order, invented keys last.
+    const std::vector<HistoryOp> history = {
+        op(0, 4, 40, true, true),
+        op(1, 2, 20, true, true),
+        op(2, 3, 30, true, true),
+        op(3, 1, 10, true, true),
+        op(4, 2, 21, true, false),
+        op(5, 4, 0, true, false, /*isErase=*/true),
+        op(6, 4, 41, true, false),
+        op(7, 3, 31, false, false), // in flight
+    };
+    const KvState state{{1, 10}, {2, 20}, {3, 33}, {4, 40}, {9, 90}};
+
+    EXPECT_EQ(checkDurableLinearizable(history, state).violations,
+              (std::vector<std::string>{
+                  "durable-lin: key 2 holds 20 after recovery; "
+                  "admissible: {21} (last responded op 4)",
+                  "durable-lin: key 3 holds 33 after recovery; "
+                  "admissible: {30, 31} (last responded op 2)",
+                  "durable-lin: key 4 holds 40 after recovery; "
+                  "admissible: {41} (last responded op 6)",
+                  "durable-lin: key 9=90 survived but no operation in "
+                  "the history ever touched it",
+              }));
+    EXPECT_EQ(checkBufferedDurableLinearizable(history, state).violations,
+              (std::vector<std::string>{
+                  "buffered: no prefix cut of the 8-op history "
+                  "containing all persisted ops (earliest legal cut 4) "
+                  "replays to the surviving state",
+                  "buffered: key 9=90 survived but no operation in the "
+                  "history ever touched it",
+              }));
+    std::vector<std::pair<uint64_t, OpVerdict>> verdicts;
+    const ConditionResult detectable =
+        checkDetectableExecution(history, state, &verdicts);
+    EXPECT_EQ(detectable.violations,
+              (std::vector<std::string>{
+                  "detectable: key 2 holds 20 — no commit/abort "
+                  "assignment of its 2 ops explains it (partial effect "
+                  "survived?)",
+                  "detectable: key 3 holds 33 — no commit/abort "
+                  "assignment of its 2 ops explains it (partial effect "
+                  "survived?)",
+                  "detectable: key 4 holds 40 — no commit/abort "
+                  "assignment of its 3 ops explains it (partial effect "
+                  "survived?)",
+                  "detectable: key 9=90 survived but no operation in "
+                  "the history ever touched it",
+              }));
+    EXPECT_TRUE(verdicts.empty()); // no verdicts on failure
+}
+
 // Differential battery: exact checkers vs brute-force searchers --------
 
 KvState
@@ -342,6 +619,246 @@ TEST(Differential, ExactCheckersMatchBruteForceAcrossTenSeeds)
     EXPECT_GT(dl_unsat, 0u);
     EXPECT_GT(bdl_sat, 0u);
     EXPECT_GT(bdl_unsat, 0u);
+}
+
+// Differential battery: grouped checkers vs per-key rescans -----------
+
+/**
+ * The checkers as they were before grouping ops by key, kept as
+ * oracles: DL and detectable rescan the whole history once per key,
+ * and BDL compares whole maps at every prefix cut. The grouped
+ * checkers must reproduce their verdicts and violation strings
+ * exactly.
+ */
+namespace rescan {
+
+std::optional<uint64_t>
+valueAfter(const HistoryOp &op)
+{
+    return op.isErase ? std::nullopt : std::optional<uint64_t>(op.value);
+}
+
+std::optional<uint64_t>
+stateValue(const KvState &state, uint64_t key)
+{
+    auto it = state.find(key);
+    return it == state.end() ? std::nullopt
+                             : std::optional<uint64_t>(it->second);
+}
+
+std::string
+formatValue(const std::optional<uint64_t> &value)
+{
+    return value ? std::to_string(*value) : "absent";
+}
+
+std::vector<uint64_t>
+touchedKeys(const std::vector<HistoryOp> &ops)
+{
+    std::vector<uint64_t> keys;
+    for (const HistoryOp &op : ops) {
+        if (op.invoked)
+            keys.push_back(op.key);
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+}
+
+std::vector<const HistoryOp *>
+opsOnKey(const std::vector<HistoryOp> &ops, uint64_t key)
+{
+    std::vector<const HistoryOp *> result;
+    for (const HistoryOp &op : ops) {
+        if (op.invoked && op.key == key)
+            result.push_back(&op);
+    }
+    return result;
+}
+
+ptrdiff_t
+lastResponded(const std::vector<const HistoryOp *> &kops)
+{
+    ptrdiff_t last = -1;
+    for (size_t i = 0; i < kops.size(); ++i) {
+        if (kops[i]->responded)
+            last = static_cast<ptrdiff_t>(i);
+    }
+    return last;
+}
+
+void
+inventedKeys(const std::vector<HistoryOp> &ops, const KvState &state,
+             const std::string &checker, std::vector<std::string> *out)
+{
+    for (const auto &[key, value] : state) {
+        bool touched = false;
+        for (const HistoryOp &op : ops)
+            touched = touched || (op.invoked && op.key == key);
+        if (!touched)
+            out->push_back(checker + ": key " + std::to_string(key) + "=" +
+                           std::to_string(value) +
+                           " survived but no operation in the history "
+                           "ever touched it");
+    }
+}
+
+std::vector<std::string>
+durableLin(const std::vector<HistoryOp> &ops, const KvState &state)
+{
+    std::vector<std::string> out;
+    for (uint64_t key : touchedKeys(ops)) {
+        const auto kops = opsOnKey(ops, key);
+        const ptrdiff_t last = lastResponded(kops);
+        std::vector<std::optional<uint64_t>> admissible = {
+            last >= 0 ? valueAfter(*kops[last]) : std::nullopt};
+        for (size_t i = static_cast<size_t>(last + 1); i < kops.size(); ++i)
+            admissible.push_back(valueAfter(*kops[i]));
+        const std::optional<uint64_t> got = stateValue(state, key);
+        if (std::find(admissible.begin(), admissible.end(), got) !=
+            admissible.end())
+            continue;
+        std::string options;
+        for (const auto &candidate : admissible)
+            options += (options.empty() ? "" : ", ") + formatValue(candidate);
+        out.push_back("durable-lin: key " + std::to_string(key) + " holds " +
+                      formatValue(got) + " after recovery; admissible: {" +
+                      options + "} (last responded op " +
+                      (last >= 0 ? std::to_string(kops[last]->id) : "none") +
+                      ")");
+    }
+    inventedKeys(ops, state, "durable-lin", &out);
+    return out;
+}
+
+std::vector<std::string>
+buffered(const std::vector<HistoryOp> &ops, const KvState &state)
+{
+    size_t min_cut = 0;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].invoked && ops[i].persisted)
+            min_cut = i + 1;
+    }
+    KvState replayed;
+    for (size_t p = 0; p <= ops.size(); ++p) {
+        if (p > 0 && ops[p - 1].invoked) {
+            if (ops[p - 1].isErase)
+                replayed.erase(ops[p - 1].key);
+            else
+                replayed[ops[p - 1].key] = ops[p - 1].value;
+        }
+        if (p >= min_cut && replayed == state)
+            return {};
+    }
+    std::vector<std::string> out = {
+        "buffered: no prefix cut of the " + std::to_string(ops.size()) +
+        "-op history containing all persisted ops (earliest legal cut " +
+        std::to_string(min_cut) + ") replays to the surviving state"};
+    inventedKeys(ops, state, "buffered", &out);
+    return out;
+}
+
+std::vector<std::string>
+detectable(const std::vector<HistoryOp> &ops, const KvState &state,
+           std::vector<std::pair<uint64_t, OpVerdict>> *verdicts)
+{
+    std::vector<std::string> out;
+    std::vector<std::pair<uint64_t, OpVerdict>> assigned;
+    for (uint64_t key : touchedKeys(ops)) {
+        const auto kops = opsOnKey(ops, key);
+        const ptrdiff_t last = lastResponded(kops);
+        const std::optional<uint64_t> got = stateValue(state, key);
+        ptrdiff_t chosen = -2;
+        if ((last >= 0 ? valueAfter(*kops[last]) : std::nullopt) == got)
+            chosen = last;
+        for (size_t i = static_cast<size_t>(last + 1); i < kops.size(); ++i) {
+            if (valueAfter(*kops[i]) == got)
+                chosen = static_cast<ptrdiff_t>(i);
+        }
+        if (chosen == -2) {
+            out.push_back("detectable: key " + std::to_string(key) +
+                          " holds " + formatValue(got) +
+                          " — no commit/abort assignment of its " +
+                          std::to_string(kops.size()) +
+                          " ops explains it (partial effect survived?)");
+            continue;
+        }
+        for (size_t i = 0; i < kops.size(); ++i)
+            assigned.emplace_back(kops[i]->id,
+                                  static_cast<ptrdiff_t>(i) <= chosen
+                                      ? OpVerdict::Committed
+                                      : OpVerdict::Aborted);
+    }
+    inventedKeys(ops, state, "detectable", &out);
+    if (out.empty()) {
+        std::sort(assigned.begin(), assigned.end());
+        *verdicts = std::move(assigned);
+    }
+    return out;
+}
+
+} // namespace rescan
+
+TEST(Differential, GroupedCheckersMatchPerKeyRescans)
+{
+    // Histories far beyond brute-force reach (up to 300 ops over 12
+    // keys), states that replay a random subset, mutate it, or invent
+    // keys: verdicts, violation strings and reboot verdicts must all be
+    // identical to the rescanning checkers'.
+    size_t failing = 0;
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        const uint64_t pinned = seed * 0x67727570ull + seed; // "grup"
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                     wsp::testing::seedTrace(pinned));
+        Rng rng(wsp::testing::testSeed(pinned));
+        for (int round = 0; round < 60; ++round) {
+            std::vector<HistoryOp> history;
+            const size_t n = rng.next(300);
+            for (size_t i = 0; i < n; ++i) {
+                HistoryOp h;
+                h.id = i;
+                h.isErase = rng.chance(0.25);
+                h.key = 1 + rng.next(12);
+                h.value = 1 + rng.next(4);
+                h.invoked = rng.chance(0.95);
+                h.applied = h.invoked && rng.chance(0.9);
+                h.responded = h.invoked && rng.chance(0.8);
+                h.persisted = h.applied && rng.chance(0.6);
+                history.push_back(h);
+            }
+            const size_t cut = rng.next(n + 1);
+            KvState state = replay(history, [&](const HistoryOp &h) {
+                return h.id < cut || rng.chance(0.05);
+            });
+            if (rng.chance(0.3) && !state.empty())
+                state.begin()->second += 1; // a torn value
+            if (rng.chance(0.2))
+                state[100 + rng.next(3)] = 7; // an invented key
+
+            const ConditionResult dl = checkDurableLinearizable(history, state);
+            ASSERT_EQ(dl.violations, rescan::durableLin(history, state))
+                << "round " << round;
+            EXPECT_EQ(dl.ok, dl.violations.empty());
+
+            const ConditionResult bdl =
+                checkBufferedDurableLinearizable(history, state);
+            ASSERT_EQ(bdl.violations, rescan::buffered(history, state))
+                << "round " << round;
+            EXPECT_EQ(bdl.ok, bdl.violations.empty());
+
+            std::vector<std::pair<uint64_t, OpVerdict>> verdicts, expected;
+            const ConditionResult de =
+                checkDetectableExecution(history, state, &verdicts);
+            ASSERT_EQ(de.violations,
+                      rescan::detectable(history, state, &expected))
+                << "round " << round;
+            EXPECT_EQ(verdicts, expected) << "round " << round;
+            failing += dl.ok ? 0 : 1;
+        }
+    }
+    // Both verdicts must have been exercised.
+    EXPECT_GT(failing, 0u);
+    EXPECT_LT(failing, 600u);
 }
 
 // Schedule plumbing ----------------------------------------------------

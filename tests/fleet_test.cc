@@ -262,6 +262,35 @@ TEST(Fleet, StormWspLocalRecoversEveryVictim)
     EXPECT_EQ(capacity.ys.back(), 1.0);
 }
 
+TEST(Fleet, BackToBackStormsEachReportTheirOwnCounts)
+{
+    // Each storm restarts the fleet's storm counters, so its outcome
+    // must count that storm alone — not the difference against the
+    // storm before it (which read 0 for a repeat and wrapped around
+    // for a smaller one).
+    FleetConfig config;
+    config.nodes = 5;
+    config.replication = 3;
+    config.seed = testSeed(0xf1ee7d);
+    Fleet fleet(config);
+    fleet.runTraffic(60, 0.7);
+
+    for (int storm_index = 0; storm_index < 2; ++storm_index) {
+        const StormOutcome storm =
+            fleet.runStorm(/*mask=*/0, fromSeconds(2.0), fromMillis(80.0));
+        EXPECT_EQ(storm.victims, 5u) << "storm " << storm_index;
+        EXPECT_EQ(storm.wspRecoveries, 5u) << "storm " << storm_index;
+        EXPECT_GT(storm.digestsExchanged, 0u) << "storm " << storm_index;
+        fleet.runTraffic(30, 0.7);
+    }
+    const StormOutcome smaller =
+        fleet.runStorm(/*mask=*/0b00110, fromSeconds(2.0), fromMillis(80.0));
+    EXPECT_EQ(smaller.victims, 2u);
+    EXPECT_EQ(smaller.wspRecoveries, 2u);
+    EXPECT_EQ(smaller.backendRefills, 0u);
+    EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+}
+
 TEST(Fleet, MidSaveKillSubsetStaysConvergent)
 {
     FleetConfig config;

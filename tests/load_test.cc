@@ -525,6 +525,57 @@ TEST_F(RegionViewFixture, RegionViewAgreesWithHashPathEverywhere)
     EXPECT_EQ(viewed.dirtyLines(), 2u);
 }
 
+TEST_F(RegionViewFixture, ReRegisteringTheSameRegionKeepsReadsExact)
+{
+    // Re-registering the current region returns at once, trusting the
+    // insert/erase funnel and dropDirty to have kept the view in step.
+    // Drive writes (in and out of the region), evictions, flushes and
+    // dropDirty through a viewed cache that re-registers the identical
+    // region between steps, and through an unviewed twin over its own
+    // module: every read must agree.
+    NvdimmConfig twin_config;
+    twin_config.capacityBytes = 4 * kMiB;
+    twin_config.flashChannels = 1;
+    NvdimmModule twin_dimm(queue, "rv-twin", twin_config);
+    NvramSpace twin_space;
+    twin_space.addModule(twin_dimm);
+
+    constexpr uint64_t kRegionLines = 32;
+    CacheModel viewed("viewed", 8 * CacheModel::kLineSize, CacheTiming{},
+                      space);
+    CacheModel plain("plain", 8 * CacheModel::kLineSize, CacheTiming{},
+                     twin_space);
+    viewed.registerRegionView(0, kRegionLines * CacheModel::kLineSize);
+
+    Rng rng(testSeed(0x7e9157e7));
+    for (int step = 0; step < 3000; ++step) {
+        // Lines 0..47: two thirds inside the region, a third outside.
+        const uint64_t addr = rng.next(48) * CacheModel::kLineSize +
+                              rng.next(8) * 8;
+        const double action = rng.uniform();
+        if (action < 0.7) {
+            const uint64_t value = rng();
+            viewed.writeU64(addr, value);
+            plain.writeU64(addr, value);
+        } else if (action < 0.85) {
+            viewed.flushLine(addr);
+            plain.flushLine(addr);
+        } else if (action < 0.87) {
+            viewed.dropDirty();
+            plain.dropDirty();
+        }
+        if (rng.chance(0.3))
+            viewed.registerRegionView(0, kRegionLines * CacheModel::kLineSize);
+        ASSERT_EQ(viewed.dirtyLines(), plain.dirtyLines()) << "step " << step;
+        for (uint64_t line = 0; line < 48; ++line) {
+            const uint64_t probe = line * CacheModel::kLineSize +
+                                   (step % 8) * 8;
+            ASSERT_EQ(viewed.readU64(probe), plain.readU64(probe))
+                << "step " << step << ", line " << line;
+        }
+    }
+}
+
 TEST_F(RegionViewFixture, ReferenceStoreIgnoresRegistration)
 {
     CacheModel cache("ref", 64 * kKiB, CacheTiming{}, space,

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,6 +100,58 @@ TEST(Crc64, DetectsSingleBitFlip)
     const uint64_t clean = crc64(bytes);
     bytes[129] ^= 0x10;
     EXPECT_NE(crc64(bytes), clean);
+}
+
+TEST(Crc64, MatchesTheCrc64XzCheckValue)
+{
+    const std::string check = "123456789";
+    const auto bytes = std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t *>(check.data()), check.size());
+    EXPECT_EQ(crc64(bytes), 0x995dc9bbdf1939faull);
+}
+
+/** Bytewise reference CRC-64/XZ: one table-free bit loop per byte. */
+uint64_t
+crc64Bitwise(std::span<const uint8_t> bytes, uint64_t crc)
+{
+    crc = ~crc;
+    for (uint8_t byte : bytes) {
+        crc ^= byte;
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0xc96c5795d7870f42ull : 0);
+    }
+    return ~crc;
+}
+
+TEST(Crc64, WordAtATimeMatchesBytewiseReference)
+{
+    // Every length 0-300 (so every tail length after whole words), at
+    // every start alignment mod 8, each seeded with the previous CRC.
+    std::vector<uint8_t> buffer(300 + 8);
+    Rng rng(0xc7c64);
+    for (auto &b : buffer)
+        b = static_cast<uint8_t>(rng());
+    uint64_t seed = 0;
+    for (size_t length = 0; length <= 300; ++length) {
+        const auto bytes =
+            std::span<const uint8_t>(buffer).subspan(length % 8, length);
+        const uint64_t expected = crc64Bitwise(bytes, seed);
+        ASSERT_EQ(crc64(bytes, seed), expected) << "length " << length;
+        seed = expected;
+    }
+}
+
+TEST(Crc64, EvaluatesAtCompileTime)
+{
+    static constexpr std::array<uint8_t, 9> kCheck = {'1', '2', '3', '4', '5',
+                                                      '6', '7', '8', '9'};
+    static_assert(crc64(kCheck) == 0x995dc9bbdf1939faull);
+    static_assert(crc64(std::span<const uint8_t>(kCheck).subspan(4),
+                        crc64(std::span<const uint8_t>(kCheck).first(4))) ==
+                  0x995dc9bbdf1939faull);
+    // The same value at run time, through the word-at-a-time path.
+    EXPECT_EQ(crc64(std::vector<uint8_t>(kCheck.begin(), kCheck.end())),
+              0x995dc9bbdf1939faull);
 }
 
 // SalvageDirectory --------------------------------------------------------
