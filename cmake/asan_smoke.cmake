@@ -33,6 +33,7 @@ endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} --build ${OUT_DIR}
         --target test_salvage test_sim_property test_conditions test_fleet
+                 test_machine_property test_apps
     RESULT_VARIABLE build_rc
     OUTPUT_VARIABLE build_out
     ERROR_VARIABLE build_out
@@ -86,10 +87,12 @@ endif()
 # The fleet battery churns whole WspSystems (kill, image capture,
 # chassis swap) and walks raw store shards during anti-entropy — a
 # use-after-free in the node teardown/reboot cycle would hide exactly
-# there. Run the placement, lifecycle and mid-save-kill suites.
+# there. Run the placement, lifecycle and mid-save-kill suites, the
+# decommission-while-dark storm, the missed-erase repair and the
+# pinned repair scenarios (every repair streaming path).
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_fleet
-        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent
+        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:FleetPinned.*
     RESULT_VARIABLE fleet_rc
     OUTPUT_VARIABLE fleet_out
     ERROR_VARIABLE fleet_out
@@ -98,5 +101,30 @@ if(NOT fleet_rc EQUAL 0)
     message(FATAL_ERROR
         "asan_smoke: fleet ASan run failed (rc=${fleet_rc}):\n${fleet_out}")
 endif()
+# Multi-line cache reads copy coalesced clean runs and dirty lines
+# into one span, and KvStore scans read the slot array through a
+# stack chunk buffer: the cache fuzz and the scan tests drive both
+# across every boundary.
+execute_process(
+    COMMAND ${OUT_DIR}/tests/test_machine_property
+        --gtest_filter=CacheFuzz.*
+    RESULT_VARIABLE cache_rc
+    OUTPUT_VARIABLE cache_out
+    ERROR_VARIABLE cache_out
+)
+if(NOT cache_rc EQUAL 0)
+    message(FATAL_ERROR
+        "asan_smoke: cache fuzz ASan run failed (rc=${cache_rc}):\n${cache_out}")
+endif()
+execute_process(
+    COMMAND ${OUT_DIR}/tests/test_apps --gtest_filter=KvScan.*
+    RESULT_VARIABLE scan_rc
+    OUTPUT_VARIABLE scan_out
+    ERROR_VARIABLE scan_out
+)
+if(NOT scan_rc EQUAL 0)
+    message(FATAL_ERROR
+        "asan_smoke: KvStore scan ASan run failed (rc=${scan_rc}):\n${scan_out}")
+endif()
 message(STATUS
-    "asan_smoke: salvage + sim-property + conditions + fleet suites clean under ASan")
+    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan suites clean under ASan")

@@ -84,6 +84,7 @@ class KvStore
     /**
      * @param cache    the cache all accesses go through
      * @param base     NVRAM base address of the store's region
+     *                 (16-byte aligned, so no slot straddles a line)
      * @param capacity slot count (power of two)
      */
     KvStore(CacheModel &cache, uint64_t base, uint64_t capacity);
@@ -124,7 +125,11 @@ class KvStore
     /** Sum of all values (full scan); for state verification. */
     uint64_t checksum() const;
 
-    /** Visit every live (key, value) pair (scan order). */
+    /**
+     * Visit every live (key, value) pair (scan order). The slot array
+     * is read ahead in multi-line chunks, so @p visit must not change
+     * the store.
+     */
     void forEach(const std::function<void(uint64_t key, uint64_t value)>
                      &visit) const;
 
@@ -148,6 +153,11 @@ class KvStore
 
     uint64_t probeStart(uint64_t key) const;
     void setSize(uint64_t size);
+
+    /** Call @p fn(key, value) for every live slot in slot order,
+     *  reading the slot array a chunk of lines at a time. */
+    template <typename Fn>
+    void scanSlots(Fn &&fn) const;
 
     /** Mutation funnel: cached store plus FliT notification. */
     void storeU64(uint64_t addr, uint64_t value);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 
@@ -19,11 +20,40 @@ namespace {
 /** Bytes one streamed (key, value) pair stands for on the wire. */
 constexpr uint64_t kPairBytes = 16;
 
-bool
-containsNode(const std::vector<uint32_t> &set, uint32_t node)
+/**
+ * Order-independent digest of a shard's pairs over one key subset —
+ * the anti-entropy exchange unit. Two nodes digesting the same logical
+ * key subset agree iff their surviving contents agree; the commutative
+ * mix makes scan order (which differs between a node that wrote keys
+ * in one order and a peer that replayed them in another) irrelevant.
+ */
+class ShardDigest
 {
-    return std::find(set.begin(), set.end(), node) != set.end();
-}
+  public:
+    void add(uint64_t key, uint64_t value)
+    {
+        uint64_t h = key * 0x9e3779b97f4a7c15ull ^ value;
+        h ^= h >> 33;
+        h *= 0xff51afd7ed558ccdull;
+        h ^= h >> 33;
+        sum_ += h;
+        ++count_;
+    }
+
+    uint64_t value() const { return sum_ ^ (count_ * 0xc4ceb9fe1a85ec53ull); }
+
+  private:
+    uint64_t sum_ = 0;
+    uint64_t count_ = 0;
+};
+
+/** One pair of the repair target's shard, with its replica mask. */
+struct HeldPair
+{
+    uint64_t key;
+    uint64_t value;
+    uint64_t owners;
+};
 
 } // namespace
 
@@ -55,7 +85,7 @@ Fleet::Fleet(FleetConfig config)
             std::vector<std::pair<uint64_t, uint64_t>> pairs;
             for (const auto &[key, value] : model_)
                 if (nodes_[id]->shardOf(key) == shard &&
-                    assignedTo(key, id))
+                    ((placementOf(key) >> id) & 1))
                     pairs.emplace_back(key, value);
             return pairs;
         });
@@ -80,10 +110,12 @@ Fleet::upNodes() const
     return up;
 }
 
-bool
-Fleet::assignedTo(uint64_t key, uint32_t node_id) const
+uint64_t
+Fleet::placementOf(uint64_t key) const
 {
-    return containsNode(ring_.replicaSet(key, effectiveR_), node_id);
+    const auto it = touched_.find(key);
+    return it != touched_.end() ? it->second
+                                : ring_.replicaMask(key, effectiveR_);
 }
 
 Tick
@@ -177,7 +209,9 @@ Fleet::applyWrite(uint64_t key, uint64_t value, bool is_erase)
                 model_.erase(key);
             else
                 model_[key] = value;
-            touched_.insert(key);
+            const auto [placed, first] = touched_.try_emplace(key, 0);
+            if (first)
+                placed->second = ring_.replicaMask(key, effectiveR_);
             ++stats_.succeeded;
             ++stats_.ackedWrites;
             recordLatency(key, latency);
@@ -686,78 +720,103 @@ Fleet::repairNode(FleetNode &target)
     if (!target.serving())
         return result;
     const uint32_t target_id = target.id();
-    const auto owned_by_target = [&](uint64_t key) {
-        return assignedTo(key, target_id);
-    };
+    const uint64_t target_bit = 1ull << target_id;
 
+    std::vector<const FleetNode *> peers;
+    for (const auto &peer : nodes_)
+        if (peer->id() != target_id && peer->up() && peer->serving())
+            peers.push_back(peer.get());
+
+    // Authority for the target's keys, split by shard in one pass:
+    // the acked values (the backend log), ascending by key. Up peers
+    // carry exactly the acked history for their keys (live replicas
+    // never diverge), so peer coverage only decides who the bytes
+    // stream from, not what they are. touched_ holds every model_
+    // key in the same order, so it walks alongside with the masks.
+    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> authority(
+        target.shards());
+    auto placed = touched_.begin();
+    for (const auto &[key, value] : model_) {
+        while (placed != touched_.end() && placed->first < key)
+            ++placed;
+        WSP_CHECK(placed != touched_.end() && placed->first == key);
+        if (placed->second & target_bit)
+            authority[target.shardOf(key)].emplace_back(key, value);
+    }
+
+    std::vector<HeldPair> held;
     for (unsigned shard = 0; shard < target.shards(); ++shard) {
+        // One read of the target's shard: the pairs it is assigned.
+        held.clear();
+        target.shardStore(shard).forEach([&](uint64_t key, uint64_t value) {
+            const uint64_t owners = placementOf(key);
+            if (owners & target_bit)
+                held.push_back({key, value, owners});
+        });
+
         // Digest exchange: compare the target against every Up peer
-        // over the key subset both are assigned; if every pairwise
-        // digest matches (and the backend fallback agrees for keys
-        // with no Up peer), the shard streams nothing.
+        // over the key subset both are assigned, reading each peer's
+        // shard once; if every pairwise digest matches (and the
+        // backend agrees for keys with no Up peer), the shard streams
+        // nothing.
         bool divergent = false;
-        std::vector<uint32_t> peers;
-        for (const auto &peer : nodes_) {
-            if (peer->id() == target_id || !peer->up() ||
-                !peer->serving())
-                continue;
-            peers.push_back(peer->id());
-            const auto shared = [&](uint64_t key) {
-                return assignedTo(key, target_id) &&
-                       assignedTo(key, peer->id());
-            };
+        for (const FleetNode *peer : peers) {
+            const uint64_t shared = target_bit | (1ull << peer->id());
+            ShardDigest mine;
+            for (const HeldPair &pair : held)
+                if ((pair.owners & shared) == shared)
+                    mine.add(pair.key, pair.value);
+            ShardDigest theirs;
+            peer->shardStore(shard).forEach(
+                [&](uint64_t key, uint64_t value) {
+                    if ((placementOf(key) & shared) == shared)
+                        theirs.add(key, value);
+                });
             ++result.digests;
-            if (target.shardDigest(shard, shared) !=
-                peer->shardDigest(shard, shared))
+            if (mine.value() != theirs.value())
                 divergent = true;
         }
 
-        // Authority for this shard's keys: Up peers where available,
-        // the backend (acked-write log) where not.
-        std::map<uint64_t, uint64_t> authority;
-        for (const auto &[key, value] : model_) {
-            if (target.shardOf(key) != shard || !owned_by_target(key))
-                continue;
-            bool peer_covered = false;
-            for (uint32_t peer : peers)
-                if (assignedTo(key, peer)) {
-                    peer_covered = true;
-                    break;
-                }
-            // Up peers carry exactly the acked history for their keys
-            // (live replicas never diverge), so the authoritative
-            // value is the model's either way; peer coverage only
-            // decides who the bytes stream from.
-            (void)peer_covered;
-            authority.emplace(key, value);
-        }
+        // The target's current pairs by key; a key found twice keeps
+        // its first slot in scan order.
+        std::stable_sort(held.begin(), held.end(),
+                         [](const HeldPair &a, const HeldPair &b) {
+                             return a.key < b.key;
+                         });
+        held.erase(std::unique(held.begin(), held.end(),
+                               [](const HeldPair &a, const HeldPair &b) {
+                                   return a.key == b.key;
+                               }),
+                   held.end());
+        const auto &want = authority[shard];
+        const auto same = [](const HeldPair &have,
+                             const std::pair<uint64_t, uint64_t> &pair) {
+            return have.key == pair.first && have.value == pair.second;
+        };
+        if (!divergent && std::equal(held.begin(), held.end(), want.begin(),
+                                     want.end(), same))
+            continue; // peers matched and so did the backend
 
-        if (!divergent) {
-            // Peers matched; still verify the backend-covered keys.
-            const auto current =
-                target.collectShard(shard, owned_by_target);
-            std::map<uint64_t, uint64_t> current_map(current.begin(),
-                                                     current.end());
-            if (current_map == authority)
-                continue;
-        }
-
-        // Stream only this shard's missed updates.
+        // Stream only this shard's missed updates: puts in ascending
+        // key order, then erases in ascending key order (slot
+        // placement depends on insertion order).
         uint64_t shard_streamed = 0;
-        const auto current = target.collectShard(shard, owned_by_target);
-        std::map<uint64_t, uint64_t> current_map(current.begin(),
-                                                 current.end());
-        for (const auto &[key, value] : authority) {
-            const auto it = current_map.find(key);
-            if (it == current_map.end() || it->second != value) {
+        auto have = held.begin();
+        for (const auto &[key, value] : want) {
+            while (have != held.end() && have->key < key)
+                ++have;
+            if (have == held.end() || have->key != key ||
+                have->value != value) {
                 target.put(key, value);
                 shard_streamed += kPairBytes;
             }
         }
-        for (const auto &[key, value] : current_map) {
-            (void)value;
-            if (!authority.count(key)) {
-                target.erase(key);
+        auto acked = want.begin();
+        for (const HeldPair &pair : held) {
+            while (acked != want.end() && acked->first < pair.key)
+                ++acked;
+            if (acked == want.end() || acked->first != pair.key) {
+                target.erase(pair.key);
                 shard_streamed += kPairBytes;
             }
         }
@@ -778,12 +837,12 @@ Fleet::decommission(uint32_t id)
     WSP_CHECK(id < nodes_.size());
     WSP_CHECKF(ring_.contains(id), "node %u already decommissioned", id);
 
-    // Capture the old placement of every acked key before the ring
-    // changes under us.
-    std::vector<std::pair<uint64_t, std::vector<uint32_t>>> old_sets;
-    for (const auto &[key, value] : model_) {
-        (void)value;
-        old_sets.emplace_back(key, ring_.replicaSet(key, effectiveR_));
+    // A victim still recovering leaves its storm here: the epoch bump
+    // below cancels the events that would have certified it Up.
+    if (stormRunning() && nodes_[id]->state() != NodeState::Up) {
+        --storm_.remaining;
+        if (storm_.remaining == 0)
+            storm_.active = false;
     }
 
     ring_.removeNode(id);
@@ -791,16 +850,22 @@ Fleet::decommission(uint32_t id)
     nodes_[id]->decommission();
 
     // Rendezvous rebalance: only keys that listed the lost node gain
-    // a (single) new replica; every other set is untouched.
-    for (const auto &[key, old_set] : old_sets) {
-        if (!containsNode(old_set, id))
+    // a (single) new replica; every other set is untouched. touched_
+    // still holds the old sets; each key's new one replaces it here.
+    const uint64_t lost = 1ull << id;
+    for (auto &[key, owners] : touched_) {
+        const uint64_t old_owners = owners;
+        owners = ring_.replicaMask(key, effectiveR_);
+        if (!(old_owners & lost))
             continue;
-        for (uint32_t gained : ring_.replicaSet(key, effectiveR_)) {
-            if (containsNode(old_set, gained))
-                continue;
-            FleetNode &node = *nodes_[gained];
+        const auto acked = model_.find(key);
+        if (acked == model_.end())
+            continue; // erased: nothing to push
+        for (uint64_t gained = owners & ~old_owners; gained != 0;
+             gained &= gained - 1) {
+            FleetNode &node = *nodes_[std::countr_zero(gained)];
             if (node.live() && node.serving())
-                node.put(key, model_.at(key));
+                node.put(key, acked->second);
             ++report.keysMoved;
         }
     }
@@ -817,7 +882,8 @@ std::vector<std::string>
 Fleet::checkReplicaConvergence() const
 {
     std::vector<std::string> violations;
-    for (uint64_t key : touched_) {
+    for (const auto &entry : touched_) {
+        const uint64_t key = entry.first;
         const auto expected = model_.find(key);
         const bool should_exist = expected != model_.end();
         for (uint32_t id : ring_.replicaSet(key, effectiveR_)) {

@@ -36,7 +36,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -321,7 +320,9 @@ class Fleet
         uint64_t digests = 0;
     };
 
-    bool assignedTo(uint64_t key, uint32_t node_id) const;
+    /** Replica set of @p key as a node mask (bit i = node i): the
+     *  cached entry for a touched key, computed for any other. */
+    uint64_t placementOf(uint64_t key) const;
     Tick serviceDraw();
     Tick backoff(unsigned attempt);
     void recordLatency(uint64_t key, Tick latency);
@@ -345,8 +346,13 @@ class Fleet
     /** Acked state — what the modelled backend log vouches for. */
     std::map<uint64_t, uint64_t> model_;
 
-    /** Every key an acked write or erase ever touched. */
-    std::set<uint64_t> touched_;
+    /**
+     * Every key an acked write or erase ever touched, with its replica
+     * mask under the current ring — computed once per key, and again
+     * for every key when the ring changes (decommission). A superset
+     * of model_'s keys.
+     */
+    std::map<uint64_t, uint64_t> touched_;
 
     Tick now_ = 0;
     std::multimap<Tick, Event> agenda_;

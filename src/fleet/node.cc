@@ -286,41 +286,11 @@ FleetNode::get(uint64_t key, uint64_t *value_out) const
     return store_->get(key, value_out);
 }
 
-uint64_t
-FleetNode::shardDigest(unsigned shard,
-                       const std::function<bool(uint64_t)> &owned) const
+const apps::KvStore &
+FleetNode::shardStore(unsigned shard) const
 {
     WSP_CHECK(serving());
-    // Commutative mix: scan order (which differs between a node that
-    // wrote keys in one order and a peer that replayed them in
-    // another) must not matter.
-    uint64_t digest = 0;
-    uint64_t count = 0;
-    store_->shard(shard).forEach(
-        [&](uint64_t key, uint64_t value) {
-            if (!owned(key))
-                return;
-            uint64_t h = key * 0x9e3779b97f4a7c15ull ^ value;
-            h ^= h >> 33;
-            h *= 0xff51afd7ed558ccdull;
-            h ^= h >> 33;
-            digest += h;
-            ++count;
-        });
-    return digest ^ (count * 0xc4ceb9fe1a85ec53ull);
-}
-
-std::vector<std::pair<uint64_t, uint64_t>>
-FleetNode::collectShard(unsigned shard,
-                        const std::function<bool(uint64_t)> &owned) const
-{
-    WSP_CHECK(serving());
-    std::vector<std::pair<uint64_t, uint64_t>> pairs;
-    store_->shard(shard).forEach([&](uint64_t key, uint64_t value) {
-        if (owned(key))
-            pairs.emplace_back(key, value);
-    });
-    return pairs;
+    return store_->shard(shard);
 }
 
 } // namespace wsp::fleet

@@ -166,18 +166,11 @@ class FleetNode
     bool get(uint64_t key, uint64_t *value_out = nullptr) const;
 
     /**
-     * Order-independent digest of shard @p shard restricted to keys
-     * @p owned accepts — the anti-entropy exchange unit. Two nodes
-     * digesting the same logical key subset agree iff their surviving
-     * contents agree.
+     * Read-only view of shard @p shard's store, which anti-entropy
+     * scans for digests and repair. Mutations still go through
+     * put()/erase(); the view dies with the chassis.
      */
-    uint64_t shardDigest(unsigned shard,
-                         const std::function<bool(uint64_t)> &owned) const;
-
-    /** Collect shard @p shard's pairs whose key @p owned accepts. */
-    std::vector<std::pair<uint64_t, uint64_t>>
-    collectShard(unsigned shard,
-                 const std::function<bool(uint64_t)> &owned) const;
+    const apps::KvStore &shardStore(unsigned shard) const;
 
     /** The last boot's restore report (meaningful after reboot()). */
     const RestoreReport &lastRestore() const { return lastRestore_; }

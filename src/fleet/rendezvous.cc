@@ -72,6 +72,35 @@ RendezvousHash::replicaSet(uint64_t key, unsigned r) const
     return replicas;
 }
 
+uint64_t
+RendezvousHash::replicaMask(uint64_t key, unsigned r) const
+{
+    WSP_CHECKF(nodes_.empty() || nodes_.back() < 64,
+               "replica masks cover node ids 0..63");
+    // The same top-r set as replicaSet's partial sort (higher score
+    // first, lower id on ties): r passes, each taking the best node
+    // not yet in the mask.
+    const size_t take = std::min<size_t>(r, nodes_.size());
+    uint64_t mask = 0;
+    for (size_t i = 0; i < take; ++i) {
+        uint32_t best = 0;
+        uint64_t best_score = 0;
+        bool found = false;
+        for (uint32_t node : nodes_) {
+            if (mask & (1ull << node))
+                continue;
+            const uint64_t s = score(node, key);
+            if (!found || s > best_score) {
+                best = node;
+                best_score = s;
+                found = true;
+            }
+        }
+        mask |= 1ull << best;
+    }
+    return mask;
+}
+
 uint32_t
 RendezvousHash::primary(uint64_t key) const
 {

@@ -52,6 +52,13 @@ class RendezvousHash
      */
     std::vector<uint32_t> replicaSet(uint64_t key, unsigned r) const;
 
+    /**
+     * The members of replicaSet(key, r) as a node bitmask (bit i =
+     * node i), without building the ordered list: no allocation. Node
+     * ids must be below 64.
+     */
+    uint64_t replicaMask(uint64_t key, unsigned r) const;
+
     /** The primary owner of @p key; nodes() must be non-empty. */
     uint32_t primary(uint64_t key) const;
 

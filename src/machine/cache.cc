@@ -294,7 +294,13 @@ CacheModel::writeBack(uint64_t line_addr)
 void
 CacheModel::read(uint64_t addr, std::span<uint8_t> out) const
 {
+    // Flat store: consecutive clean lines are served by one NVRAM read
+    // (a run is flushed when a dirty line interrupts it or the span
+    // ends), so a multi-line scan of a restored, all-clean region
+    // costs one memory read instead of one per line. A read within one
+    // line still does one lookup and one copy or memory read.
     size_t done = 0;
+    size_t clean = 0; ///< bytes of the pending clean run, ending at done
     while (done < out.size()) {
         const uint64_t cur = addr + done;
         const uint64_t base = lineBase(cur);
@@ -304,10 +310,15 @@ CacheModel::read(uint64_t addr, std::span<uint8_t> out) const
         if (store_ == LineStore::Flat) {
             const uint32_t slot = flatFind(base);
             if (slot != kNoSlot) {
+                if (clean > 0) {
+                    memory_.read(cur - clean,
+                                 out.subspan(done - clean, clean));
+                    clean = 0;
+                }
                 std::memcpy(out.data() + done,
                             flatLines_[slot].data + offset, chunk);
             } else {
-                memory_.read(cur, out.subspan(done, chunk));
+                clean += chunk;
             }
         } else {
             auto it = dirty_.find(base);
@@ -320,6 +331,8 @@ CacheModel::read(uint64_t addr, std::span<uint8_t> out) const
         }
         done += chunk;
     }
+    if (clean > 0)
+        memory_.read(addr + done - clean, out.subspan(done - clean, clean));
 }
 
 void

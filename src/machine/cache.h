@@ -122,7 +122,8 @@ class CacheModel
         return store_ == LineStore::Flat ? flatLive_ : dirty_.size();
     }
 
-    /** Cached read: dirty lines shadow NVRAM content. */
+    /** Cached read: dirty lines shadow NVRAM content. On the flat
+     *  store a run of consecutive clean lines is one NVRAM read. */
     void read(uint64_t addr, std::span<uint8_t> out) const;
 
     /** Cached write: dirties lines; NVRAM is not yet updated. */

@@ -8,7 +8,9 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/avl_tree.h"
 #include "apps/backend_store.h"
@@ -588,6 +590,105 @@ TEST_F(KvFixture, ChecksumTracksContent)
     EXPECT_NE(empty, one);
     store.erase(1);
     EXPECT_EQ(store.checksum(), empty);
+}
+
+// KvStore scans ---------------------------------------------------------
+//
+// forEach and checksum read the slot array a chunk of lines at a time
+// (256 slots). They must see exactly what a per-slot walk of the
+// documented layout sees: a 64-byte header, then 16-byte (key, value)
+// slots, key 0 empty and ~0 a tombstone, each word read through the
+// cache with readU64.
+
+std::vector<std::pair<uint64_t, uint64_t>>
+walkSlots(const CacheModel &cache, uint64_t base, uint64_t capacity)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    for (uint64_t i = 0; i < capacity; ++i) {
+        const uint64_t slot = base + 64 + i * 16;
+        const uint64_t key = cache.readU64(slot);
+        if (key != 0 && key != ~0ull)
+            pairs.emplace_back(key, cache.readU64(slot + 8));
+    }
+    return pairs;
+}
+
+void
+expectScanMatchesWalk(const KvStore &store, const CacheModel &cache,
+                      uint64_t base, const std::string &label)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> visited;
+    store.forEach([&](uint64_t key, uint64_t value) {
+        visited.emplace_back(key, value);
+    });
+    const auto walked = walkSlots(cache, base, store.capacity());
+    EXPECT_EQ(visited, walked) << label;
+    uint64_t sum = 0;
+    for (const auto &[key, value] : walked)
+        sum += key * 0x9e3779b97f4a7c15ull + value;
+    EXPECT_EQ(store.checksum(), sum) << label;
+}
+
+TEST(KvScan, ForEachAndChecksumMatchAPerSlotWalk)
+{
+    // Bases: line-aligned and mid-line (slots must stay 16-aligned).
+    // Capacities: one slot, two (the array ends mid-line), 64 and 1024
+    // (four scan chunks). A 4-line cache evicts constantly, so its
+    // stores mix dirty and clean lines at every step.
+    for (const uint64_t base : {0ull, 4096ull + 48}) {
+        for (const uint64_t capacity : {1ull, 2ull, 64ull, 1024ull}) {
+            for (const uint64_t cache_lines : {4096ull, 4ull}) {
+                EventQueue queue;
+                NvdimmConfig dimm_config;
+                dimm_config.capacityBytes = 1 * kMiB;
+                dimm_config.flashChannels = 1;
+                NvdimmModule dimm(queue, "d", dimm_config);
+                NvramSpace space;
+                space.addModule(dimm);
+                CacheModel cache("c", cache_lines * CacheModel::kLineSize,
+                                 CacheTiming{}, space);
+                KvStore store(cache, base, capacity);
+                const std::string label =
+                    "base " + std::to_string(base) + " capacity " +
+                    std::to_string(capacity) + " cache lines " +
+                    std::to_string(cache_lines);
+
+                Rng rng(base * 131 + capacity * 7 + cache_lines);
+                std::vector<uint64_t> keys;
+                for (uint64_t i = 0; i < capacity * 3 / 4 + 1; ++i) {
+                    const uint64_t key = rng.next(1 << 20) + 1;
+                    if (store.put(key, rng()))
+                        keys.push_back(key);
+                }
+                expectScanMatchesWalk(store, cache, base,
+                                      label + ": written");
+
+                for (size_t i = 0; i < keys.size(); i += 2)
+                    store.erase(keys[i]);
+                expectScanMatchesWalk(store, cache, base,
+                                      label + ": tombstones");
+
+                cache.wbinvd();
+                ASSERT_EQ(cache.dirtyLines(), 0u);
+                expectScanMatchesWalk(store, cache, base,
+                                      label + ": all clean");
+
+                // A few updates dirty scattered lines between clean
+                // runs; then dropping them exposes the older NVRAM
+                // image under those lines.
+                for (size_t i = 1; i < keys.size(); i += 3)
+                    store.put(keys[i], rng());
+                for (size_t i = 0; i < keys.size(); i += 4)
+                    store.put(keys[i], rng());
+                expectScanMatchesWalk(store, cache, base,
+                                      label + ": mixed");
+
+                cache.dropDirty();
+                expectScanMatchesWalk(store, cache, base,
+                                      label + ": dirty lines dropped");
+            }
+        }
+    }
 }
 
 // BackendStore ----------------------------------------------------------

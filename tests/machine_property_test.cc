@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -27,11 +28,15 @@ namespace {
 /**
  * Reference model: a plain byte array. The cache + NVRAM composite
  * must read back exactly what the reference holds, under any mix of
- * cached writes, line flushes, wbinvd, and capacity evictions.
+ * cached writes, line flushes, wbinvd, and capacity evictions. Reads
+ * are short (1-16 bytes) or span up to eight lines, half of them
+ * around the last write, so runs of clean lines between dirty ones
+ * (served by one NVRAM read each) are checked byte for byte.
  */
 TEST(CacheFuzz, MatchesFlatMemoryUnderRandomOps)
 {
     Rng rng(0xcac4e);
+    constexpr size_t kMaxSpan = 8 * CacheModel::kLineSize;
     for (int trial = 0; trial < 10; ++trial) {
         EventQueue queue;
         NvdimmConfig dimm_config;
@@ -44,6 +49,7 @@ TEST(CacheFuzz, MatchesFlatMemoryUnderRandomOps)
                          space);
 
         std::vector<uint8_t> reference(dimm_config.capacityBytes, 0);
+        uint64_t last_write = 0;
 
         for (int op = 0; op < 3000; ++op) {
             const uint64_t addr =
@@ -57,15 +63,25 @@ TEST(CacheFuzz, MatchesFlatMemoryUnderRandomOps)
                     data[i] = static_cast<uint8_t>(rng());
                 cache.write(addr, std::span<const uint8_t>(data, len));
                 std::memcpy(reference.data() + addr, data, len);
+                last_write = addr;
                 break;
               }
               case 2: { // read and compare
-                uint8_t out[16];
-                const size_t len = 1 + rng.next(16);
-                cache.read(addr, std::span<uint8_t>(out, len));
-                ASSERT_EQ(std::memcmp(out, reference.data() + addr, len),
+                uint8_t out[kMaxSpan];
+                const size_t len = rng.chance(0.5)
+                                       ? 1 + rng.next(16)
+                                       : 1 + rng.next(kMaxSpan);
+                uint64_t from = addr;
+                if (rng.chance(0.5))
+                    from = last_write -
+                           std::min<uint64_t>(last_write, rng.next(kMaxSpan));
+                from = std::min<uint64_t>(from,
+                                          dimm_config.capacityBytes - len);
+                cache.read(from, std::span<uint8_t>(out, len));
+                ASSERT_EQ(std::memcmp(out, reference.data() + from, len),
                           0)
-                    << "trial " << trial << " op " << op;
+                    << "trial " << trial << " op " << op << " read of "
+                    << len << " bytes at " << from;
                 break;
               }
               case 3:
