@@ -1,43 +1,34 @@
 /**
  * @file
- * Threaded serving throughput: ring dispatch vs mutex dispatch.
+ * Threaded serving throughput: the traffic plane's worker sweep.
  *
- * The traffic-plane tentpole measured: three dispatch arms drive the
- * same deterministic per-worker op streams (load::OpStream) at the
- * same lock-striped ShardedKvStore geometry, so the only variable is
- * how requests reach a shard:
+ * load::TrafficPlane drives deterministic per-worker op streams
+ * (load::OpStream) through per-(producer, shard) SPSC rings into
+ * applyShardBatch on a lock-striped 8-shard ShardedKvStore, at 1, 2,
+ * 4 and 8 workers (and at --workers when that is not one of them).
+ * Every run is checked, not just timed:
  *
- *  - perop+reference: the pre-traffic-plane serving path — one store
- *    front-door call per op (shard mutex + size-header round trip
- *    each time) against the reference map/list cache bookkeeping.
- *    This is the "mutex-per-shard dispatch" baseline the tentpole's
- *    >= 5x claim is made against.
- *  - batch+flat: hand-batched applyBatch over the flat cache store —
- *    the ablation arm separating batching+cache wins from ring wins.
- *  - rings+flat: the full plane — per-(producer, shard) SPSC rings,
- *    batch coalescing into applyShardBatch, zero allocations on the
- *    request path, back-pressure when rings fill.
+ *  - exact equivalence: workers own disjoint key ranges, so the
+ *    sequential replay of the same streams (runSequential) must reach
+ *    the same counters, store size and content checksum;
+ *  - determinism: a second run with the same seed into a fresh store
+ *    must reproduce the batch result.
  *
- * The >= 5x aggregate claim assumes the workers actually run in
- * parallel: ring dispatch scales with physical cores while the mutex
- * arm gains real contention, so on hosts with fewer cores than
- * workers (CI containers pinned to one core) both arms serialize and
- * the measured gap compresses to the per-op cost difference. The
- * gate therefore adapts: full >= 5x when hardware_concurrency covers
- * the worker count, an honest >= 1.5x dispatch-cost floor otherwise
- * — and the measured ratio is always recorded in the bench JSON so
- * the perf trajectory keeps the real number either way (see
- * DESIGN.md section 15).
+ * Throughput and ring latency are recorded for the perf trajectory,
+ * not gated: one short shot on a shared host is too noisy for an
+ * absolute floor.
  *
- * Flags (recorded in BENCH_kv_throughput.json): --workers=N,
+ * Flags (recorded in BENCH_kv_throughput.json): --workers=N (the
+ * worker count whose ring p50/p99 the record carries),
  * --read-ratio=F (fraction of gets), --zipf=THETA (0 = uniform).
  */
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
 
-#include "apps/kv_service.h"
+#include "apps/shard_environment.h"
 #include "bench/bench_util.h"
 #include "load/traffic_plane.h"
 #include "trace/stat_registry.h"
@@ -61,15 +52,14 @@ struct Rig
     std::vector<std::unique_ptr<ShardEnvironment>> envs;
     std::unique_ptr<ShardedKvStore> store;
 
-    Rig(const char *tag, CacheModel::LineStore line_store)
+    explicit Rig(const char *tag)
     {
         const uint64_t region =
             ShardedKvStore::regionBytes(kShards, kPerShardCapacity);
         std::vector<CacheModel *> caches;
         for (unsigned i = 0; i < kShards; ++i) {
             envs.push_back(std::make_unique<ShardEnvironment>(
-                std::string("kvtp_") + tag + std::to_string(i), region,
-                line_store));
+                std::string("kvtp_") + tag + std::to_string(i), region));
             caches.push_back(&envs.back()->cache);
         }
         store = std::make_unique<ShardedKvStore>(
@@ -136,25 +126,40 @@ main(int argc, char **argv)
 
     auto &stats = trace::StatRegistry::instance();
 
-    // Rings-arm thread sweep: the capacity curve.
-    const std::vector<unsigned> thread_counts = {1, 2, 4, 8};
-    Table sweep("Ring-dispatch KV throughput: 8 shards, SPSC rings");
-    sweep.setHeader({"threads", "ops", "wall (ms)", "ops/sec", "stalls",
-                     "matches sequential"});
+    // Worker sweep: the capacity curve.
+    std::vector<unsigned> thread_counts = {1, 2, 4, 8};
+    if (std::find(thread_counts.begin(), thread_counts.end(), workers) ==
+        thread_counts.end()) {
+        thread_counts.push_back(workers);
+        std::sort(thread_counts.begin(), thread_counts.end());
+    }
+    Table sweep("Ring-dispatch KV throughput: 8 shards, SPSC rings (get " +
+                std::to_string(get_permille) + " / erase " +
+                std::to_string(erase_permille) + " permille)");
+    sweep.setHeader({"threads", "ops", "wall (ms)", "ops/sec", "p50 (us)",
+                     "p99 (us)", "stalls", "matches sequential"});
     std::vector<double> sweep_rates;
+    double rings_p50_ns = 0.0;
+    double rings_p99_ns = 0.0;
     bool all_equivalent = true;
     bool deterministic = true;
     for (unsigned threads : thread_counts) {
         TrafficPlaneConfig config = base;
         config.workers = threads;
-        Rig rig("s", CacheModel::LineStore::Flat);
+        Rig rig("s");
         TrafficPlane plane(*rig.store, config);
         ThreadPool pool(threads);
         const TrafficPlaneReport run = plane.run(pool);
+        const double p50 = run.latencyNs.percentile(50);
+        const double p99 = run.latencyNs.percentile(99);
+        if (threads == workers) {
+            rings_p50_ns = p50;
+            rings_p99_ns = p99;
+        }
 
         // Disjoint key ranges make the sequential replay of the same
         // streams byte-equivalent, not just statistically close.
-        Rig seq("q", CacheModel::LineStore::Flat);
+        Rig seq("q");
         const apps::KvBatchResult reference =
             plane.runSequential(*seq.store);
         const bool equivalent =
@@ -163,7 +168,7 @@ main(int argc, char **argv)
             rig.store->checksum() == seq.store->checksum();
         all_equivalent = all_equivalent && equivalent;
 
-        Rig again_rig("r", CacheModel::LineStore::Flat);
+        Rig again_rig("r");
         TrafficPlane again(*again_rig.store, config);
         deterministic = deterministic &&
                         sameResult(again.run(pool).result, run.result);
@@ -172,6 +177,8 @@ main(int argc, char **argv)
         sweep.addRow({std::to_string(threads), std::to_string(run.ops()),
                       formatDouble(run.wallSeconds * 1000.0, 2),
                       formatDouble(run.opsPerSec(), 0),
+                      formatDouble(p50 / 1000.0, 1),
+                      formatDouble(p99 / 1000.0, 1),
                       std::to_string(run.backpressureStalls),
                       equivalent ? "yes" : "NO"});
         const std::string prefix =
@@ -181,78 +188,14 @@ main(int argc, char **argv)
             .set(static_cast<double>(run.ops()));
     }
     sweep.print();
-    std::printf("\n");
+    std::printf("\n(%u hardware threads)\n\n", cores);
 
-    // Dispatch-arm comparison at --workers.
-    struct Arm
-    {
-        const char *label;
-        const char *gauge;
-        CacheModel::LineStore lineStore;
-        TrafficPlaneReport (TrafficPlane::*run)(ThreadPool &);
-    };
-    const std::vector<Arm> arms = {
-        {"perop+reference", "perop_reference",
-         CacheModel::LineStore::Reference, &TrafficPlane::runMutexPerOp},
-        {"batch+flat", "batch_flat", CacheModel::LineStore::Flat,
-         &TrafficPlane::runMutexBatch},
-        {"rings+flat", "rings_flat", CacheModel::LineStore::Flat,
-         &TrafficPlane::run},
-    };
-
-    Table table("Dispatch arms at " + std::to_string(workers) +
-                " workers (get " + std::to_string(get_permille) +
-                " / erase " + std::to_string(erase_permille) +
-                " permille)");
-    table.setHeader(
-        {"arm", "ops/sec", "ns/op", "p50 (us)", "p99 (us)", "stalls"});
-    std::vector<double> arm_rates;
-    double rings_p50_ns = 0.0;
-    double rings_p99_ns = 0.0;
-    for (const Arm &arm : arms) {
-        TrafficPlaneConfig config = base;
-        config.workers = workers;
-        Rig rig(arm.gauge, arm.lineStore);
-        TrafficPlane plane(*rig.store, config);
-        ThreadPool pool(workers);
-        const TrafficPlaneReport run = (plane.*arm.run)(pool);
-        const double p50 = run.latencyNs.percentile(50);
-        const double p99 = run.latencyNs.percentile(99);
-        arm_rates.push_back(run.opsPerSec());
-        if (arm.run == &TrafficPlane::run) {
-            rings_p50_ns = p50;
-            rings_p99_ns = p99;
-        }
-        table.addRow({arm.label, formatDouble(run.opsPerSec(), 0),
-                      formatDouble(run.wallSeconds * 1e9 /
-                                       static_cast<double>(run.ops()),
-                                   1),
-                      formatDouble(p50 / 1000.0, 1),
-                      formatDouble(p99 / 1000.0, 1),
-                      std::to_string(run.backpressureStalls)});
-        const std::string prefix =
-            std::string("bench.kv_throughput.arm.") + arm.gauge;
-        stats.gauge(prefix + ".ops_per_sec").set(run.opsPerSec());
-        stats.gauge(prefix + ".p50_ns").set(p50);
-        stats.gauge(prefix + ".p99_ns").set(p99);
-    }
-    table.print();
-
-    const double ratio =
-        arm_rates[0] > 0.0 ? arm_rates[2] / arm_rates[0] : 0.0;
-    std::printf("\nrings vs per-op mutex dispatch: %.2fx "
-                "(%u workers on %u hardware threads)\n\n",
-                ratio, workers, cores);
-    stats.gauge("bench.kv_throughput.ratio_vs_perop").set(ratio);
-
-    // Everything the gate reasons about lands in the bench record.
+    // Everything the trajectory compares lands in the bench record.
     bench::recordField("workers", workers);
     bench::recordField("read_ratio_permille", get_permille);
     bench::recordField("zipf_theta_permille",
                        static_cast<uint64_t>(zipf_theta * 1000.0 + 0.5));
     bench::recordField("hardware_threads", cores);
-    bench::recordField("ratio_vs_perop_millis",
-                       static_cast<uint64_t>(ratio * 1000.0 + 0.5));
     bench::recordField("rings_p50_ns",
                        static_cast<uint64_t>(rings_p50_ns));
     bench::recordField("rings_p99_ns",
@@ -260,7 +203,7 @@ main(int argc, char **argv)
 
     AsciiChart chart("Ring dispatch vs worker threads", "threads",
                      "ops/sec");
-    Series series{"rings+flat", {}, {}};
+    Series series{"rings", {}, {}};
     for (size_t i = 0; i < thread_counts.size(); ++i)
         series.add(thread_counts[i], sweep_rates[i]);
     chart.addSeries(series);
@@ -274,27 +217,5 @@ main(int argc, char **argv)
                      deterministic);
     for (double rate : sweep_rates)
         check.expectTrue("positive throughput", rate > 0.0);
-    if (cores >= workers) {
-        // Real parallelism available: the tentpole's headline claim,
-        // and the rings must not lose to hand-batching either.
-        check.expectTrue("ring dispatch beats batch dispatch x0.9",
-                         arm_rates[2] > 0.9 * arm_rates[1]);
-        check.expectTrue("rings >= 5x per-op mutex dispatch",
-                         ratio >= 5.0);
-    } else {
-        // Time-sliced workers make the ring handoff pay scheduling
-        // latency the self-batching arm never sees; the measured
-        // ratio wobbles around 0.8-0.95x run to run, so hold a
-        // floor that only a real dispatch regression can cross.
-        check.expectTrue("ring dispatch holds batch dispatch x0.7 "
-                         "(single-core floor)",
-                         arm_rates[2] > 0.7 * arm_rates[1]);
-        // Serialized host: only the per-op dispatch-cost gap remains
-        // (measured ~2.5x on one core); gate the honest floor and
-        // keep the real ratio in the record above.
-        check.expectTrue("rings >= 1.5x per-op mutex dispatch "
-                         "(single-core floor)",
-                         ratio >= 1.5);
-    }
     return bench::finish(check);
 }

@@ -88,11 +88,12 @@ endif()
 # chassis swap) and walks raw store shards during anti-entropy — a
 # use-after-free in the node teardown/reboot cycle would hide exactly
 # there. Run the placement, lifecycle and mid-save-kill suites, the
-# decommission-while-dark storm, the missed-erase repair and the
-# pinned repair scenarios (every repair streaming path).
+# decommission-while-dark storm, the re-kill of a recovering victim,
+# the missed-erase repair and the pinned repair scenarios (every repair
+# streaming path).
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_fleet
-        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:FleetPinned.*
+        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.ReKillingARecoveringVictimLetsTheStormEnd:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:FleetPinned.*
     RESULT_VARIABLE fleet_rc
     OUTPUT_VARIABLE fleet_out
     ERROR_VARIABLE fleet_out

@@ -37,9 +37,9 @@ if(NOT build_rc EQUAL 0)
         "tsan_smoke: build failed (rc=${build_rc}):\n${build_out}")
 endif()
 
-# The threaded suites: thread-pool scheduling, concurrent sharded
-# serving vs the sequential reference, and the determinism battery
-# (which runs the pool twice per test). halt_on_error turns any TSan
+# The threaded suites: thread-pool scheduling, the traffic plane's
+# concurrent sharded serving vs the one-shard sequential replay, and
+# the determinism battery (which runs the plane twice per test). halt_on_error turns any TSan
 # report into a nonzero exit so the ctest fails loudly.
 set(ENV{TSAN_OPTIONS} "halt_on_error=1")
 execute_process(
@@ -72,7 +72,7 @@ if(NOT cond_rc EQUAL 0)
 endif()
 # Fleet quorum/lifecycle suites: the node save pipeline may use the
 # parallel per-core flush path, and a TSan pass keeps the fleet
-# machinery honest if it ever grows threaded traffic drivers.
+# machinery honest.
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_fleet
         --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.StormWspLocalRecoversEveryVictim
@@ -85,10 +85,10 @@ if(NOT fleet_rc EQUAL 0)
         "tsan_smoke: fleet TSan run failed (rc=${fleet_rc}):\n${fleet_out}")
 endif()
 # The traffic-plane battery is the most thread-dense code in the tree:
-# SPSC ring producer/consumer pairs, the rings-dispatch worker graph
-# with back-pressure draining, and the threaded fleet storm. Running
-# the whole load suite under TSan is the point of the battery — the
-# equivalence tests pass through every ring and drain path.
+# SPSC ring producer/consumer pairs and the rings-dispatch worker graph
+# with back-pressure draining. Running the whole load suite under TSan
+# is the point of the battery — the equivalence tests pass through
+# every ring and drain path.
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_load
     RESULT_VARIABLE load_rc

@@ -188,4 +188,16 @@ class DirectoryServer
     AvlTree<Policy> index_;
 };
 
+/**
+ * Sharded directory serving (the Table 1 workload, striped): worker
+ * threads add and search LDIF entries against per-shard
+ * DirectoryServer instances, each in its own persistent heap behind
+ * its own stripe lock. Returns the summed entry count (deterministic
+ * for the same seed and shape: every worker draws from its own
+ * Rng::stream and adds globally unique DNs).
+ */
+uint64_t runShardedDirectoryWorkload(unsigned shards, unsigned threads,
+                                     uint64_t entries_per_thread,
+                                     uint64_t seed);
+
 } // namespace wsp::apps

@@ -24,9 +24,9 @@ KvStore::KvStore(CacheModel &cache, uint64_t base, uint64_t capacity)
     WSP_CHECKF(base % 16 == 0,
                "KvStore base must be 16-byte aligned (no slot may "
                "straddle a cache line)");
-    // O(1) line lookups over our region (flat store only; a no-op on
-    // the reference store). With a shared cache the last shard's
-    // registration wins — earlier shards just keep the hash probe.
+    // O(1) line lookups over our region. With a shared cache the last
+    // shard's registration wins — earlier shards just keep the hash
+    // probe.
     cache_.registerRegionView(base_, regionBytes(capacity));
     cache_.writeU64(base_ + kOffMagic, kMagic);
     cache_.writeU64(base_ + kOffCapacity, capacity);
@@ -95,8 +95,8 @@ KvStore::probeStart(uint64_t key) const
 // The probe loops below walk slots line-wise: four 16-byte slots
 // share a cache line, so one peekLine probe serves up to four key
 // reads (and a slot's value always sits in the same line as its
-// key). A nullptr line — not dirty, or the reference store — falls
-// back to the per-word cache calls, which have identical semantics;
+// key). A nullptr line — not dirty — falls back to the per-word
+// cache calls, which have identical semantics;
 // writes go through storeSlotU64/storeSlotPair so a FliT tracker
 // still sees every store.
 

@@ -1,17 +1,11 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <thread>
 
-#include "load/op_stream.h"
-#include "load/spsc_ring.h"
 #include "trace/stat_registry.h"
-#include "util/arena.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace wsp::fleet {
 
@@ -411,13 +405,22 @@ Fleet::killSubset(uint64_t mask, Tick outage, Tick window)
     if (mask == 0)
         mask = config_.nodes < 64 ? (1ull << config_.nodes) - 1 : ~0ull;
 
+    // A victim still recovering from the running storm (Restoring,
+    // CatchingUp, DegradedReadOnly) is already counted as remaining:
+    // the epoch bump below cancels the RepairDone that would have
+    // retired that count, and the re-kill's own recovery retires it
+    // instead. Counting it again would keep the storm running forever.
+    const bool joining = stormRunning();
     std::vector<uint32_t> victims;
+    unsigned newly_recovering = 0;
     for (uint32_t id = 0; id < config_.nodes; ++id) {
         if (!(mask & (1ull << id)))
             continue;
         FleetNode &node = *nodes_[id];
         if (node.serving()) {
             victims.push_back(id);
+            if (!joining || node.up())
+                ++newly_recovering;
         } else if (node.state() == NodeState::Dark) {
             // Already dark: power stays out longer. Its pending
             // PowerRestored event is superseded.
@@ -428,14 +431,14 @@ Fleet::killSubset(uint64_t mask, Tick outage, Tick window)
         }
     }
 
-    if (!stormRunning()) {
+    if (!joining) {
         storm_ = StormState{};
         storm_.active = true;
         storm_.start = now_;
     }
     storm_.powerRestored = now_ + outage;
     storm_.victims += static_cast<unsigned>(victims.size());
-    storm_.remaining += static_cast<unsigned>(victims.size());
+    storm_.remaining += newly_recovering;
 
     for (uint32_t id : victims) {
         nodes_[id]->crash(window);
@@ -600,115 +603,6 @@ Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
         advanceTo(next);
     }
     return closeStorm(before);
-}
-
-StormOutcome
-Fleet::runStormThreaded(ThreadPool &pool, uint64_t mask, Tick outage,
-                        Tick window, const StormLoad &load)
-{
-    WSP_CHECK(load.generators >= 1);
-    WSP_CHECKF(pool.threadCount() == load.generators + 1,
-               "pool has %u threads, storm load wants %u generators + 1",
-               pool.threadCount(), load.generators);
-    WSP_CHECK(load.ringFrames >= 2 &&
-              (load.ringFrames & (load.ringFrames - 1)) == 0);
-
-    // One SPSC ring per generator, timeline worker as sole consumer.
-    util::Arena arena;
-    std::vector<wsp::load::SpscRing<apps::KvOp> *> rings;
-    rings.reserve(load.generators);
-    for (unsigned g = 0; g < load.generators; ++g) {
-        auto *frames = arena.allocate<apps::KvOp>(load.ringFrames);
-        auto *ring = static_cast<wsp::load::SpscRing<apps::KvOp> *>(
-            arena.allocate(sizeof(wsp::load::SpscRing<apps::KvOp>),
-                           alignof(wsp::load::SpscRing<apps::KvOp>)));
-        rings.push_back(new (ring) wsp::load::SpscRing<apps::KvOp>(
-            frames, load.ringFrames));
-    }
-
-    std::atomic<bool> done{false};
-    std::vector<uint64_t> producedPerGen(load.generators, 0);
-    std::vector<uint64_t> stallsPerGen(load.generators, 0);
-    StormOutcome outcome;
-
-    pool.runWorkers([&](unsigned worker) {
-        if (worker == 0) {
-            // Timeline worker: the storm loop of runStorm, with the
-            // sampled client traffic popped from the generator rings
-            // (round-robin by request index) instead of drawn from
-            // the fleet rng. Fleet state stays single-threaded.
-            const StormState before = stormBaseline();
-            killSubset(mask, outage, window);
-            unsigned turn = 0;
-            apps::KvOp op{};
-            std::span<apps::KvOp> one(&op, 1);
-            const auto popNext = [&]() {
-                wsp::load::SpscRing<apps::KvOp> &ring = *rings[turn];
-                turn = (turn + 1) % load.generators;
-                while (ring.tryPop(one) == 0) {
-                    // Generators only stop after done is set below,
-                    // so the ring always refills; just wait our turn.
-                    std::this_thread::yield();
-                }
-            };
-            while (!agenda_.empty()) {
-                const Tick next = agenda_.begin()->first;
-                while (now_ + config_.trafficSpacing <= next) {
-                    now_ += config_.trafficSpacing;
-                    popNext();
-                    switch (op.kind) {
-                    case apps::KvOp::Kind::Put:
-                        clientPut(op.key, op.value);
-                        break;
-                    case apps::KvOp::Kind::Get:
-                        clientGet(op.key);
-                        break;
-                    case apps::KvOp::Kind::Erase:
-                        clientErase(op.key);
-                        break;
-                    }
-                }
-                advanceTo(next);
-            }
-            done.store(true, std::memory_order_release);
-            outcome = closeStorm(before);
-            return;
-        }
-
-        // Generator worker: deterministic op stream into our ring
-        // until the timeline declares the storm over. Keys are drawn
-        // from the full client universe (all generators share it —
-        // aggregate totals are deterministic, per-key history is the
-        // drain interleave's, which is also fixed).
-        const unsigned g = worker - 1;
-        wsp::load::OpStreamConfig sc;
-        sc.keyLo = 1;
-        sc.keyCount = config_.keyUniverse;
-        sc.getPermille = load.getPermille;
-        sc.erasePermille = load.erasePermille;
-        wsp::load::OpStream stream(sc, Rng(config_.seed).stream(g + 100));
-        wsp::load::SpscRing<apps::KvOp> &ring = *rings[g];
-        while (!done.load(std::memory_order_acquire)) {
-            const apps::KvOp next = stream.next();
-            while (!ring.tryPush(next)) {
-                ++stallsPerGen[g];
-                if (done.load(std::memory_order_acquire))
-                    return; // leftover frames are simply dropped
-                std::this_thread::yield();
-            }
-            ++producedPerGen[g];
-        }
-    });
-
-    for (unsigned g = 0; g < load.generators; ++g) {
-        outcome.generatorOps += producedPerGen[g];
-        outcome.generatorStalls += stallsPerGen[g];
-    }
-    auto &stats = trace::StatRegistry::instance();
-    stats.counter("fleet.storm.generator_ops").add(outcome.generatorOps);
-    stats.counter("fleet.storm.generator_stalls")
-        .add(outcome.generatorStalls);
-    return outcome;
 }
 
 // Anti-entropy -------------------------------------------------------

@@ -47,10 +47,6 @@
 #include "util/stats.h"
 #include "util/units.h"
 
-namespace wsp {
-class ThreadPool; // util/thread_pool.h
-} // namespace wsp
-
 namespace wsp::fleet {
 
 /** Everything needed to assemble and drive a fleet. */
@@ -128,19 +124,6 @@ struct RequestStats
     uint64_t ackedWrites = 0;
 };
 
-/**
- * Threaded-load knobs for runStormThreaded: how many real generator
- * threads feed the storm, their op mix, and the ring depth between
- * them and the timeline thread.
- */
-struct StormLoad
-{
-    unsigned generators = 2;
-    uint32_t getPermille = 400;   ///< matches put_fraction=0.5 traffic
-    uint32_t erasePermille = 100; ///< (puts get the remaining 500)
-    size_t ringFrames = 1024;     ///< per-generator SPSC depth (pow2)
-};
-
 /** What one correlated outage (storm) did to the fleet. */
 struct StormOutcome
 {
@@ -160,10 +143,6 @@ struct StormOutcome
     uint64_t digestsExchanged = 0;
     uint64_t repairStreamedBytes = 0;
     unsigned shardsRepaired = 0;
-
-    /** Threaded-load accounting (zero for the modeled arm). */
-    uint64_t generatorOps = 0;    ///< ops produced by real threads
-    uint64_t generatorStalls = 0; ///< ring-full back-pressure events
 };
 
 /** Rendezvous-driven rebalance after a permanent node loss. */
@@ -242,25 +221,6 @@ class Fleet
      */
     StormOutcome runStorm(uint64_t mask, Tick outage, Tick window,
                           double put_fraction = 0.5);
-
-    /**
-     * The same storm driven by real threads: @p load.generators pool
-     * workers each run a deterministic load::OpStream into a private
-     * SPSC ring, and the timeline worker (pool worker 0) drains the
-     * rings round-robin — one op per trafficSpacing tick — applying
-     * each as a quorum client request. Because every stream is
-     * deterministic and the drain order is fixed, the applied request
-     * sequence does not depend on OS scheduling; the threads are real
-     * but the outcome is reproducible, and the differential test
-     * holds it against the modeled runStorm within 5%.
-     *
-     * @p pool must have exactly load.generators + 1 threads (worker 0
-     * drives the timeline). Generators that outrun the timeline block
-     * on their ring (counted in StormOutcome::generatorStalls).
-     */
-    StormOutcome runStormThreaded(ThreadPool &pool, uint64_t mask,
-                                  Tick outage, Tick window,
-                                  const StormLoad &load = {});
 
     /** Permanent loss: drop the node and rebalance its keys. */
     RebalanceReport decommission(uint32_t id);

@@ -32,7 +32,6 @@ struct TrafficPlane::WorkerSlot
     std::vector<unsigned> ownedShards; ///< shards s with s % W == w
     std::vector<OpFrame> drainFrames;  ///< pop scratch (drainOps)
     std::vector<apps::KvOp> drainOps;  ///< apply scratch (drainOps)
-    std::vector<apps::KvOp> batchOps;  ///< mutex-batch gen scratch
 
     apps::KvBatchResult result;
     Histogram latencyNs{0.0, 1.0, 1};
@@ -71,7 +70,6 @@ TrafficPlane::TrafficPlane(apps::ShardedKvStore &store,
             slot.ownedShards.push_back(s);
         slot.drainFrames.resize(config_.drainOps);
         slot.drainOps.resize(config_.drainOps);
-        slot.batchOps.resize(config_.burstOps);
     }
 }
 
@@ -222,156 +220,6 @@ TrafficPlane::run(ThreadPool &pool)
             }
             if (empty)
                 return;
-        }
-    });
-
-    TrafficPlaneReport report;
-    report.wallSeconds =
-        static_cast<double>(nowNs() - wallStart) * 1e-9;
-    report.latencyNs = empty;
-    for (const WorkerSlot &slot : slots_) {
-        report.result.merge(slot.result);
-        report.latencyNs.merge(slot.latencyNs);
-        report.backpressureStalls += slot.stalls;
-    }
-    return report;
-}
-
-TrafficPlaneReport
-TrafficPlane::runMutexPerOp(ThreadPool &pool)
-{
-    WSP_CHECKF(pool.threadCount() == config_.workers,
-               "pool has %u threads, config wants %u", pool.threadCount(),
-               config_.workers);
-    const Histogram empty(0.0, config_.latencyHiMs * 1e6,
-                          config_.latencyBuckets);
-    for (WorkerSlot &slot : slots_) {
-        slot.result = apps::KvBatchResult{};
-        slot.latencyNs = empty;
-        slot.stalls = 0;
-        slot.consumed = 0;
-    }
-    if (config_.pinWorkers)
-        pool.pinToCores();
-
-    const double nsPerOp = config_.pacedOpsPerSec > 0.0
-                               ? 1e9 / config_.pacedOpsPerSec
-                               : 0.0;
-    const int64_t wallStart = nowNs();
-
-    pool.runWorkers([&](unsigned w) {
-        WorkerSlot &slot = slots_[w];
-        OpStream stream = makeStream(w);
-        const uint64_t total = config_.opsPerWorker;
-        const int64_t start = nowNs();
-        uint64_t produced = 0;
-        while (produced < total) {
-            const uint64_t burst = std::min<uint64_t>(
-                config_.burstOps, total - produced);
-            int64_t intended;
-            if (nsPerOp > 0.0) {
-                intended = start + static_cast<int64_t>(
-                                       static_cast<double>(produced) *
-                                       nsPerOp);
-                while (nowNs() < intended)
-                    std::this_thread::yield();
-            } else {
-                intended = nowNs();
-            }
-            // One front-door call per op: shard lock + size-header
-            // round trip every time, no coalescing anywhere.
-            for (uint64_t i = 0; i < burst; ++i) {
-                const apps::KvOp op = stream.next();
-                switch (op.kind) {
-                case apps::KvOp::Kind::Put:
-                    if (store_.put(op.key, op.value))
-                        ++slot.result.puts;
-                    else
-                        ++slot.result.putsRejected;
-                    break;
-                case apps::KvOp::Kind::Get: {
-                    ++slot.result.gets;
-                    uint64_t value = 0;
-                    if (store_.get(op.key, &value)) {
-                        ++slot.result.getHits;
-                        slot.result.getValueSum += value;
-                    }
-                    break;
-                }
-                case apps::KvOp::Kind::Erase:
-                    ++slot.result.erases;
-                    if (store_.erase(op.key))
-                        ++slot.result.erasesHit;
-                    break;
-                }
-            }
-            const int64_t done = nowNs();
-            slot.latencyNs.add(static_cast<double>(done - intended), burst);
-            slot.consumed += burst;
-            produced += burst;
-        }
-    });
-
-    TrafficPlaneReport report;
-    report.wallSeconds =
-        static_cast<double>(nowNs() - wallStart) * 1e-9;
-    report.latencyNs = empty;
-    for (const WorkerSlot &slot : slots_) {
-        report.result.merge(slot.result);
-        report.latencyNs.merge(slot.latencyNs);
-        report.backpressureStalls += slot.stalls;
-    }
-    return report;
-}
-
-TrafficPlaneReport
-TrafficPlane::runMutexBatch(ThreadPool &pool)
-{
-    WSP_CHECKF(pool.threadCount() == config_.workers,
-               "pool has %u threads, config wants %u", pool.threadCount(),
-               config_.workers);
-    const Histogram empty(0.0, config_.latencyHiMs * 1e6,
-                                config_.latencyBuckets);
-    for (WorkerSlot &slot : slots_) {
-        slot.result = apps::KvBatchResult{};
-        slot.latencyNs = empty;
-        slot.stalls = 0;
-        slot.consumed = 0;
-    }
-    if (config_.pinWorkers)
-        pool.pinToCores();
-
-    const double nsPerOp = config_.pacedOpsPerSec > 0.0
-                               ? 1e9 / config_.pacedOpsPerSec
-                               : 0.0;
-    const int64_t wallStart = nowNs();
-
-    pool.runWorkers([&](unsigned w) {
-        WorkerSlot &slot = slots_[w];
-        OpStream stream = makeStream(w);
-        const uint64_t total = config_.opsPerWorker;
-        const int64_t start = nowNs();
-        uint64_t produced = 0;
-        while (produced < total) {
-            const uint64_t burst = std::min<uint64_t>(
-                config_.burstOps, total - produced);
-            int64_t intended;
-            if (nsPerOp > 0.0) {
-                intended = start + static_cast<int64_t>(
-                                       static_cast<double>(produced) *
-                                       nsPerOp);
-                while (nowNs() < intended)
-                    std::this_thread::yield();
-            } else {
-                intended = nowNs();
-            }
-            std::span<apps::KvOp> batch(slot.batchOps.data(), burst);
-            stream.fill(batch);
-            slot.result.merge(store_.applyBatch(batch));
-            const int64_t done = nowNs();
-            slot.latencyNs.add(static_cast<double>(done - intended), burst);
-            slot.consumed += burst;
-            produced += burst;
         }
     });
 

@@ -19,8 +19,8 @@
  *    producing its stream (routing ops by ShardedKvStore::shardOf at
  *    enqueue time) and draining the rings of its owned shards, so a
  *    run is already grouped per shard and applies through
- *    applyShardBatch without the counting sort the mutex-batch
- *    dispatch pays.
+ *    applyShardBatch without the counting sort
+ *    ShardedKvStore::applyBatch pays.
  *  - Back-pressure: a full ring never drops or blocks on a condvar —
  *    the producer counts the stall and spends the wait draining its
  *    own shards (or yielding when it owns none), which is also what
@@ -33,11 +33,8 @@
  *    worker records into its own Histogram and the plane merges them
  *    (Histogram::merge) at the end.
  *
- * The pre-PR dispatch (every worker calling ShardedKvStore::applyBatch
- * under per-shard mutexes, with its counting-sort grouping pass) is
- * kept as runMutexBatch() — bench/kv_throughput measures both planes
- * in one binary, and tests check the rings plane against a
- * sequential replay of the same streams.
+ * runSequential() replays the same streams on one thread; tests and
+ * bench/kv_throughput hold every threaded run to it exactly.
  */
 
 #pragma once
@@ -102,8 +99,8 @@ struct TrafficPlaneReport
 
 /**
  * The plane. Construction wires the ring matrix over an arena; run()
- * / runMutexBatch() drive one full load through the store (repeated
- * runs continue mutating it, like KvService::run).
+ * drives one full load through the store (repeated runs continue
+ * mutating it).
  */
 class TrafficPlane
 {
@@ -118,36 +115,14 @@ class TrafficPlane
     TrafficPlaneReport run(ThreadPool &pool);
 
     /**
-     * The pre-PR request path: every generated op goes through the
-     * store's front door individually (put/get/erase), so each op
-     * pays one shard-mutex acquisition and one size-header round
-     * trip — mutex-per-shard dispatch exactly as a server dispatched
-     * requests before the rings existed. This is the baseline arm of
-     * bench/kv_throughput's ≥5x gate.
-     */
-    TrafficPlaneReport runMutexPerOp(ThreadPool &pool);
-
-    /**
-     * Hand-batched middle arm (the PR 7 shape): each worker
-     * generates a burst into a local buffer and applies it via
-     * ShardedKvStore::applyBatch (counting sort + per-shard locks,
-     * one lock and one header update per shard per batch). Isolates
-     * what batching alone buys over runMutexPerOp, and what the
-     * rings buy over batching. Latency is recorded per batch with
-     * the same intended-time rules, so all arms' histograms are
-     * comparable.
-     */
-    TrafficPlaneReport runMutexBatch(ThreadPool &pool);
-
-    /**
      * Sequential replay of the same per-worker streams (worker 0
      * fully, then worker 1, ...) into @p store — the equivalence
-     * reference for the threaded planes. In disjoint-keys mode the
+     * reference for the threaded plane. In disjoint-keys mode the
      * merged counters and final store state match run()'s exactly.
      */
     apps::KvBatchResult runSequential(apps::ShardedKvStore &store) const;
 
-    /** Per-worker stream, as both planes and the replay build it. */
+    /** Per-worker stream, as run() and the replay build it. */
     OpStream makeStream(unsigned worker) const;
 
   private:

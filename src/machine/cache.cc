@@ -10,24 +10,19 @@
 namespace wsp {
 
 CacheModel::CacheModel(std::string name, uint64_t capacity_bytes,
-                       CacheTiming timing, NvramSpace &memory,
-                       LineStore store)
+                       CacheTiming timing, NvramSpace &memory)
     : name_(std::move(name)), capacity_(capacity_bytes), timing_(timing),
-      memory_(memory), store_(store)
+      memory_(memory)
 {
     WSP_CHECK(capacity_ >= kLineSize);
     WSP_CHECK(capacity_ % kLineSize == 0);
     WSP_CHECK(timing_.memoryBwBytesPerSec > 0.0);
-    if (store_ == LineStore::Flat) {
-        flatTable_.assign(256, FlatProbe{});
-        flatDirHeads_.assign(flatDirWays_, kNoSlot);
-        flatDirCounts_.assign(flatDirWays_, 0);
-    } else {
-        directory_.resize(directoryWays_);
-    }
+    flatTable_.assign(256, FlatProbe{});
+    flatDirHeads_.assign(flatDirWays_, kNoSlot);
+    flatDirCounts_.assign(flatDirWays_, 0);
 }
 
-// Flat store -----------------------------------------------------------
+// Line store -----------------------------------------------------------
 
 void
 CacheModel::flatTableInsert(uint64_t base, uint32_t slot)
@@ -150,8 +145,6 @@ CacheModel::flatWriteBack(uint32_t slot)
 void
 CacheModel::registerRegionView(uint64_t base, uint64_t bytes)
 {
-    if (store_ != LineStore::Flat)
-        return; // reference store keeps its map; view stays disabled
     const uint64_t region_base = base & ~(kLineSize - 1);
     const uint64_t region_span =
         (base - region_base + bytes + kLineSize - 1) & ~(kLineSize - 1);
@@ -179,8 +172,9 @@ CacheModel::ensureFlatDirectory(unsigned workers) const
     WSP_CHECK(workers >= 1);
     if (workers == flatDirWays_)
         return;
-    // One O(dirty) re-bucketing per way-count change, as in the
-    // reference store; the LRU chain enumerates every live slot.
+    // One O(dirty) re-bucketing per way-count change; the flush paths
+    // then query and drain their own bucket without scanning. The LRU
+    // chain enumerates every live slot.
     flatDirWays_ = workers;
     flatDirHeads_.assign(workers, kNoSlot);
     flatDirCounts_.assign(workers, 0);
@@ -216,89 +210,16 @@ CacheModel::flatDirErase(uint32_t slot) const
     --flatDirCounts_[w];
 }
 
-// Reference store ------------------------------------------------------
-
-void
-CacheModel::ensureDirectory(unsigned workers) const
-{
-    WSP_CHECK(workers >= 1);
-    if (workers == directoryWays_)
-        return;
-    // One O(dirty) re-bucketing per way-count change; the flush paths
-    // then query and drain their own bucket without scanning.
-    directoryWays_ = workers;
-    directory_.assign(workers, {});
-    for (const auto &[base, line] : dirty_) {
-        (void)line;
-        directory_[workerOf(base, workers)].insert(base);
-    }
-}
-
-void
-CacheModel::directoryInsert(uint64_t base)
-{
-    directory_[workerOf(base, directoryWays_)].insert(base);
-}
-
-void
-CacheModel::directoryErase(uint64_t base)
-{
-    directory_[workerOf(base, directoryWays_)].erase(base);
-}
-
-CacheModel::Line &
-CacheModel::lineForWrite(uint64_t addr)
-{
-    const uint64_t base = lineBase(addr);
-    auto it = dirty_.find(base);
-    if (it != dirty_.end()) {
-        // Refresh recency.
-        lruOrder_.erase(it->second.lru);
-        lruOrder_.push_front(base);
-        it->second.lru = lruOrder_.begin();
-        return it->second;
-    }
-
-    if (dirtyBytes() >= capacity_) {
-        // Evict the least recently written line first.
-        WSP_CHECK(!lruOrder_.empty());
-        writeBack(lruOrder_.back());
-    }
-
-    Line line;
-    line.data.resize(kLineSize);
-    // A new dirty line starts from the memory image (partial-line
-    // writes must preserve the other bytes).
-    memory_.read(base, line.data);
-    lruOrder_.push_front(base);
-    line.lru = lruOrder_.begin();
-    directoryInsert(base);
-    return dirty_.emplace(base, std::move(line)).first->second;
-}
-
-void
-CacheModel::writeBack(uint64_t line_addr)
-{
-    auto it = dirty_.find(line_addr);
-    WSP_CHECK(it != dirty_.end());
-    memory_.write(line_addr, it->second.data);
-    lruOrder_.erase(it->second.lru);
-    dirty_.erase(it);
-    directoryErase(line_addr);
-    if (writebackObserver_)
-        writebackObserver_(line_addr, /*lost=*/false);
-}
-
-// Shared dispatch ------------------------------------------------------
+// Access ---------------------------------------------------------------
 
 void
 CacheModel::read(uint64_t addr, std::span<uint8_t> out) const
 {
-    // Flat store: consecutive clean lines are served by one NVRAM read
-    // (a run is flushed when a dirty line interrupts it or the span
-    // ends), so a multi-line scan of a restored, all-clean region
-    // costs one memory read instead of one per line. A read within one
-    // line still does one lookup and one copy or memory read.
+    // Consecutive clean lines are served by one NVRAM read (a run is
+    // flushed when a dirty line interrupts it or the span ends), so a
+    // multi-line scan of a restored, all-clean region costs one memory
+    // read instead of one per line. A read within one line still does
+    // one lookup and one copy or memory read.
     size_t done = 0;
     size_t clean = 0; ///< bytes of the pending clean run, ending at done
     while (done < out.size()) {
@@ -307,27 +228,16 @@ CacheModel::read(uint64_t addr, std::span<uint8_t> out) const
         const uint64_t offset = cur - base;
         const size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(kLineSize - offset, out.size() - done));
-        if (store_ == LineStore::Flat) {
-            const uint32_t slot = flatFind(base);
-            if (slot != kNoSlot) {
-                if (clean > 0) {
-                    memory_.read(cur - clean,
-                                 out.subspan(done - clean, clean));
-                    clean = 0;
-                }
-                std::memcpy(out.data() + done,
-                            flatLines_[slot].data + offset, chunk);
-            } else {
-                clean += chunk;
+        const uint32_t slot = flatFind(base);
+        if (slot != kNoSlot) {
+            if (clean > 0) {
+                memory_.read(cur - clean, out.subspan(done - clean, clean));
+                clean = 0;
             }
+            std::memcpy(out.data() + done, flatLines_[slot].data + offset,
+                        chunk);
         } else {
-            auto it = dirty_.find(base);
-            if (it != dirty_.end()) {
-                std::memcpy(out.data() + done,
-                            it->second.data.data() + offset, chunk);
-            } else {
-                memory_.read(cur, out.subspan(done, chunk));
-            }
+            clean += chunk;
         }
         done += chunk;
     }
@@ -345,19 +255,13 @@ CacheModel::write(uint64_t addr, std::span<const uint8_t> data)
         const uint64_t offset = cur - base;
         const size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(kLineSize - offset, data.size() - done));
-        if (store_ == LineStore::Flat) {
-            uint32_t slot = flatFind(base);
-            if (slot != kNoSlot)
-                touchLru(slot);
-            else
-                slot = flatAcquire(base);
-            std::memcpy(flatLines_[slot].data + offset, data.data() + done,
-                        chunk);
-        } else {
-            Line &line = lineForWrite(cur);
-            std::memcpy(line.data.data() + offset, data.data() + done,
-                        chunk);
-        }
+        uint32_t slot = flatFind(base);
+        if (slot != kNoSlot)
+            touchLru(slot);
+        else
+            slot = flatAcquire(base);
+        std::memcpy(flatLines_[slot].data + offset, data.data() + done,
+                    chunk);
         done += chunk;
     }
 }
@@ -387,14 +291,9 @@ CacheModel::writeU64Slow(uint64_t addr, uint64_t value)
 Tick
 CacheModel::flushLine(uint64_t addr)
 {
-    const uint64_t base = lineBase(addr);
-    if (store_ == LineStore::Flat) {
-        const uint32_t slot = flatFind(base);
-        if (slot != kNoSlot)
-            flatWriteBack(slot);
-    } else if (dirty_.count(base)) {
-        writeBack(base);
-    }
+    const uint32_t slot = flatFind(lineBase(addr));
+    if (slot != kNoSlot)
+        flatWriteBack(slot);
     return timing_.clflushPerLine;
 }
 
@@ -424,16 +323,11 @@ CacheModel::wbinvd()
     registry.counter("machine.wbinvd_count").add();
     registry.counter("machine.wbinvd_dirty_bytes").add(dirtyBytes());
     TRACE_INSTANT(Machine, "wbinvd");
-    // Write back everything, least recently written first; order is
-    // irrelevant to the memory image but both stores keep it identical
-    // so the write-back observer sees the same sequence.
-    if (store_ == LineStore::Flat) {
-        while (lruTail_ != kNoSlot)
-            flatWriteBack(lruTail_);
-    } else {
-        while (!lruOrder_.empty())
-            writeBack(lruOrder_.back());
-    }
+    // Write back everything, least recently written first. The order
+    // is irrelevant to the memory image, but it is what the write-back
+    // observer sees.
+    while (lruTail_ != kNoSlot)
+        flatWriteBack(lruTail_);
     return cost;
 }
 
@@ -441,12 +335,8 @@ size_t
 CacheModel::partitionDirtyLines(unsigned worker, unsigned workers) const
 {
     WSP_CHECK(workers >= 1 && worker < workers);
-    if (store_ == LineStore::Flat) {
-        ensureFlatDirectory(workers);
-        return flatDirCounts_[worker];
-    }
-    ensureDirectory(workers);
-    return directory_[worker].size();
+    ensureFlatDirectory(workers);
+    return flatDirCounts_[worker];
 }
 
 Tick
@@ -475,22 +365,11 @@ void
 CacheModel::flushPartition(unsigned worker, unsigned workers)
 {
     WSP_CHECK(workers >= 1 && worker < workers);
-    size_t flushed = 0;
-    if (store_ == LineStore::Flat) {
-        ensureFlatDirectory(workers);
-        flushed = flatDirCounts_[worker];
-        // flatWriteBack unlinks the head as it drains the bucket.
-        while (flatDirHeads_[worker] != kNoSlot)
-            flatWriteBack(flatDirHeads_[worker]);
-    } else {
-        ensureDirectory(workers);
-        // Drain a copy: writeBack() erases from the bucket being walked.
-        const std::vector<uint64_t> mine(directory_[worker].begin(),
-                                         directory_[worker].end());
-        for (uint64_t base : mine)
-            writeBack(base);
-        flushed = mine.size();
-    }
+    ensureFlatDirectory(workers);
+    const size_t flushed = flatDirCounts_[worker];
+    // flatWriteBack unlinks the head as it drains the bucket.
+    while (flatDirHeads_[worker] != kNoSlot)
+        flatWriteBack(flatDirHeads_[worker]);
     auto &registry = trace::StatRegistry::instance();
     registry.counter("machine.partition_flushes").add();
     registry.counter("machine.partition_flush_lines").add(flushed);
@@ -523,32 +402,19 @@ CacheModel::fillDirty(uint64_t base, uint64_t bytes, Rng &rng)
 void
 CacheModel::dropDirty()
 {
-    if (store_ == LineStore::Flat) {
-        if (writebackObserver_) {
-            for (uint32_t slot = lruHead_; slot != kNoSlot;
-                 slot = flatLines_[slot].lruNext)
-                writebackObserver_(flatLines_[slot].base, /*lost=*/true);
-        }
-        flatLines_.clear();
-        flatTable_.assign(flatTable_.size(), FlatProbe{});
-        flatFree_ = kNoSlot;
-        flatLive_ = 0;
-        lruHead_ = lruTail_ = kNoSlot;
-        flatDirHeads_.assign(flatDirWays_, kNoSlot);
-        flatDirCounts_.assign(flatDirWays_, 0);
-        regionSlots_.assign(regionSlots_.size(), kNoSlot);
-        return;
-    }
     if (writebackObserver_) {
-        for (const auto &[base, line] : dirty_) {
-            (void)line;
-            writebackObserver_(base, /*lost=*/true);
-        }
+        for (uint32_t slot = lruHead_; slot != kNoSlot;
+             slot = flatLines_[slot].lruNext)
+            writebackObserver_(flatLines_[slot].base, /*lost=*/true);
     }
-    dirty_.clear();
-    lruOrder_.clear();
-    for (auto &bucket : directory_)
-        bucket.clear();
+    flatLines_.clear();
+    flatTable_.assign(flatTable_.size(), FlatProbe{});
+    flatFree_ = kNoSlot;
+    flatLive_ = 0;
+    lruHead_ = lruTail_ = kNoSlot;
+    flatDirHeads_.assign(flatDirWays_, kNoSlot);
+    flatDirCounts_.assign(flatDirWays_, 0);
+    regionSlots_.assign(regionSlots_.size(), kNoSlot);
 }
 
 } // namespace wsp

@@ -18,24 +18,15 @@
  *    line count for the ablation study;
  *  - theoretical best: cache size over memory bandwidth.
  *
- * Line bookkeeping comes in two interchangeable implementations,
- * selected at construction:
- *
- *  - LineStore::Flat (default): the serving hot path. One flat
- *    open-addressing table maps line base -> slot in a growable slot
- *    array whose records carry the 64-byte payload inline plus
- *    intrusive links for the LRU order and the per-worker flush
- *    directory. After warm-up every access is allocation-free: a
- *    dirty-line hit is one multiplicative-hash probe and a memcpy,
- *    an LRU refresh relinks three slots in place, and write-back
- *    recycles the slot through a free list.
- *  - LineStore::Reference: the original std::unordered_map +
- *    std::list + std::unordered_set implementation, kept verbatim as
- *    the differential baseline (the map rehash, list-node churn and
- *    per-line vector made the allocator the serving-tier profile).
- *    bench/kv_throughput measures the pre-PR serving path against it;
- *    tests/machine_test.cc drives both stores through identical
- *    op sequences and requires identical observable behaviour.
+ * Line bookkeeping is one flat open-addressing table mapping line
+ * base -> slot in a growable slot array whose records carry the
+ * 64-byte payload inline plus intrusive links for the LRU order and
+ * the per-worker flush directory. After warm-up every access is
+ * allocation-free: a dirty-line hit is one multiplicative-hash probe
+ * and a memcpy, an LRU refresh relinks three slots in place, and
+ * write-back recycles the slot through a free list.
+ * tests/machine_test.cc holds it to a plain std::map + std::list
+ * reference model under random traffic.
  */
 
 #pragma once
@@ -43,11 +34,8 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <list>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "nvram/nvram_space.h"
@@ -97,41 +85,29 @@ class CacheModel
   public:
     static constexpr uint64_t kLineSize = 64;
 
-    /** Which line bookkeeping implementation backs this cache. */
-    enum class LineStore : uint8_t
-    {
-        Flat,      ///< open-addressing slots, allocation-free hot path
-        Reference, ///< verbatim map/list/set baseline (for A/B + diff)
-    };
-
     CacheModel(std::string name, uint64_t capacity_bytes,
-               CacheTiming timing, NvramSpace &memory,
-               LineStore store = LineStore::Flat);
+               CacheTiming timing, NvramSpace &memory);
 
     const std::string &name() const { return name_; }
     uint64_t capacity() const { return capacity_; }
     const CacheTiming &timing() const { return timing_; }
-    LineStore lineStore() const { return store_; }
 
     /** Bytes currently dirty (lines * line size). */
     uint64_t dirtyBytes() const { return dirtyLines() * kLineSize; }
 
     /** Number of dirty lines. */
-    size_t dirtyLines() const
-    {
-        return store_ == LineStore::Flat ? flatLive_ : dirty_.size();
-    }
+    size_t dirtyLines() const { return flatLive_; }
 
-    /** Cached read: dirty lines shadow NVRAM content. On the flat
-     *  store a run of consecutive clean lines is one NVRAM read. */
+    /** Cached read: dirty lines shadow NVRAM content. A run of
+     *  consecutive clean lines is one NVRAM read. */
     void read(uint64_t addr, std::span<uint8_t> out) const;
 
     /** Cached write: dirties lines; NVRAM is not yet updated. */
     void write(uint64_t addr, std::span<const uint8_t> data);
 
     /**
-     * Read one little-endian u64 through the cache. The flat
-     * dirty-hit case — the serving tier's per-op path — stays inline
+     * Read one little-endian u64 through the cache. The dirty-hit
+     * case — the serving tier's per-op path — stays inline
      * so KvStore probes compile down to a hash probe and a memcpy.
      */
     uint64_t readU64(uint64_t addr) const
@@ -171,13 +147,11 @@ class CacheModel
     // 64-byte line; paying one table probe per *word* doubles the
     // per-op cost. These return a direct pointer to a dirty line's
     // payload so a caller can batch its same-line accesses behind a
-    // single probe. nullptr means the line is not dirty (or the
-    // reference store is active) and the caller must fall back to
-    // read()/writeU64(), which handle the NVRAM fall-through — so
-    // code written against this API behaves identically on both
-    // stores. Pointers are invalidated by the next line creation or
-    // write-back (the slab may grow or recycle); hold one only
-    // across accesses with no cache mutation in between.
+    // single probe. nullptr means the line is not dirty and the
+    // caller must fall back to read()/writeU64(), which handle the
+    // NVRAM fall-through. Pointers are invalidated by the next line
+    // creation or write-back (the slab may grow or recycle); hold one
+    // only across accesses with no cache mutation in between.
 
     /** Dirty line payload for reading, or nullptr. No LRU effect,
      *  matching read()'s recency semantics. */
@@ -213,7 +187,7 @@ class CacheModel
     };
 
     /** Resolve a dirty line without touching recency (null if not
-     *  dirty, or under the reference store). */
+     *  dirty). */
     LineRef findLineMut(uint64_t line_base)
     {
         const uint32_t slot = flatFind(line_base);
@@ -232,9 +206,8 @@ class CacheModel
      * shard's slot region this way, making every dirty-line probe one
      * bounds check and one load — no hash, no collision chain. The
      * view is maintained at the same insert/erase funnel as the hash
-     * table, so both always agree; lines outside the region (and all
-     * lines under the reference store, where this is a no-op) keep
-     * the existing paths. Costs 4 bytes of view per region line.
+     * table, so both always agree; lines outside the region keep the
+     * hash path. Costs 4 bytes of view per region line.
      * Registering a different region replaces the previous view;
      * re-registering the current one returns at once.
      */
@@ -328,8 +301,6 @@ class CacheModel
   private:
     static constexpr uint32_t kNoSlot = ~0u;
 
-    // Flat store -------------------------------------------------------
-
     /**
      * One dirty line: inline payload plus intrusive links. lruPrev /
      * lruNext thread the recency order (head = most recently
@@ -364,8 +335,7 @@ class CacheModel
                mask;
     }
 
-    /** Slot of @p base's dirty line, or kNoSlot (also when the cache
-     *  runs the reference store — callers then take the slow path). */
+    /** Slot of @p base's dirty line, or kNoSlot. */
     uint32_t flatFind(uint64_t base) const
     {
         // Registered-region fast path: O(1) view lookup. The unsigned
@@ -373,8 +343,6 @@ class CacheModel
         // and regionSpan_ == 0 (no region) can never pass it.
         if (base - regionBase_ < regionSpan_)
             return regionSlots_[(base - regionBase_) >> 6];
-        if (flatTable_.empty())
-            return kNoSlot;
         const size_t mask = flatTable_.size() - 1;
         size_t index = flatHash(base, mask);
         for (;;) {
@@ -427,24 +395,10 @@ class CacheModel
     void flatDirInsert(uint32_t slot) const;
     void flatDirErase(uint32_t slot) const;
 
-    // Shared slow paths (reference store, flat misses, spans) ----------
+    // Slow paths (misses, words that straddle a line) ----------------
 
     uint64_t readU64Slow(uint64_t addr) const;
     void writeU64Slow(uint64_t addr, uint64_t value);
-
-    // Reference store --------------------------------------------------
-
-    struct Line
-    {
-        std::vector<uint8_t> data;
-        std::list<uint64_t>::iterator lru;
-    };
-
-    /** Get or create the dirty line for @p addr's line (reference). */
-    Line &lineForWrite(uint64_t addr);
-
-    /** Write one line back to NVRAM and forget it (reference). */
-    void writeBack(uint64_t line_addr);
 
     /** Worker a line belongs to under the stable assignment. */
     unsigned workerOf(uint64_t base, unsigned workers) const
@@ -452,24 +406,14 @@ class CacheModel
         return static_cast<unsigned>((base / kLineSize) % workers);
     }
 
-    /** Re-bucket the directory for @p workers ways if needed. */
-    void ensureDirectory(unsigned workers) const;
-
-    void directoryInsert(uint64_t base);
-    void directoryErase(uint64_t base);
-
     std::string name_;
     uint64_t capacity_;
     CacheTiming timing_;
     NvramSpace &memory_;
-    LineStore store_;
     std::function<void(uint64_t, bool)> writebackObserver_;
 
-    // Flat-store state. flatTable_ stays empty while the reference
-    // store runs, which is what routes the inline fast paths to the
-    // slow functions without a mode branch. The slab is mutable so
-    // the const cost queries can re-bucket the intrusive directory
-    // links for a new way count.
+    // Line store. The slab is mutable so the const cost queries can
+    // re-bucket the intrusive directory links for a new way count.
     mutable std::vector<FlatLine> flatLines_;
     std::vector<FlatProbe> flatTable_;
     uint32_t flatFree_ = kNoSlot; ///< free-slot chain through lruNext
@@ -477,9 +421,9 @@ class CacheModel
     uint32_t lruHead_ = kNoSlot; ///< most recently written
     uint32_t lruTail_ = kNoSlot; ///< eviction victim
 
-    // Per-worker flush directory for the flat store: bucket heads and
-    // counts, re-bucketed (one pass over the LRU chain) when queried
-    // with a new way count. Mutable for the const cost queries.
+    // Per-worker flush directory: bucket heads and counts, re-bucketed
+    // (one pass over the LRU chain) when queried with a new way count.
+    // Mutable for the const cost queries.
     mutable std::vector<uint32_t> flatDirHeads_;
     mutable std::vector<size_t> flatDirCounts_;
     mutable unsigned flatDirWays_ = 1;
@@ -489,16 +433,6 @@ class CacheModel
     uint64_t regionBase_ = 0;
     uint64_t regionSpan_ = 0;
     std::vector<uint32_t> regionSlots_;
-
-    // Reference-store state (verbatim pre-flat implementation).
-    std::unordered_map<uint64_t, Line> dirty_;
-    std::list<uint64_t> lruOrder_; ///< front = most recently written
-
-    // Per-worker dirty-line directory, maintained incrementally as
-    // lines dirty and write back. Mutable because the cost queries
-    // are const but may trigger a re-bucketing for a new way count.
-    mutable std::vector<std::unordered_set<uint64_t>> directory_;
-    mutable unsigned directoryWays_ = 1;
 };
 
 } // namespace wsp

@@ -81,7 +81,9 @@ enum class FrEvent : uint16_t {
     LazyPageIn,        ///< a0=module, a1=pages mapped
     ContextsRestored,  ///< a0=cores resumed
     RestoreDone,       ///< a0=used WSP, a1=salvage mode
-    KvBatch,           ///< a0=(shard<<32)|worker, a1=ops completed
+    /** a0=(shard<<32)|worker, a1=ops completed. Nothing emits it
+     *  now; the value stays so images that carry it still decode. */
+    KvBatch,
 };
 
 /** Number of known events (names table size). */
@@ -128,7 +130,7 @@ extern std::atomic<uint8_t> g_frMode;
 /**
  * The process-wide black box. Systems attach an NVRAM backing
  * (owner-token discipline, like TraceManager's tick source); emission
- * is mutex-serialized so KvService worker threads can record batches.
+ * is mutex-serialized, so threads may record concurrently.
  */
 class FlightRecorder
 {

@@ -2,9 +2,9 @@
  * @file
  * Fixed-size worker thread pool with deterministic partitioning.
  *
- * The serving layer (apps/kv_service.h) drives real host threads at
- * the sharded stores, so benchmarks measure genuine concurrency, not
- * simulated time. Determinism is preserved by construction:
+ * The traffic plane (load/traffic_plane.h) drives real host threads
+ * at the sharded stores, so benchmarks measure genuine concurrency,
+ * not simulated time. Determinism is preserved by construction:
  *
  *  - work is partitioned *statically* by worker index (no stealing),
  *    so which worker executes which item never depends on scheduling,

@@ -6,36 +6,38 @@
  * Three pillars:
  *
  *  - observational equivalence: an N-shard store driven by real
- *    worker threads must end in exactly the state the sequential
- *    single-shard reference reaches, for any thread interleaving;
+ *    worker threads through the traffic plane must end in exactly the
+ *    state the sequential single-shard replay reaches, for any thread
+ *    interleaving;
  *  - durable linearizability: every operation acknowledged before the
  *    power failure must be present (and every erased key absent)
  *    after the NVRAM image boots on a fresh chassis;
- *  - determinism: the same seed must produce the same summary no
- *    matter how the pool's workers are scheduled, which rests on
- *    Rng::stream() being order-independent and the pool partitioning
- *    statically.
+ *  - determinism: the same seed must produce the same counters and
+ *    store state no matter how the pool's workers are scheduled,
+ *    which rests on Rng::stream() being order-independent and the
+ *    pool partitioning statically.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "apps/kv_service.h"
+#include "apps/directory_server.h"
 #include "apps/kv_store.h"
+#include "apps/shard_environment.h"
 #include "crashsim/crash_explorer.h"
 #include "crashsim/invariants.h"
+#include "load/traffic_plane.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace wsp {
 namespace {
 
-using apps::KvService;
-using apps::KvServiceConfig;
-using apps::KvServiceSummary;
 using apps::KvStore;
 using apps::ShardedKvStore;
 
@@ -243,49 +245,82 @@ TEST(ShardedKvStore, AttachRejectsGarbageAndMismatchedShards)
 
 // Observational equivalence --------------------------------------------
 
+/**
+ * A @p shards-way ShardedKvStore over private shard environments, as
+ * concurrent serving runs it. Every module spans the whole striped
+ * region: each shard addresses its slice inside its own space.
+ */
+struct ShardedRig
+{
+    ShardedRig(const std::string &tag, unsigned shards, uint64_t per_shard)
+    {
+        const uint64_t region =
+            ShardedKvStore::regionBytes(shards, per_shard);
+        std::vector<CacheModel *> caches;
+        for (unsigned i = 0; i < shards; ++i) {
+            envs.push_back(std::make_unique<apps::ShardEnvironment>(
+                tag + std::to_string(i), region));
+            caches.push_back(&envs.back()->cache);
+        }
+        store = std::make_unique<ShardedKvStore>(
+            std::span<CacheModel *const>(caches), 0, per_shard);
+    }
+
+    std::vector<std::unique_ptr<apps::ShardEnvironment>> envs;
+    std::unique_ptr<ShardedKvStore> store;
+};
+
+/**
+ * Run @p config through the traffic plane into @p shards shards of
+ * @p per_shard slots, and replay the same per-worker streams
+ * sequentially into one shard of the same total capacity: N shards
+ * must end where one shard does, counters included.
+ */
+void
+expectThreadedMatchesOneShard(const load::TrafficPlaneConfig &config,
+                              unsigned shards, uint64_t per_shard)
+{
+    ThreadPool pool(config.workers);
+    ShardedRig sharded("eq-sharded", shards, per_shard);
+    load::TrafficPlane plane(*sharded.store, config);
+    const load::TrafficPlaneReport threaded = plane.run(pool);
+    EXPECT_EQ(threaded.ops(), config.workers * config.opsPerWorker);
+
+    ShardedRig single("eq-single", 1, shards * per_shard);
+    const apps::KvBatchResult reference = plane.runSequential(*single.store);
+    expectSameResult(threaded.result, reference);
+    EXPECT_EQ(threaded.result.putsRejected, 0u);
+    EXPECT_EQ(sharded.store->size(), single.store->size());
+    EXPECT_EQ(sharded.store->checksum(), single.store->checksum());
+}
+
 TEST(ShardedEquivalence, ThreadedRunMatchesSequentialReference)
 {
+    // Workers own disjoint key ranges, so every interleaving reaches
+    // the state of the sequential replay. The plane's default mix is
+    // 50% put, 40% get, 10% erase.
     for (const uint64_t seed : {1ull, 17ull, 20260805ull}) {
-        KvServiceConfig config;
-        config.shards = 4;
-        config.threads = 4;
-        config.perShardCapacity = 2048;
-        config.opsPerThread = 4000;
+        SCOPED_TRACE(seed);
+        load::TrafficPlaneConfig config;
+        config.workers = 4;
+        config.opsPerWorker = 4000;
         config.keysPerWorker = 256;
         config.seed = seed;
-
-        KvService service(config);
-        const KvServiceSummary threaded = service.run();
-        const KvServiceSummary reference =
-            KvService::runReference(config);
-
-        EXPECT_EQ(threaded.opsApplied, reference.opsApplied) << seed;
-        EXPECT_EQ(threaded.puts, reference.puts) << seed;
-        EXPECT_EQ(threaded.gets, reference.gets) << seed;
-        EXPECT_EQ(threaded.getHits, reference.getHits) << seed;
-        EXPECT_EQ(threaded.erases, reference.erases) << seed;
-        EXPECT_EQ(threaded.finalSize, reference.finalSize) << seed;
-        EXPECT_EQ(threaded.finalChecksum, reference.finalChecksum)
-            << seed;
+        expectThreadedMatchesOneShard(config, /*shards=*/4,
+                                      /*per_shard=*/2048);
     }
 }
 
 TEST(ShardedEquivalence, MoreThreadsThanShardsStillEquivalent)
 {
-    KvServiceConfig config;
-    config.shards = 2;
-    config.threads = 8;
-    config.perShardCapacity = 4096;
-    config.opsPerThread = 1500;
+    // Six of the eight workers own no shard: they only produce, and
+    // spend ring stalls yielding to the two shard owners.
+    load::TrafficPlaneConfig config;
+    config.workers = 8;
+    config.opsPerWorker = 1500;
     config.keysPerWorker = 128;
     config.seed = 99;
-
-    KvService service(config);
-    const KvServiceSummary threaded = service.run();
-    const KvServiceSummary reference = KvService::runReference(config);
-    EXPECT_EQ(threaded.finalSize, reference.finalSize);
-    EXPECT_EQ(threaded.finalChecksum, reference.finalChecksum);
-    EXPECT_EQ(threaded.getHits, reference.getHits);
+    expectThreadedMatchesOneShard(config, /*shards=*/2, /*per_shard=*/4096);
 }
 
 TEST(ShardedEquivalence, DirectoryWorkloadCountsExact)
@@ -399,24 +434,36 @@ TEST(ThreadPool, RunWorkersPassesDistinctIndexes)
 
 TEST(Determinism, SameSeedSameFingerprint)
 {
-    KvServiceConfig config;
-    config.shards = 4;
-    config.threads = 8;
-    config.perShardCapacity = 2048;
-    config.opsPerThread = 3000;
-    config.keysPerWorker = 200;
-    config.seed = 1234;
+    // Scheduling must not leak into the outcome: two threaded runs
+    // with one seed give identical counters, checksum and per-shard
+    // sizes, and the next seed gives a different store.
+    struct Outcome
+    {
+        apps::KvBatchResult result;
+        uint64_t checksum = 0;
+        std::vector<uint64_t> shardSizes;
+    };
+    ThreadPool pool(8);
+    const auto run = [&pool](uint64_t seed) {
+        load::TrafficPlaneConfig config;
+        config.workers = 8;
+        config.opsPerWorker = 3000;
+        config.keysPerWorker = 200;
+        config.seed = seed;
+        ShardedRig rig("det", 4, 2048);
+        load::TrafficPlane plane(*rig.store, config);
+        const load::TrafficPlaneReport report = plane.run(pool);
+        return Outcome{report.result, rig.store->checksum(),
+                       rig.store->shardSizes()};
+    };
 
-    KvService first(config);
-    KvService second(config);
-    const KvServiceSummary a = first.run();
-    const KvServiceSummary b = second.run();
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    const Outcome a = run(1234);
+    const Outcome b = run(1234);
+    expectSameResult(a.result, b.result);
+    EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_EQ(a.shardSizes, b.shardSizes);
 
-    config.seed = 1235;
-    KvService third(config);
-    EXPECT_NE(third.run().fingerprint(), a.fingerprint());
+    EXPECT_NE(run(1235).checksum, a.checksum);
 }
 
 TEST(Determinism, RngStreamIsOrderIndependent)

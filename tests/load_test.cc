@@ -2,12 +2,12 @@
  * @file
  * Traffic-plane battery: the SPSC submission ring, the deterministic
  * op streams (including the quantized Zipf table against the exact
- * YCSB sampler), threaded-vs-sequential equivalence of every dispatch
- * arm, back-pressure under deliberately tiny rings, open-loop pacing,
- * the cache region view backing the zero-allocation hot path, and the
- * threaded-vs-modeled fleet storm differential. The whole suite also
- * runs under TSan via cmake/tsan_smoke.cmake — the equivalence tests
- * pass through every ring and drain path, which is the point.
+ * YCSB sampler), exact threaded-vs-sequential equivalence of the
+ * rings plane, back-pressure under deliberately tiny rings, open-loop
+ * pacing, and the cache region view backing the zero-allocation hot
+ * path. The whole suite also runs under TSan via
+ * cmake/tsan_smoke.cmake — the equivalence tests pass through every
+ * ring and drain path, which is the point.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +16,8 @@
 #include <thread>
 #include <vector>
 
-#include "apps/kv_service.h"
+#include "apps/shard_environment.h"
 #include "apps/workload.h"
-#include "fleet/fleet.h"
 #include "load/op_stream.h"
 #include "load/spsc_ring.h"
 #include "load/traffic_plane.h"
@@ -285,17 +284,14 @@ struct Rig
     std::vector<std::unique_ptr<ShardEnvironment>> envs;
     std::unique_ptr<ShardedKvStore> store;
 
-    explicit Rig(const char *tag,
-                 CacheModel::LineStore line_store =
-                     CacheModel::LineStore::Flat)
+    explicit Rig(const char *tag)
     {
         const uint64_t region =
             ShardedKvStore::regionBytes(kShards, kPerShardCapacity);
         std::vector<CacheModel *> caches;
         for (unsigned i = 0; i < kShards; ++i) {
             envs.push_back(std::make_unique<ShardEnvironment>(
-                std::string("load_") + tag + std::to_string(i), region,
-                line_store));
+                std::string("load_") + tag + std::to_string(i), region));
             caches.push_back(&envs.back()->cache);
         }
         store = std::make_unique<ShardedKvStore>(
@@ -341,38 +337,6 @@ TEST(TrafficPlane, ThreadedMatchesSequentialReplayAcrossSeeds)
         EXPECT_EQ(threaded.store->checksum(),
                   sequential.store->checksum());
     }
-}
-
-TEST(TrafficPlane, MutexArmsMatchSequentialReplay)
-{
-    // Both pre-rings dispatch arms must produce the same outcome as
-    // the replay too — the bench's A/B comparison is only meaningful
-    // if every arm does identical work.
-    TrafficPlaneConfig config;
-    config.workers = 4;
-    config.opsPerWorker = 5000;
-    config.seed = testSeed(0x10ad20);
-    ThreadPool pool(4);
-
-    Rig sequential("ms");
-    TrafficPlane reference_plane(*sequential.store, config);
-    const apps::KvBatchResult reference =
-        reference_plane.runSequential(*sequential.store);
-
-    Rig perop("mp", CacheModel::LineStore::Reference);
-    TrafficPlane perop_plane(*perop.store, config);
-    const TrafficPlaneReport perop_run = perop_plane.runMutexPerOp(pool);
-    EXPECT_TRUE(sameResult(perop_run.result, reference));
-    EXPECT_EQ(perop.store->size(), sequential.store->size());
-    EXPECT_EQ(perop.store->checksum(), sequential.store->checksum());
-    EXPECT_EQ(perop_run.latencyNs.total(), perop_run.ops());
-
-    Rig batch("mb");
-    TrafficPlane batch_plane(*batch.store, config);
-    const TrafficPlaneReport batch_run = batch_plane.runMutexBatch(pool);
-    EXPECT_TRUE(sameResult(batch_run.result, reference));
-    EXPECT_EQ(batch.store->size(), sequential.store->size());
-    EXPECT_EQ(batch.store->checksum(), sequential.store->checksum());
 }
 
 TEST(TrafficPlane, BackpressureOnTinyRingsKeepsEquivalence)
@@ -576,18 +540,6 @@ TEST_F(RegionViewFixture, ReRegisteringTheSameRegionKeepsReadsExact)
     }
 }
 
-TEST_F(RegionViewFixture, ReferenceStoreIgnoresRegistration)
-{
-    CacheModel cache("ref", 64 * kKiB, CacheTiming{}, space,
-                     CacheModel::LineStore::Reference);
-    cache.registerRegionView(0, 64 * CacheModel::kLineSize); // no-op
-    cache.writeU64(128, 42);
-    EXPECT_EQ(cache.readU64(128), 42u);
-    EXPECT_EQ(cache.dirtyLines(), 1u);
-    cache.flushLine(128);
-    EXPECT_EQ(space.readU64(128), 42u);
-}
-
 TEST_F(RegionViewFixture, RegionViewSurvivesEviction)
 {
     // A two-line cache forces LRU eviction; an evicted line's view
@@ -604,82 +556,6 @@ TEST_F(RegionViewFixture, RegionViewSurvivesEviction)
     EXPECT_EQ(cache.readU64(0), 1u);  // reads through NVRAM now
     EXPECT_EQ(cache.readU64(64), 2u);
     EXPECT_EQ(cache.readU64(128), 3u);
-}
-
-// Fleet threaded storm ------------------------------------------------
-
-TEST(FleetThreadedStorm, MatchesModeledPlaneWithinTolerance)
-{
-    // The differential the tentpole promised: real generator threads
-    // feeding the storm timeline must reproduce the modeled plane's
-    // recovery curve. Victim and recovery counts are exact (the same
-    // kill and the same policy); time-to-full-capacity is held to 5%.
-    // Request totals may drift further — different key draws change
-    // which requests hit dead replicas and pay retry time — so they
-    // get a looser 15% band.
-    fleet::FleetConfig config;
-    config.nodes = 5;
-    config.replication = 3;
-    config.seed = testSeed(0xf1ee90);
-
-    fleet::Fleet modeled(config);
-    const fleet::StormOutcome expected = modeled.runStorm(
-        /*mask=*/0b00011, fromSeconds(2.0), fromMillis(33.0),
-        /*put_fraction=*/0.5);
-
-    fleet::Fleet threaded(config);
-    ThreadPool pool(3); // 2 generators + the timeline worker
-    const fleet::StormLoad load; // get 400 / erase 100 / put 500
-    const fleet::StormOutcome actual = threaded.runStormThreaded(
-        pool, /*mask=*/0b00011, fromSeconds(2.0), fromMillis(33.0),
-        load);
-
-    EXPECT_EQ(actual.victims, expected.victims);
-    EXPECT_EQ(actual.wspRecoveries, expected.wspRecoveries);
-    EXPECT_EQ(actual.backendRefills, expected.backendRefills);
-    ASSERT_GT(expected.timeToFullCapacity, 0u);
-    EXPECT_NEAR(toSeconds(actual.timeToFullCapacity),
-                toSeconds(expected.timeToFullCapacity),
-                0.05 * toSeconds(expected.timeToFullCapacity));
-    ASSERT_GT(modeled.stats().requests, 0u);
-    EXPECT_NEAR(static_cast<double>(threaded.stats().requests),
-                static_cast<double>(modeled.stats().requests),
-                0.15 * static_cast<double>(modeled.stats().requests));
-
-    EXPECT_GT(actual.generatorOps, 0u);
-    EXPECT_TRUE(threaded.checkReplicaConvergence().empty());
-    EXPECT_TRUE(modeled.checkReplicaConvergence().empty());
-}
-
-TEST(FleetThreadedStorm, OutcomeIsReproducibleAcrossRuns)
-{
-    // The timeline worker drains the generator rings round-robin, one
-    // op per traffic tick, so the applied sequence — and therefore
-    // every client-visible outcome — must not depend on how the OS
-    // scheduled the threads. (Generator production counts legitimately
-    // vary: overproduced frames are dropped at the end.)
-    fleet::FleetConfig config;
-    config.nodes = 5;
-    config.replication = 3;
-    config.seed = testSeed(0xf1ee91);
-
-    fleet::StormOutcome outcomes[2];
-    fleet::RequestStats stats[2];
-    for (int run = 0; run < 2; ++run) {
-        fleet::Fleet fleet(config);
-        ThreadPool pool(3);
-        outcomes[run] = fleet.runStormThreaded(
-            pool, /*mask=*/0b00011, fromSeconds(2.0), fromMillis(33.0));
-        stats[run] = fleet.stats();
-        EXPECT_TRUE(fleet.checkReplicaConvergence().empty());
-    }
-    EXPECT_EQ(outcomes[0].victims, outcomes[1].victims);
-    EXPECT_EQ(outcomes[0].wspRecoveries, outcomes[1].wspRecoveries);
-    EXPECT_EQ(outcomes[0].timeToFullCapacity,
-              outcomes[1].timeToFullCapacity);
-    EXPECT_EQ(stats[0].requests, stats[1].requests);
-    EXPECT_EQ(stats[0].ackedWrites, stats[1].ackedWrites);
-    EXPECT_EQ(stats[0].succeeded, stats[1].succeeded);
 }
 
 } // namespace

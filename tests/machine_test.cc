@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <list>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "machine/cache.h"
@@ -52,9 +57,10 @@ TEST(CpuContext, ReservedFlagBitAlwaysSet)
 
 // CacheModel -----------------------------------------------------------
 
-struct CacheFixture : ::testing::Test
+/** A 4 MiB NVRAM space on its own module. */
+struct Memory
 {
-    CacheFixture()
+    Memory()
         : dimm(queue, "d",
                [] {
                    NvdimmConfig config;
@@ -66,15 +72,18 @@ struct CacheFixture : ::testing::Test
         space.addModule(dimm);
     }
 
+    EventQueue queue;
+    NvdimmModule dimm;
+    NvramSpace space;
+};
+
+struct CacheFixture : ::testing::Test, Memory
+{
     CacheModel
     makeCache(uint64_t capacity = 64 * kKiB)
     {
         return CacheModel("L3", capacity, CacheTiming{}, space);
     }
-
-    EventQueue queue;
-    NvdimmModule dimm;
-    NvramSpace space;
 };
 
 TEST_F(CacheFixture, WriteStaysInCacheUntilFlush)
@@ -196,57 +205,192 @@ TEST_F(CacheFixture, FillDirtyBeyondCapacityDies)
                  "exceeds cache capacity");
 }
 
-// Flat vs reference line store --------------------------------------------
+// Line store vs a reference model -----------------------------------------
 //
-// The serving hot path runs on the flat line store; the verbatim
-// map/list/set implementation survives as LineStore::Reference. Both
-// must be observationally identical: same read results, same dirty
-// accounting, same eviction order (the write-back observer sees the
-// same sequence), same partition directory counts, and the same final
-// NVRAM image. The differential drives both through one random op
-// stream and compares after every step.
+// The cache's flat line store is held to a deliberately plain model of
+// the same semantics: dirty lines in a std::map, recency in a
+// std::list, the least recently written line evicted once the dirty
+// footprint reaches capacity, and every write-back and loss reported to
+// an observer. The differential drives the cache and the model through
+// one random op stream and compares after every step: read results,
+// dirty accounting, the exact observer sequence for evictions, clflush
+// and wbinvd, partition counts, the event sets of partition flushes and
+// dropDirty, and the final NVRAM image. Each side runs over its own
+// Memory, so the two images can be compared at the end.
 
-struct StoreRig
+using LineEvent = std::pair<uint64_t, bool>; // (line base, lost)
+
+/** The reference model: write-back cache semantics, no performance. */
+class ModelCache
 {
-    explicit StoreRig(CacheModel::LineStore kind,
-                      uint64_t capacity = 8 * CacheModel::kLineSize)
-        : dimm(queue, "d",
-               [] {
-                   NvdimmConfig config;
-                   config.capacityBytes = 4 * kMiB;
-                   config.flashChannels = 1;
-                   return config;
-               }())
+  public:
+    static constexpr uint64_t kLine = CacheModel::kLineSize;
+
+    ModelCache(uint64_t capacity, NvramSpace &memory)
+        : capacity_(capacity), memory_(memory)
     {
-        space.addModule(dimm);
-        cache.emplace("L3", capacity, CacheTiming{}, space, kind);
-        cache->setWritebackObserver([this](uint64_t base, bool lost) {
+    }
+
+    /** Every line that left the model, in order. */
+    std::vector<LineEvent> events;
+
+    size_t dirtyLines() const { return lines_.size(); }
+
+    void read(uint64_t addr, std::span<uint8_t> out) const
+    {
+        for (size_t done = 0; done < out.size();) {
+            const uint64_t cur = addr + done;
+            const uint64_t base = cur & ~(kLine - 1);
+            const size_t chunk = std::min<size_t>(kLine - (cur - base),
+                                                  out.size() - done);
+            const auto it = lines_.find(base);
+            if (it != lines_.end())
+                std::memcpy(out.data() + done,
+                            it->second.data.data() + (cur - base), chunk);
+            else
+                memory_.read(cur, out.subspan(done, chunk));
+            done += chunk;
+        }
+    }
+
+    void write(uint64_t addr, std::span<const uint8_t> data)
+    {
+        for (size_t done = 0; done < data.size();) {
+            const uint64_t cur = addr + done;
+            const uint64_t base = cur & ~(kLine - 1);
+            const size_t chunk = std::min<size_t>(kLine - (cur - base),
+                                                  data.size() - done);
+            std::memcpy(lineForWrite(base).data() + (cur - base),
+                        data.data() + done, chunk);
+            done += chunk;
+        }
+    }
+
+    uint64_t readU64(uint64_t addr) const
+    {
+        uint64_t value = 0;
+        read(addr, {reinterpret_cast<uint8_t *>(&value), 8});
+        return value;
+    }
+
+    void writeU64(uint64_t addr, uint64_t value)
+    {
+        write(addr, {reinterpret_cast<const uint8_t *>(&value), 8});
+    }
+
+    void flushLine(uint64_t addr)
+    {
+        const uint64_t base = addr & ~(kLine - 1);
+        if (lines_.count(base))
+            writeBack(base);
+    }
+
+    void wbinvd()
+    {
+        while (!recency_.empty())
+            writeBack(recency_.back());
+    }
+
+    /** Dirty lines of @p worker's partition: line L belongs to
+     *  worker (L / 64) mod workers. */
+    std::vector<uint64_t> partition(unsigned worker, unsigned workers) const
+    {
+        std::vector<uint64_t> mine;
+        for (const auto &entry : lines_)
+            if ((entry.first / kLine) % workers == worker)
+                mine.push_back(entry.first);
+        return mine;
+    }
+
+    void flushPartition(unsigned worker, unsigned workers)
+    {
+        for (uint64_t base : partition(worker, workers))
+            writeBack(base);
+    }
+
+    void dropDirty()
+    {
+        for (const auto &entry : lines_)
+            events.emplace_back(entry.first, /*lost=*/true);
+        lines_.clear();
+        recency_.clear();
+    }
+
+  private:
+    struct Line
+    {
+        std::vector<uint8_t> data;
+        std::list<uint64_t>::iterator recency;
+    };
+
+    /** The dirty line at @p base, created from memory (evicting the
+     *  least recently written line when full); recency refreshed. */
+    std::vector<uint8_t> &lineForWrite(uint64_t base)
+    {
+        const auto it = lines_.find(base);
+        if (it != lines_.end()) {
+            recency_.splice(recency_.begin(), recency_, it->second.recency);
+            return it->second.data;
+        }
+        if (lines_.size() * kLine >= capacity_)
+            writeBack(recency_.back());
+        Line line;
+        line.data.resize(kLine);
+        memory_.read(base, line.data);
+        recency_.push_front(base);
+        line.recency = recency_.begin();
+        return lines_.emplace(base, std::move(line)).first->second.data;
+    }
+
+    void writeBack(uint64_t base)
+    {
+        const auto it = lines_.find(base);
+        memory_.write(base, it->second.data);
+        recency_.erase(it->second.recency);
+        lines_.erase(it);
+        events.emplace_back(base, /*lost=*/false);
+    }
+
+    uint64_t capacity_;
+    NvramSpace &memory_;
+    std::map<uint64_t, Line> lines_;
+    std::list<uint64_t> recency_; ///< front = most recently written
+};
+
+/** The cache under test, recording its write-back observer calls. */
+struct CacheRig : Memory
+{
+    explicit CacheRig(uint64_t capacity = 8 * CacheModel::kLineSize)
+        : cache("L3", capacity, CacheTiming{}, space)
+    {
+        cache.setWritebackObserver([this](uint64_t base, bool lost) {
             events.emplace_back(base, lost);
         });
     }
 
-    EventQueue queue;
-    NvdimmModule dimm;
-    NvramSpace space;
-    std::optional<CacheModel> cache;
-    std::vector<std::pair<uint64_t, bool>> events;
-    size_t seen = 0;
-
-    std::vector<std::pair<uint64_t, bool>> drainEvents()
-    {
-        std::vector<std::pair<uint64_t, bool>> fresh(
-            events.begin() + static_cast<ptrdiff_t>(seen), events.end());
-        seen = events.size();
-        return fresh;
-    }
+    CacheModel cache;
+    std::vector<LineEvent> events;
 };
+
+/** The model over its own memory, sized like a default CacheRig. */
+struct ModelRig : Memory
+{
+    ModelCache model{8 * CacheModel::kLineSize, space};
+};
+
+/** Take and clear the events recorded so far. */
+std::vector<LineEvent>
+drain(std::vector<LineEvent> &events)
+{
+    return std::exchange(events, {});
+}
 
 TEST(LineStoreDifferential, FlatMatchesReferenceUnderRandomTraffic)
 {
-    StoreRig flat(CacheModel::LineStore::Flat);
-    StoreRig ref(CacheModel::LineStore::Reference);
-    ASSERT_EQ(flat.cache->lineStore(), CacheModel::LineStore::Flat);
-    ASSERT_EQ(ref.cache->lineStore(), CacheModel::LineStore::Reference);
+    CacheRig flat;
+    ModelRig ref;
+    CacheModel &cache = flat.cache;
+    ModelCache &model = ref.model;
 
     // 64 addressable lines against an 8-line cache: every few writes
     // evict, so the LRU order and observer sequence get a workout.
@@ -261,51 +405,49 @@ TEST(LineStoreDifferential, FlatMatchesReferenceUnderRandomTraffic)
         if (kind < 6) {
             const uint64_t addr = rng.next(range - 8);
             const uint64_t value = rng();
-            flat.cache->writeU64(addr, value);
-            ref.cache->writeU64(addr, value);
+            cache.writeU64(addr, value);
+            model.writeU64(addr, value);
         } else if (kind < 9) {
             const uint64_t addr = rng.next(range - 8);
-            EXPECT_EQ(flat.cache->readU64(addr), ref.cache->readU64(addr));
+            EXPECT_EQ(cache.readU64(addr), model.readU64(addr));
         } else if (kind < 11) {
             const size_t len = 1 + rng.next(200);
             const uint64_t addr = rng.next(range - len);
             for (size_t i = 0; i < len; ++i)
                 buf_a[i] = static_cast<uint8_t>(rng());
-            flat.cache->write(addr, std::span<const uint8_t>(buf_a.data(),
-                                                             len));
-            ref.cache->write(addr, std::span<const uint8_t>(buf_a.data(),
-                                                            len));
+            cache.write(addr, std::span<const uint8_t>(buf_a.data(), len));
+            model.write(addr, std::span<const uint8_t>(buf_a.data(), len));
         } else if (kind < 13) {
             const size_t len = 1 + rng.next(200);
             const uint64_t addr = rng.next(range - len);
-            flat.cache->read(addr, std::span<uint8_t>(buf_a.data(), len));
-            ref.cache->read(addr, std::span<uint8_t>(buf_b.data(), len));
+            cache.read(addr, std::span<uint8_t>(buf_a.data(), len));
+            model.read(addr, std::span<uint8_t>(buf_b.data(), len));
             EXPECT_TRUE(std::equal(buf_a.begin(), buf_a.begin() + len,
                                    buf_b.begin()));
         } else if (kind == 13) {
             const uint64_t addr = rng.next(range);
-            EXPECT_EQ(flat.cache->flushLine(addr),
-                      ref.cache->flushLine(addr));
+            EXPECT_EQ(cache.flushLine(addr), CacheTiming{}.clflushPerLine);
+            model.flushLine(addr);
         } else if (kind == 14) {
             const unsigned workers = 1 + rng.next(4);
             for (unsigned w = 0; w < workers; ++w) {
-                EXPECT_EQ(flat.cache->partitionDirtyLines(w, workers),
-                          ref.cache->partitionDirtyLines(w, workers));
+                EXPECT_EQ(cache.partitionDirtyLines(w, workers),
+                          model.partition(w, workers).size());
             }
         } else {
-            // Partition flush drains one worker's bucket; the two
-            // directories iterate in different orders, so compare the
-            // event sets, not the sequence.
+            // Partition flush drains one worker's bucket; the cache's
+            // directory and the model's map iterate in different
+            // orders, so compare the event sets, not the sequence.
             const unsigned workers = 1 + rng.next(4);
             const unsigned worker = rng.next(workers);
-            flat.cache->flushPartition(worker, workers);
-            ref.cache->flushPartition(worker, workers);
+            cache.flushPartition(worker, workers);
+            model.flushPartition(worker, workers);
             ordered = false;
         }
 
-        EXPECT_EQ(flat.cache->dirtyLines(), ref.cache->dirtyLines());
-        auto fe = flat.drainEvents();
-        auto re = ref.drainEvents();
+        EXPECT_EQ(cache.dirtyLines(), model.dirtyLines());
+        auto fe = drain(flat.events);
+        auto re = drain(model.events);
         if (!ordered) {
             std::sort(fe.begin(), fe.end());
             std::sort(re.begin(), re.end());
@@ -313,18 +455,19 @@ TEST(LineStoreDifferential, FlatMatchesReferenceUnderRandomTraffic)
         ASSERT_EQ(fe, re) << "observer divergence at step " << step;
 
         if (step % 4096 == 4095) {
-            EXPECT_EQ(flat.cache->wbinvd(), ref.cache->wbinvd());
-            ASSERT_EQ(flat.drainEvents(), ref.drainEvents())
+            cache.wbinvd();
+            model.wbinvd();
+            ASSERT_EQ(drain(flat.events), drain(model.events))
                 << "wbinvd drain order diverged at step " << step;
         }
     }
 
     // Final drain, then the NVRAM images must agree byte for byte.
-    flat.cache->wbinvd();
-    ref.cache->wbinvd();
-    EXPECT_EQ(flat.drainEvents(), ref.drainEvents());
-    EXPECT_EQ(flat.cache->dirtyLines(), 0u);
-    EXPECT_EQ(ref.cache->dirtyLines(), 0u);
+    cache.wbinvd();
+    model.wbinvd();
+    EXPECT_EQ(drain(flat.events), drain(model.events));
+    EXPECT_EQ(cache.dirtyLines(), 0u);
+    EXPECT_EQ(model.dirtyLines(), 0u);
     std::vector<uint8_t> img_a(range);
     std::vector<uint8_t> img_b(range);
     flat.space.read(0, img_a);
@@ -334,65 +477,56 @@ TEST(LineStoreDifferential, FlatMatchesReferenceUnderRandomTraffic)
 
 TEST(LineStoreDifferential, DropDirtyReportsSameLostLines)
 {
-    StoreRig flat(CacheModel::LineStore::Flat);
-    StoreRig ref(CacheModel::LineStore::Reference);
+    CacheRig flat;
+    ModelRig ref;
     Rng rng(7);
     for (int i = 0; i < 200; ++i) {
         const uint64_t addr = rng.next(32 * CacheModel::kLineSize);
-        flat.cache->writeU64(addr, i);
-        ref.cache->writeU64(addr, i);
+        flat.cache.writeU64(addr, i);
+        ref.model.writeU64(addr, i);
     }
-    flat.drainEvents();
-    ref.drainEvents();
-    flat.cache->dropDirty();
-    ref.cache->dropDirty();
-    auto fe = flat.drainEvents();
-    auto re = ref.drainEvents();
+    EXPECT_EQ(drain(flat.events), drain(ref.model.events)); // evictions
+    flat.cache.dropDirty();
+    ref.model.dropDirty();
+    auto fe = drain(flat.events);
+    auto re = drain(ref.model.events);
     std::sort(fe.begin(), fe.end());
-    std::sort(re.begin(), re.end());
-    EXPECT_EQ(fe, re);
-    EXPECT_EQ(flat.cache->dirtyLines(), 0u);
-    EXPECT_EQ(ref.cache->dirtyLines(), 0u);
+    EXPECT_EQ(fe, re); // the model reports in address order
+    EXPECT_EQ(fe.size(), 8u);
+    EXPECT_EQ(flat.cache.dirtyLines(), 0u);
 }
 
 TEST(LineStoreDifferential, LineRefApiMatchesWordAccess)
 {
-    StoreRig flat(CacheModel::LineStore::Flat);
-    StoreRig ref(CacheModel::LineStore::Reference);
-
-    // Reference store never exposes lines: callers must fall back,
-    // which keeps the two stores behaviourally interchangeable.
-    ref.cache->writeU64(0, 1);
-    EXPECT_EQ(ref.cache->peekLine(0), nullptr);
-    EXPECT_EQ(ref.cache->touchLine(0), nullptr);
-    EXPECT_FALSE(ref.cache->findLineMut(0));
-
-    // Flat store: a dirty line is visible through the pointer and
-    // writes through it are visible to word reads.
-    flat.cache->writeU64(0, 0x1122334455667788ull);
-    const uint8_t *line = flat.cache->peekLine(0);
+    // A dirty line is visible through the pointer and writes through
+    // it are visible to word reads; a clean line has no pointer.
+    CacheRig flat;
+    flat.cache.writeU64(0, 0x1122334455667788ull);
+    const uint8_t *line = flat.cache.peekLine(0);
     ASSERT_NE(line, nullptr);
     uint64_t word = 0;
     std::memcpy(&word, line, 8);
     EXPECT_EQ(word, 0x1122334455667788ull);
-    EXPECT_EQ(flat.cache->peekLine(CacheModel::kLineSize), nullptr);
+    EXPECT_EQ(flat.cache.peekLine(CacheModel::kLineSize), nullptr);
+    EXPECT_EQ(flat.cache.touchLine(CacheModel::kLineSize), nullptr);
+    EXPECT_FALSE(flat.cache.findLineMut(CacheModel::kLineSize));
 
-    auto mut = flat.cache->findLineMut(0);
+    auto mut = flat.cache.findLineMut(0);
     ASSERT_TRUE(mut);
     const uint64_t patched = 0xdeadbeefull;
-    flat.cache->touchLineRef(mut);
+    flat.cache.touchLineRef(mut);
     std::memcpy(mut.data + 8, &patched, 8);
-    EXPECT_EQ(flat.cache->readU64(8), patched);
+    EXPECT_EQ(flat.cache.readU64(8), patched);
 
     // touchLine refreshes recency exactly as a write would: fill the
     // cache, touch the oldest line, and the *second*-oldest must be
     // the eviction victim.
-    StoreRig lru(CacheModel::LineStore::Flat, 2 * CacheModel::kLineSize);
-    lru.cache->writeU64(0 * CacheModel::kLineSize, 1);
-    lru.cache->writeU64(1 * CacheModel::kLineSize, 2);
-    ASSERT_NE(lru.cache->touchLine(0), nullptr);
-    lru.cache->writeU64(2 * CacheModel::kLineSize, 3); // evicts line 1
-    auto events = lru.drainEvents();
+    CacheRig lru(2 * CacheModel::kLineSize);
+    lru.cache.writeU64(0 * CacheModel::kLineSize, 1);
+    lru.cache.writeU64(1 * CacheModel::kLineSize, 2);
+    ASSERT_NE(lru.cache.touchLine(0), nullptr);
+    lru.cache.writeU64(2 * CacheModel::kLineSize, 3); // evicts line 1
+    const auto events = drain(lru.events);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].first, CacheModel::kLineSize);
     EXPECT_FALSE(events[0].second);
