@@ -69,7 +69,7 @@ main(int argc, char **argv)
     for (const auto &spec : platforms) {
         header.push_back(spec.name);
         series.push_back(Series{spec.name, {}, {}});
-        dists.push_back(Histogram(0.0, 6.0, 120));
+        dists.emplace_back();
     }
     table.setHeader(header);
 
@@ -83,7 +83,7 @@ main(int argc, char **argv)
                     measure(platforms[p], bytes,
                             base_seed + static_cast<uint64_t>(run));
                 stat.add(ms);
-                dists[p].add(ms);
+                dists[p].add(fromMillis(ms));
             }
             series[p].add(std::log2(static_cast<double>(bytes)),
                           stat.mean());
@@ -99,8 +99,10 @@ main(int argc, char **argv)
     for (size_t p = 0; p < platforms.size(); ++p) {
         std::printf("%-18s save time p50 %.3f ms  p95 %.3f ms  "
                     "p99 %.3f ms\n",
-                    platforms[p].name.c_str(), dists[p].percentile(50),
-                    dists[p].percentile(95), dists[p].percentile(99));
+                    platforms[p].name.c_str(),
+                    dists[p].percentile(50) * 1e-6,
+                    dists[p].percentile(95) * 1e-6,
+                    dists[p].percentile(99) * 1e-6);
     }
     std::printf("\n");
 

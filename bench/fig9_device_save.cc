@@ -66,7 +66,7 @@ main(int argc, char **argv)
     double amd_idle = 0.0;
     double intel_busy = 0.0;
     double intel_idle = 0.0;
-    Histogram dist(0.0, 10.0, 200); // all suspend-all samples, seconds
+    Histogram dist; // all suspend-all samples, ns
     for (const Config &config : configs) {
         RunningStat stat;
         for (uint64_t run = 0; run < 5; ++run) {
@@ -74,7 +74,7 @@ main(int argc, char **argv)
                                      config.load == LoadClass::Busy,
                                      run * 13 + 7);
             stat.add(s);
-            dist.add(s);
+            dist.add(fromSeconds(s));
         }
         table.addRow({config.testbed, loadClassName(config.load),
                       formatDouble(stat.mean(), 2) + " s",
@@ -96,8 +96,8 @@ main(int argc, char **argv)
 
     std::printf("\nsuspend-all distribution: p50 %.2f s  p95 %.2f s  "
                 "p99 %.2f s\n",
-                dist.percentile(50), dist.percentile(95),
-                dist.percentile(99));
+                dist.percentile(50) * 1e-9, dist.percentile(95) * 1e-9,
+                dist.percentile(99) * 1e-9);
     std::printf("\nEven idle saves take seconds: per-driver D3 "
                 "timeouts dominate, not queue drain.\n");
     check.expectGreater("Intel slower than AMD (GPU/disk/NIC heavier)",

@@ -68,10 +68,10 @@ runPolicy(RecoveryPolicy policy, unsigned nodes, unsigned replication,
     fleet.settle();
 
     outcome.stats = fleet.stats();
-    const Histogram latency = fleet.fleetLatency();
-    outcome.p50 = latency.percentile(50);
-    outcome.p95 = latency.percentile(95);
-    outcome.p99 = latency.percentile(99);
+    const Histogram latency = fleet.fleetLatency(); // ns
+    outcome.p50 = latency.percentile(50) * 1e-6;
+    outcome.p95 = latency.percentile(95) * 1e-6;
+    outcome.p99 = latency.percentile(99) * 1e-6;
     outcome.violations = noReplicaDivergence(fleet).size();
     return outcome;
 }

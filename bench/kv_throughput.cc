@@ -119,8 +119,6 @@ main(int argc, char **argv)
     base.erasePermille = erase_permille;
     base.zipfTheta = zipf_theta;
     base.seed = seed;
-    base.latencyHiMs = 20.0;
-    base.latencyBuckets = 2000;
     // Pinning helps only when the workers have real cores to keep.
     base.pinWorkers = cores >= workers;
 

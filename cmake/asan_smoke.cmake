@@ -3,11 +3,11 @@
 #   cmake -DSOURCE_DIR=<repo> -DOUT_DIR=<dir> -P asan_smoke.cmake
 #
 # Configures a sub-build of the tree with -DWSP_SANITIZE=address (the
-# existing sanitizer hook), builds the salvage and sim-property test
-# binaries, and runs their suites under ASan. The salvage paths
-# shuffle raw NVRAM spans (scrubbing, CRC passes, directory decode of
-# possibly-torn bytes), which is exactly where an out-of-bounds read
-# would hide; the sim-property battery hammers the event engine's
+# existing sanitizer hook), builds the salvage, sim-property and other
+# test binaries below, and runs their suites under ASan. The salvage
+# paths shuffle raw NVRAM spans (scrubbing, CRC passes, directory
+# decode of possibly-torn bytes), which is exactly where an
+# out-of-bounds read would hide; the sim-property battery hammers the event engine's
 # slab/arena recycling and the SmallFn relocate/destroy paths, where a
 # lifetime bug would hide. The sub-build directory persists across
 # runs, so re-runs are incremental.
@@ -33,7 +33,7 @@ endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} --build ${OUT_DIR}
         --target test_salvage test_sim_property test_conditions test_fleet
-                 test_machine_property test_apps
+                 test_machine_property test_apps test_util
     RESULT_VARIABLE build_rc
     OUTPUT_VARIABLE build_out
     ERROR_VARIABLE build_out
@@ -89,11 +89,12 @@ endif()
 # use-after-free in the node teardown/reboot cycle would hide exactly
 # there. Run the placement, lifecycle and mid-save-kill suites, the
 # decommission-while-dark storm, the re-kill of a recovering victim,
-# the missed-erase repair and the pinned repair scenarios (every repair
-# streaming path).
+# the missed-erase repair, the pinned repair scenarios (every repair
+# streaming path) and the whole-fleet storm whose latency histograms
+# merge across nodes.
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_fleet
-        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.ReKillingARecoveringVictimLetsTheStormEnd:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:FleetPinned.*
+        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.ReKillingARecoveringVictimLetsTheStormEnd:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:Fleet.LatencyCountsEveryRequestWithoutClamping:FleetPinned.*
     RESULT_VARIABLE fleet_rc
     OUTPUT_VARIABLE fleet_out
     ERROR_VARIABLE fleet_out
@@ -127,5 +128,19 @@ if(NOT scan_rc EQUAL 0)
     message(FATAL_ERROR
         "asan_smoke: KvStore scan ASan run failed (rc=${scan_rc}):\n${scan_out}")
 endif()
+# The latency histogram indexes its buckets from a sample's top bits
+# and grows its storage to the highest bucket recorded; a sample at
+# UINT64_MAX lands in the very last bucket, exactly where an
+# out-of-bounds write would hide.
+execute_process(
+    COMMAND ${OUT_DIR}/tests/test_util --gtest_filter=Histogram.*
+    RESULT_VARIABLE hist_rc
+    OUTPUT_VARIABLE hist_out
+    ERROR_VARIABLE hist_out
+)
+if(NOT hist_rc EQUAL 0)
+    message(FATAL_ERROR
+        "asan_smoke: histogram ASan run failed (rc=${hist_rc}):\n${hist_out}")
+endif()
 message(STATUS
-    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan suites clean under ASan")
+    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + histogram suites clean under ASan")

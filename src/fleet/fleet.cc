@@ -86,8 +86,7 @@ Fleet::Fleet(FleetConfig config)
         node->bootFresh();
         nodes_.push_back(std::move(node));
         ring_.addNode(id);
-        latency_.emplace_back(0.0, config_.latencyHiMs,
-                              config_.latencyBuckets);
+        latency_.emplace_back();
         epoch_.push_back(0);
     }
     recordCapacity();
@@ -137,14 +136,14 @@ Fleet::backoff(unsigned attempt)
 }
 
 void
-Fleet::recordLatency(uint64_t key, Tick latency)
+Fleet::recordLatency(const std::vector<uint32_t> &replicas, Tick latency)
 {
-    // Attribute to the key's primary so per-node histograms show
-    // which owners ran hot; the fleet-wide view is their merge.
-    const auto replicas = ring_.replicaSet(key, effectiveR_);
+    // Attribute to the key's primary (the head of its replica set) so
+    // per-node histograms show which owners ran hot; the fleet-wide
+    // view is their merge.
     if (replicas.empty())
         return;
-    latency_[replicas.front()].add(toSeconds(latency) * 1e3);
+    latency_[replicas.front()].add(latency);
 }
 
 void
@@ -208,7 +207,7 @@ Fleet::applyWrite(uint64_t key, uint64_t value, bool is_erase)
                 placed->second = ring_.replicaMask(key, effectiveR_);
             ++stats_.succeeded;
             ++stats_.ackedWrites;
-            recordLatency(key, latency);
+            recordLatency(replicas, latency);
             return true;
         }
 
@@ -223,7 +222,7 @@ Fleet::applyWrite(uint64_t key, uint64_t value, bool is_erase)
 
     ++stats_.failed;
     ++stats_.rejectedWrites;
-    recordLatency(key, latency);
+    recordLatency(replicas, latency);
     return false;
 }
 
@@ -260,7 +259,7 @@ Fleet::clientGet(uint64_t key, uint64_t *value_out)
                 if (degraded_ok)
                     ++stats_.degradedReads;
                 ++stats_.succeeded;
-                recordLatency(key, latency);
+                recordLatency(replicas, latency);
                 const bool found = node.get(key, value_out);
                 return found;
             }
@@ -275,7 +274,7 @@ Fleet::clientGet(uint64_t key, uint64_t *value_out)
     }
 
     ++stats_.failed;
-    recordLatency(key, latency);
+    recordLatency(replicas, latency);
     return false;
 }
 
@@ -807,7 +806,7 @@ Fleet::checkReplicaConvergence() const
 Histogram
 Fleet::fleetLatency() const
 {
-    Histogram merged(0.0, config_.latencyHiMs, config_.latencyBuckets);
+    Histogram merged;
     for (const Histogram &h : latency_)
         merged.merge(h);
     return merged;

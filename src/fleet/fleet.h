@@ -105,10 +105,6 @@ struct FleetConfig
     Tick backoffBase = fromMillis(1.0);
     Tick backoffCap = fromMillis(50.0);
     unsigned maxAttempts = 6;
-
-    /** Latency histogram shape (milliseconds). */
-    double latencyHiMs = 50.0;
-    size_t latencyBuckets = 250;
 };
 
 /** Client-visible outcome counters. */
@@ -239,7 +235,7 @@ class Fleet
     const RequestStats &stats() const { return stats_; }
     uint64_t ackedWrites() const { return stats_.ackedWrites; }
 
-    /** Per-node client latency (ms) and the fleet-wide merge. */
+    /** Per-node client latency (ns) and the fleet-wide merge. */
     const Histogram &nodeLatency(uint32_t id) const
     {
         return latency_.at(id);
@@ -285,7 +281,7 @@ class Fleet
     uint64_t placementOf(uint64_t key) const;
     Tick serviceDraw();
     Tick backoff(unsigned attempt);
-    void recordLatency(uint64_t key, Tick latency);
+    void recordLatency(const std::vector<uint32_t> &replicas, Tick latency);
     void recordCapacity();
     void processEvent(Tick when, const Event &event);
     void trafficUntil(Tick t, double put_fraction);

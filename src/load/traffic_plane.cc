@@ -1,5 +1,6 @@
 #include "load/traffic_plane.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -34,7 +35,7 @@ struct TrafficPlane::WorkerSlot
     std::vector<apps::KvOp> drainOps;  ///< apply scratch (drainOps)
 
     apps::KvBatchResult result;
-    Histogram latencyNs{0.0, 1.0, 1};
+    Histogram latencyNs;
     uint64_t stalls = 0;
     uint64_t consumed = 0;
     char pad[64] = {};
@@ -119,8 +120,8 @@ TrafficPlane::drainOwnedShards(unsigned /*worker*/, WorkerSlot &slot)
                 size_t j = i + 1;
                 while (j < n && slot.drainFrames[j].intendedNs == intended)
                     ++j;
-                slot.latencyNs.add(static_cast<double>(done - intended),
-                                   j - i);
+                const int64_t waited = std::max<int64_t>(done - intended, 0);
+                slot.latencyNs.add(static_cast<uint64_t>(waited), j - i);
                 i = j;
             }
             slot.consumed += n;
@@ -136,11 +137,11 @@ TrafficPlane::run(ThreadPool &pool)
     WSP_CHECKF(pool.threadCount() == config_.workers,
                "pool has %u threads, config wants %u", pool.threadCount(),
                config_.workers);
-    const Histogram empty(0.0, config_.latencyHiMs * 1e6,
-                                config_.latencyBuckets);
     for (WorkerSlot &slot : slots_) {
         slot.result = apps::KvBatchResult{};
-        slot.latencyNs = empty;
+        // reset() keeps the buckets earlier runs grew, so a repeated
+        // run's drain path allocates nothing.
+        slot.latencyNs.reset();
         slot.stalls = 0;
         slot.consumed = 0;
     }
@@ -226,7 +227,6 @@ TrafficPlane::run(ThreadPool &pool)
     TrafficPlaneReport report;
     report.wallSeconds =
         static_cast<double>(nowNs() - wallStart) * 1e-9;
-    report.latencyNs = empty;
     for (const WorkerSlot &slot : slots_) {
         report.result.merge(slot.result);
         report.latencyNs.merge(slot.latencyNs);

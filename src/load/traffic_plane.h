@@ -76,9 +76,6 @@ struct TrafficPlaneConfig
     size_t drainOps = 512;         ///< max frames per consumer batch
     double pacedOpsPerSec = 0.0;   ///< open-loop arrival rate; 0 = max
     bool pinWorkers = false;       ///< pin pool threads to cores
-
-    double latencyHiMs = 10.0;     ///< histogram range
-    size_t latencyBuckets = 400;
 };
 
 /** Outcome of a run, merged across workers in worker order. */
@@ -87,7 +84,7 @@ struct TrafficPlaneReport
     apps::KvBatchResult result;
     double wallSeconds = 0.0;
     uint64_t backpressureStalls = 0; ///< full-ring push attempts
-    Histogram latencyNs{0.0, 1.0, 1};
+    Histogram latencyNs;
 
     uint64_t ops() const { return result.ops(); }
     double opsPerSec() const

@@ -1,8 +1,8 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdio>
 
 #include "util/logging.h"
 
@@ -68,72 +68,68 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
+namespace {
+
+/** Buckets per power of two above the exact range (2^7 = 128). */
+constexpr unsigned kSubBucketBits = 7;
+constexpr uint64_t kSubBuckets = uint64_t{1} << kSubBucketBits;
+/** Values below this (256) own a bucket each. */
+constexpr uint64_t kExactBelow = 2 * kSubBuckets;
+
+/**
+ * Bucket of @p v: its top eight significant bits, offset by how far
+ * they had to shift. Below 256 the shift is 0 and the bucket is v.
+ */
+constexpr size_t
+bucketOf(uint64_t v)
 {
-    WSP_CHECK(buckets >= 1);
-    WSP_CHECK(hi > lo);
+    constexpr unsigned kTopBits = kSubBucketBits + 1;
+    const auto bits = static_cast<unsigned>(std::bit_width(v));
+    const unsigned shift = bits > kTopBits ? bits - kTopBits : 0;
+    return (static_cast<size_t>(shift) << kSubBucketBits) + (v >> shift);
 }
 
-void
-Histogram::add(double sample)
+static_assert(bucketOf(~uint64_t{0}) == 7423, "7424 buckets cover uint64_t");
+
+/** Midpoint of the integer values bucket @p i holds. */
+double
+bucketMid(size_t i)
 {
-    ++total_;
-    if (sample < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (sample >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const double frac = (sample - lo_) / (hi_ - lo_);
-    auto idx = static_cast<size_t>(frac * static_cast<double>(counts_.size()));
-    idx = std::min(idx, counts_.size() - 1);
-    ++counts_[idx];
+    if (i < kExactBelow)
+        return static_cast<double>(i);
+    const unsigned shift = static_cast<unsigned>(i >> kSubBucketBits) - 1;
+    const uint64_t lo = ((i & (kSubBuckets - 1)) | kSubBuckets) << shift;
+    const uint64_t width = uint64_t{1} << shift;
+    return static_cast<double>(lo) + static_cast<double>(width - 1) / 2.0;
 }
 
+} // namespace
+
 void
-Histogram::add(double sample, uint64_t count)
+Histogram::add(uint64_t sample, uint64_t count)
 {
+    const size_t i = bucketOf(sample);
+    if (i >= counts_.size())
+        counts_.resize(i + 1, 0);
+    counts_[i] += count;
     total_ += count;
-    if (sample < lo_) {
-        underflow_ += count;
-        return;
-    }
-    if (sample >= hi_) {
-        overflow_ += count;
-        return;
-    }
-    const double frac = (sample - lo_) / (hi_ - lo_);
-    auto idx = static_cast<size_t>(frac * static_cast<double>(counts_.size()));
-    idx = std::min(idx, counts_.size() - 1);
-    counts_[idx] += count;
-}
-
-bool
-Histogram::mergeCompatible(const Histogram &other) const
-{
-    return lo_ == other.lo_ && hi_ == other.hi_ &&
-           counts_.size() == other.counts_.size();
 }
 
 void
 Histogram::merge(const Histogram &other)
 {
-    WSP_CHECK(mergeCompatible(other));
-    for (size_t i = 0; i < counts_.size(); ++i)
+    if (other.counts_.size() > counts_.size())
+        counts_.resize(other.counts_.size(), 0);
+    for (size_t i = 0; i < other.counts_.size(); ++i)
         counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
     total_ += other.total_;
 }
 
-double
-Histogram::bucketLo(size_t i) const
+void
+Histogram::reset()
 {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
+    std::fill(counts_.begin(), counts_.end(), 0);
+    total_ = 0;
 }
 
 double
@@ -141,42 +137,17 @@ Histogram::quantile(double q) const
 {
     WSP_CHECK(q >= 0.0 && q <= 1.0);
     if (total_ == 0)
-        return lo_;
-    const auto target = static_cast<uint64_t>(
-        q * static_cast<double>(total_));
-    uint64_t seen = underflow_;
-    if (seen > target)
-        return lo_;
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
+        return 0.0;
+    const uint64_t rank = std::min(
+        static_cast<uint64_t>(q * static_cast<double>(total_)), total_ - 1);
+    uint64_t seen = 0;
     for (size_t i = 0; i < counts_.size(); ++i) {
         seen += counts_[i];
-        if (seen > target)
-            return bucketLo(i) + width / 2.0;
+        if (seen > rank)
+            return bucketMid(i);
     }
-    return hi_;
-}
-
-std::string
-Histogram::render(size_t width) const
-{
-    uint64_t peak = 1;
-    for (uint64_t c : counts_)
-        peak = std::max(peak, c);
-
-    std::string out;
-    char line[160];
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        const auto bar_len = static_cast<size_t>(
-            static_cast<double>(counts_[i]) /
-            static_cast<double>(peak) * static_cast<double>(width));
-        std::snprintf(line, sizeof(line), "%12.4g | ", bucketLo(i));
-        out += line;
-        out.append(bar_len, '#');
-        std::snprintf(line, sizeof(line), " %llu\n",
-                      static_cast<unsigned long long>(counts_[i]));
-        out += line;
-    }
-    return out;
+    panic("histogram counts sum below its total %llu",
+          static_cast<unsigned long long>(total_));
 }
 
 double

@@ -3,8 +3,9 @@
  * Statistics helpers used by benches and timing models.
  *
  * RunningStat accumulates mean/variance/min/max in one pass (Welford's
- * algorithm); Histogram buckets samples for latency distributions;
- * Series records (x, y) points for figure-style output.
+ * algorithm); Histogram buckets integer samples (latencies in ns) with
+ * bounded relative error; Series records (x, y) points for
+ * figure-style output.
  */
 
 #pragma once
@@ -50,16 +51,17 @@ class RunningStat
 };
 
 /**
- * Fixed-width linear histogram over [lo, hi); out-of-range samples
- * land in saturating underflow/overflow buckets.
+ * Log-linear latency histogram over non-negative integer samples, in
+ * the style of HdrHistogram. Every value 0-255 has its own bucket;
+ * above that, each power of two splits into 128 equal buckets, so no
+ * bucket is wider than 1/128 of the values it holds. The 7424 buckets
+ * cover all of uint64_t, so nothing clamps and any two histograms
+ * merge. Storage grows to the highest bucket recorded.
  */
 class Histogram
 {
   public:
-    /** @param buckets number of in-range buckets (>= 1). */
-    Histogram(double lo, double hi, size_t buckets);
-
-    void add(double sample);
+    void add(uint64_t sample) { add(sample, 1); }
 
     /**
      * Record @p sample @p count times in one bucket update. The
@@ -68,46 +70,33 @@ class Histogram
      * latency sample — recording them as a weighted add keeps the
      * hot path at one bucket increment per run instead of per op.
      */
-    void add(double sample, uint64_t count);
-
-    /**
-     * True when @p other has identical bucketing (same [lo, hi) range
-     * and bucket count), i.e. a merge is lossless.
-     */
-    bool mergeCompatible(const Histogram &other) const;
+    void add(uint64_t sample, uint64_t count);
 
     /**
      * Fold another histogram's counts into this one. The fleet merges
      * per-node latency histograms this way instead of re-recording
-     * every sample at the aggregation point. Requires
-     * mergeCompatible(other).
+     * every sample at the aggregation point.
      */
     void merge(const Histogram &other);
 
-    size_t buckets() const { return counts_.size(); }
-    uint64_t bucketCount(size_t i) const { return counts_.at(i); }
-    uint64_t underflow() const { return underflow_; }
-    uint64_t overflow() const { return overflow_; }
+    /** Remove all samples; keeps the storage, so re-recording the same
+     *  range allocates nothing. */
+    void reset();
+
     uint64_t total() const { return total_; }
 
-    /** Lower edge of bucket @p i. */
-    double bucketLo(size_t i) const;
-
-    /** Approximate quantile (0 <= q <= 1) from bucket midpoints. */
+    /**
+     * Midpoint of the bucket holding the sample of rank
+     * min(floor(q * total), total - 1), for 0 <= q <= 1: exact below
+     * 256, within 1/256 (relative) above. 0 when empty.
+     */
     double quantile(double q) const;
 
     /** Percentile form of quantile(): percentile(99) == quantile(0.99). */
     double percentile(double p) const { return quantile(p / 100.0); }
 
-    /** Render a fixed-width ASCII bar chart. */
-    std::string render(size_t width = 50) const;
-
   private:
-    double lo_;
-    double hi_;
     std::vector<uint64_t> counts_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
     uint64_t total_ = 0;
 };
 

@@ -264,6 +264,36 @@ TEST(Fleet, StormWspLocalRecoversEveryVictim)
     EXPECT_EQ(capacity.ys.back(), 1.0);
 }
 
+TEST(Fleet, LatencyCountsEveryRequestWithoutClamping)
+{
+    FleetConfig config;
+    config.nodes = 4;
+    config.replication = 3;
+    config.seed = testSeed(0xf1ee7e);
+    Fleet fleet(config);
+    fleet.runTraffic(80, 0.7);
+    fleet.runStorm(/*mask=*/0, fromSeconds(2.0), fromMillis(80.0));
+    fleet.runTraffic(20, 0.7);
+
+    // Every request is recorded once, under its key's primary, and the
+    // per-node histograms merge to the fleet-wide one.
+    const Histogram fleetWide = fleet.fleetLatency();
+    EXPECT_EQ(fleetWide.total(), fleet.stats().requests);
+    Histogram merged;
+    for (uint32_t id = 0; id < fleet.nodeCount(); ++id)
+        merged.merge(fleet.nodeLatency(id));
+    EXPECT_EQ(merged.total(), fleetWide.total());
+    for (double p : {0.0, 50.0, 90.0, 99.0, 100.0})
+        EXPECT_EQ(merged.percentile(p), fleetWide.percentile(p)) << p;
+
+    // While the whole fleet is dark, a read that exhausts its six
+    // attempts pays 6 x 3 replicas x 2 ms of timeouts plus at least
+    // 0.5 + 1 + 2 + 4 + 8 + 16 = 31.5 ms of backoff: 67.5 ms, above
+    // the 50 ms top that a ranged histogram would have clamped to.
+    ASSERT_GT(fleet.stats().failed, 0u);
+    EXPECT_GE(fleetWide.percentile(100.0), 67.5e6);
+}
+
 TEST(Fleet, BackToBackStormsEachReportTheirOwnCounts)
 {
     // Each storm restarts the fleet's storm counters, so its outcome

@@ -468,12 +468,12 @@ TEST_F(TraceTest, DroppedRecordsExportedToStatRegistry)
 
 TEST_F(TraceTest, HistogramPercentile)
 {
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(static_cast<double>(i) + 0.5);
-    EXPECT_NEAR(h.percentile(50), 50.0, 1.5);
-    EXPECT_NEAR(h.percentile(95), 95.0, 1.5);
-    EXPECT_NEAR(h.percentile(99), 99.0, 1.5);
+    Histogram h;
+    for (uint64_t i = 0; i < 100; ++i)
+        h.add(i);
+    EXPECT_EQ(h.percentile(50), 50.0);
+    EXPECT_EQ(h.percentile(95), 95.0);
+    EXPECT_EQ(h.percentile(99), 99.0);
     EXPECT_DOUBLE_EQ(h.percentile(50), h.quantile(0.5));
 }
 

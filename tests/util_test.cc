@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "util/arena.h"
 #include "util/checksum.h"
@@ -17,6 +19,7 @@
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
+#include "test_seed.h"
 
 namespace wsp {
 namespace {
@@ -223,84 +226,98 @@ TEST(RunningStat, ResetClears)
 
 TEST(Histogram, BucketsAndOverflow)
 {
-    Histogram hist(0.0, 10.0, 10);
-    hist.add(-1.0);
-    hist.add(0.0);
-    hist.add(5.5);
-    hist.add(9.999);
-    hist.add(10.0);
-    hist.add(25.0);
-    EXPECT_EQ(hist.underflow(), 1u);
-    EXPECT_EQ(hist.overflow(), 2u);
-    EXPECT_EQ(hist.bucketCount(0), 1u);
-    EXPECT_EQ(hist.bucketCount(5), 1u);
-    EXPECT_EQ(hist.bucketCount(9), 1u);
-    EXPECT_EQ(hist.total(), 6u);
+    // Values below 256 own a bucket each; above, each power of two
+    // splits into 128 buckets, so 256 and 257 share one [256, 257]
+    // and 1000-1003 share another. Nothing overflows: a sample at the
+    // top of uint64_t is counted and lands in the last bucket.
+    Histogram hist;
+    for (uint64_t v : {0ull, 1ull, 255ull, 256ull, 257ull, 1000ull, 1003ull,
+                       ~0ull})
+        hist.add(v);
+    EXPECT_EQ(hist.total(), 8u);
+    EXPECT_EQ(hist.quantile(0.0 / 8), 0.0);
+    EXPECT_EQ(hist.quantile(1.0 / 8), 1.0);
+    EXPECT_EQ(hist.quantile(2.0 / 8), 255.0);
+    EXPECT_EQ(hist.quantile(3.0 / 8), 256.5);
+    EXPECT_EQ(hist.quantile(4.0 / 8), 256.5);
+    EXPECT_EQ(hist.quantile(5.0 / 8), 1001.5);
+    EXPECT_EQ(hist.quantile(6.0 / 8), 1001.5);
+    // Last bucket: [255 * 2^56, 2^64 - 1], midpoint 255.5 * 2^56.
+    EXPECT_EQ(hist.quantile(1.0), std::ldexp(255.5, 56));
 }
 
 TEST(Histogram, QuantileMedian)
 {
-    Histogram hist(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        hist.add(static_cast<double>(i));
-    EXPECT_NEAR(hist.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(hist.quantile(0.9), 90.0, 1.5);
+    Histogram hist;
+    for (uint64_t i = 0; i < 100; ++i)
+        hist.add(i);
+    EXPECT_EQ(hist.quantile(0.5), 50.0);
+    EXPECT_EQ(hist.quantile(0.9), 90.0);
+
+    Histogram scaled;
+    for (uint64_t i = 0; i < 100; ++i)
+        scaled.add(i * 1000);
+    EXPECT_NEAR(scaled.quantile(0.5), 50000.0, 50000.0 / 256);
+    EXPECT_NEAR(scaled.quantile(0.9), 90000.0, 90000.0 / 256);
 }
 
 TEST(Histogram, PercentileOfEmptyHistogramIsLowerBound)
 {
-    Histogram hist(2.0, 10.0, 8);
-    // No samples: every percentile collapses to the lower bound
+    Histogram hist;
+    // No samples: every percentile reads 0, the bottom of the domain,
     // rather than dividing by zero or walking past the buckets.
-    EXPECT_EQ(hist.percentile(0.0), 2.0);
-    EXPECT_EQ(hist.percentile(50.0), 2.0);
-    EXPECT_EQ(hist.percentile(100.0), 2.0);
+    EXPECT_EQ(hist.percentile(0.0), 0.0);
+    EXPECT_EQ(hist.percentile(50.0), 0.0);
+    EXPECT_EQ(hist.percentile(100.0), 0.0);
 }
 
 TEST(Histogram, PercentileSingleSampleIsItsBucketMidpoint)
 {
-    Histogram hist(0.0, 10.0, 10);
-    hist.add(3.2); // bucket [3, 4) — midpoint 3.5
-    EXPECT_EQ(hist.percentile(0.0), 3.5);
-    EXPECT_EQ(hist.percentile(50.0), 3.5);
-    EXPECT_EQ(hist.percentile(99.0), 3.5);
-    // q == 1.0 targets one past the last sample: the upper bound.
-    EXPECT_EQ(hist.percentile(100.0), 10.0);
+    Histogram exact;
+    exact.add(3); // its own bucket: exact
+    Histogram wide;
+    wide.add(1000); // bucket [1000, 1003], midpoint 1001.5
+    for (double p : {0.0, 50.0, 99.0, 100.0}) {
+        EXPECT_EQ(exact.percentile(p), 3.0) << p;
+        EXPECT_EQ(wide.percentile(p), 1001.5) << p;
+    }
 }
 
 TEST(Histogram, PercentileAllEqualSamplesStaysInTheirBucket)
 {
-    Histogram hist(0.0, 100.0, 100);
-    for (int i = 0; i < 1000; ++i)
-        hist.add(42.0); // bucket [42, 43) — midpoint 42.5
-    EXPECT_EQ(hist.percentile(1.0), 42.5);
-    EXPECT_EQ(hist.percentile(50.0), 42.5);
-    EXPECT_EQ(hist.percentile(99.0), 42.5);
-}
-
-TEST(Histogram, PercentileUnderflowOnlySamplesClampToLowerBound)
-{
-    Histogram hist(10.0, 20.0, 5);
-    hist.add(1.0);
-    hist.add(2.0);
-    EXPECT_EQ(hist.percentile(50.0), 10.0);
+    Histogram small;
+    Histogram large;
+    for (int i = 0; i < 1000; ++i) {
+        small.add(42);
+        large.add(123456789);
+    }
+    const double mid = large.percentile(50.0);
+    EXPECT_NEAR(mid, 123456789.0, 123456789.0 / 256);
+    for (double p : {1.0, 50.0, 99.0}) {
+        EXPECT_EQ(small.percentile(p), 42.0) << p;
+        EXPECT_EQ(large.percentile(p), mid) << p;
+    }
 }
 
 TEST(Histogram, MergeFoldsCountsUnderflowAndOverflow)
 {
-    Histogram a(0.0, 10.0, 10);
-    Histogram b(0.0, 10.0, 10);
-    a.add(1.5);
-    a.add(-1.0); // underflow
-    b.add(1.5);
-    b.add(8.5);
-    b.add(25.0); // overflow
+    // Both ends of the domain fold: 0 and UINT64_MAX, where a ranged
+    // histogram would have under- and overflowed. Merging a wider
+    // histogram into a narrower one grows the target.
+    Histogram a;
+    Histogram b;
+    a.add(1);
+    a.add(0);
+    b.add(1);
+    b.add(8);
+    b.add(~0ull);
     a.merge(b);
     EXPECT_EQ(a.total(), 5u);
-    EXPECT_EQ(a.underflow(), 1u);
-    EXPECT_EQ(a.overflow(), 1u);
-    EXPECT_EQ(a.bucketCount(1), 2u); // both 1.5 samples
-    EXPECT_EQ(a.bucketCount(8), 1u);
+    EXPECT_EQ(a.quantile(0.0 / 5), 0.0);
+    EXPECT_EQ(a.quantile(1.0 / 5), 1.0); // both 1 samples
+    EXPECT_EQ(a.quantile(2.0 / 5), 1.0);
+    EXPECT_EQ(a.quantile(3.0 / 5), 8.0);
+    EXPECT_EQ(a.quantile(4.0 / 5), std::ldexp(255.5, 56));
 }
 
 TEST(Histogram, MergePercentilesMatchSingleHistogram)
@@ -308,51 +325,90 @@ TEST(Histogram, MergePercentilesMatchSingleHistogram)
     // Recording the same samples across N shards and merging must
     // give the same percentiles as one histogram seeing everything —
     // the fleet's per-node p99s rely on this being lossless.
-    Histogram merged(0.0, 100.0, 200);
-    Histogram shard0(0.0, 100.0, 200);
-    Histogram shard1(0.0, 100.0, 200);
-    Histogram reference(0.0, 100.0, 200);
-    for (int i = 0; i < 1000; ++i) {
-        const double sample = (i * 37) % 100 + 0.25;
+    Histogram merged;
+    Histogram shard0;
+    Histogram shard1;
+    Histogram reference;
+    for (uint64_t i = 0; i < 1000; ++i) {
+        const uint64_t sample = ((i * 37) % 100) << (i % 40);
         (i % 2 == 0 ? shard0 : shard1).add(sample);
         reference.add(sample);
     }
     merged.merge(shard0);
     merged.merge(shard1);
+    EXPECT_EQ(merged.total(), reference.total());
     for (double p : {0.0, 50.0, 95.0, 99.0, 100.0})
         EXPECT_EQ(merged.percentile(p), reference.percentile(p)) << p;
 }
 
 TEST(Histogram, MergeOfEmptyIsIdentity)
 {
-    Histogram a(0.0, 10.0, 10);
-    Histogram b(0.0, 10.0, 10);
-    a.add(3.0);
+    Histogram a;
+    Histogram b;
+    a.add(3000);
     const double before = a.percentile(50.0);
     a.merge(b);
     EXPECT_EQ(a.total(), 1u);
     EXPECT_EQ(a.percentile(50.0), before);
-    // Merging *into* an empty histogram adopts the other's shape too.
+    // Merging *into* an empty histogram adopts the other's counts.
     b.merge(a);
     EXPECT_EQ(b.total(), 1u);
     EXPECT_EQ(b.percentile(50.0), before);
 }
 
-TEST(Histogram, MergeCompatibilityRequiresIdenticalBucketing)
+TEST(Histogram, ResetForgetsEverySample)
 {
-    Histogram base(0.0, 10.0, 10);
-    EXPECT_TRUE(base.mergeCompatible(Histogram(0.0, 10.0, 10)));
-    EXPECT_FALSE(base.mergeCompatible(Histogram(0.0, 10.0, 20)));
-    EXPECT_FALSE(base.mergeCompatible(Histogram(1.0, 10.0, 10)));
-    EXPECT_FALSE(base.mergeCompatible(Histogram(0.0, 12.0, 10)));
+    Histogram hist;
+    hist.add(5, 3);
+    hist.add(1u << 30);
+    hist.reset();
+    EXPECT_EQ(hist.total(), 0u);
+    EXPECT_EQ(hist.percentile(100.0), 0.0);
+    hist.add(7);
+    EXPECT_EQ(hist.total(), 1u);
+    EXPECT_EQ(hist.percentile(100.0), 7.0);
 }
 
-TEST(Histogram, RenderHasOneLinePerBucket)
+TEST(Histogram, UnclampedAtUint64MaxAndOneHourInNs)
 {
-    Histogram hist(0.0, 4.0, 4);
-    hist.add(1.0);
-    const std::string out = hist.render();
-    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
+    const uint64_t hour = 3600ull * 1000 * 1000 * 1000;
+    for (const uint64_t v : {hour, uint64_t{~0ull}}) {
+        Histogram hist;
+        hist.add(v);
+        const double exact = static_cast<double>(v);
+        EXPECT_NEAR(hist.percentile(100.0), exact, exact / 256) << v;
+    }
+}
+
+TEST(Histogram, QuantilesWithinOneIn256OfExactOrderStatistic)
+{
+    // Random sample sets spanning every octave up to 2^63: each
+    // quantile must sit within 1/256 (relative) of the exact order
+    // statistic of rank min(floor(q * n), n - 1), and be exact below
+    // 256.
+    const uint64_t seed = testing::testSeed(0x4d157);
+    Rng rng(seed);
+    for (int set = 0; set < 200; ++set) {
+        const uint64_t n = 1 + rng.next(5000);
+        Histogram hist;
+        std::vector<uint64_t> samples(n);
+        for (uint64_t &v : samples) {
+            v = (rng() >> 1) >> rng.next(64);
+            hist.add(v);
+        }
+        std::sort(samples.begin(), samples.end());
+        for (double q : {0.0, 0.001, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+            const uint64_t rank = std::min(
+                static_cast<uint64_t>(q * static_cast<double>(n)), n - 1);
+            const double exact = static_cast<double>(samples[rank]);
+            const double got = hist.quantile(q);
+            if (samples[rank] < 256)
+                EXPECT_EQ(got, exact) << "seed " << seed << " q " << q;
+            else
+                EXPECT_LE(std::abs(got - exact), exact / 256)
+                    << "seed " << seed << " q " << q;
+        }
+    }
 }
 
 // Series --------------------------------------------------------------
