@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "trace/stat_registry.h"
 #include "util/logging.h"
 
 namespace wsp {
@@ -155,6 +156,15 @@ void
 WspController::onPowerFailInterrupt()
 {
     if (!running_) {
+        if (powerLostAt_.has_value()) {
+            // A residual window shorter than the monitor's notify
+            // latency: the hard loss already darkened the machine, as
+            // expected for such windows.
+            trace::StatRegistry::instance()
+                .counter("core.power_fail_irq_after_loss")
+                .add();
+            return;
+        }
         warn("power-fail interrupt while not running; ignored");
         return;
     }

@@ -60,11 +60,31 @@ runsCondition(ConditionMode selected, ConditionMode wanted)
     return selected == ConditionMode::All || selected == wanted;
 }
 
+/** Operations take effect only on a running, powered machine. */
+bool
+powered(WspSystem &system)
+{
+    return system.wsp().running() && system.machine().powerOn();
+}
+
 } // namespace
 
 void
 KvConditionsChecker::prepare(WspSystem &system,
                              const CrashSchedule &schedule)
+{
+    prepareWorkload(system, schedule);
+    // Each operation has two slots — apply and respond, ackDelay apart
+    // — so both the mutation boundary and the completion boundary are
+    // distinguishable crash points, and ops silently stop while the
+    // machine is down (then resume if a train cycle brings it back
+    // with time to spare).
+    driver_.start(*this, system, schedule);
+}
+
+void
+KvConditionsChecker::prepareWorkload(WspSystem &system,
+                                     const CrashSchedule &schedule)
 {
     model_.clear();
     appliedOps_ = 0;
@@ -72,6 +92,7 @@ KvConditionsChecker::prepare(WspSystem &system,
     history_.clear();
     survivingState_.clear();
     shards_ = schedule.shards;
+    ackBeforeApply_ = schedule.ackBeforeApply;
     condition_ = schedule.condition;
     WSP_CHECKF(shards_ >= 1 && kCapacity % shards_ == 0,
                "kv-conditions shard count must divide the capacity");
@@ -119,83 +140,58 @@ KvConditionsChecker::prepare(WspSystem &system,
     // records) so determinism does not depend on how far the run gets
     // before the lights go out.
     Rng rng(schedule.seed ^ 0x6b76ull); // "kv"
-    struct Op
-    {
-        bool isPut;
-        uint64_t key;
-        uint64_t value;
-    };
-    auto ops = std::make_shared<std::vector<Op>>();
-    ops->reserve(schedule.ops);
+    ops_.clear();
+    ops_.reserve(schedule.ops);
     for (unsigned i = 0; i < schedule.ops; ++i) {
         Op op;
         op.isPut = rng.chance(0.8);
         op.key = rng.next(kKeyUniverse) + 1;
         op.value = rng.next(1u << 20) + 1;
-        ops->push_back(op);
+        ops_.push_back(op);
         const uint64_t id =
             flit_->declareOp(op.isPut ? 0 : 1, op.key, op.value);
         WSP_CHECK(id == i);
     }
+}
 
-    // Each operation is two events — apply and respond, ackDelay
-    // apart — so both the mutation boundary and the completion
-    // boundary are distinguishable crash points, and ops silently
-    // stop while the machine is down (then resume if a train cycle
-    // brings it back with time to spare).
-    EventQueue &queue = system.queue();
-    const auto powered = [&system]() {
-        return system.wsp().running() && system.machine().powerOn();
-    };
-    const auto apply = [this, &system, ops, powered](unsigned i) {
-        if (!powered())
-            return;
-        auto store = attachCheckerStore(system, shards_);
-        if (!store)
-            return;
-        store->setFlitTracker(flit_.get());
-        const Op &op = (*ops)[i];
-        flit_->beginApply(i);
-        bool ok;
-        if (op.isPut) {
-            ok = store->put(op.key, op.value);
-            if (ok)
-                model_[op.key] = op.value;
-        } else {
-            ok = store->erase(op.key);
-            model_.erase(op.key);
-        }
-        flit_->endApply();
-        flit_->op(i).ok = ok;
-        ++appliedOps_;
-    };
-    for (unsigned i = 0; i < schedule.ops; ++i) {
-        const Tick invoke_at =
-            static_cast<Tick>(i + 1) * schedule.opSpacing;
-        if (!schedule.ackBeforeApply) {
-            queue.scheduleAfter(invoke_at,
-                                [apply, i]() { apply(i); });
-            queue.scheduleAfter(
-                invoke_at + schedule.ackDelay,
-                [this, ops, powered, i]() {
-                    if (!powered() || !flit_->op(i).applied)
-                        return;
-                    flit_->respond(i, flit_->op(i).ok,
-                                   (*ops)[i].value);
-                });
-        } else {
-            // Planted bug: acknowledge first, mutate later. A crash
-            // in the gap completes an operation that never happened.
-            queue.scheduleAfter(
-                invoke_at, [this, ops, powered, i]() {
-                    if (!powered())
-                        return;
-                    flit_->respond(i, true, (*ops)[i].value);
-                });
-            queue.scheduleAfter(invoke_at + schedule.ackDelay,
-                                [apply, i]() { apply(i); });
-        }
+void
+KvConditionsChecker::applyOp(WspSystem &system, unsigned i)
+{
+    if (!powered(system))
+        return;
+    auto store = attachCheckerStore(system, shards_);
+    if (!store)
+        return;
+    store->setFlitTracker(flit_.get());
+    const Op &op = ops_[i];
+    flit_->beginApply(i);
+    bool ok;
+    if (op.isPut) {
+        ok = store->put(op.key, op.value);
+        if (ok)
+            model_[op.key] = op.value;
+    } else {
+        ok = store->erase(op.key);
+        model_.erase(op.key);
     }
+    flit_->endApply();
+    flit_->op(i).ok = ok;
+    ++appliedOps_;
+}
+
+void
+KvConditionsChecker::respondOp(WspSystem &system, unsigned i)
+{
+    if (!powered(system))
+        return;
+    if (ackBeforeApply_) {
+        // Planted bug: acknowledge first, mutate later. A crash in the
+        // gap completes an operation that never happened.
+        flit_->respond(i, true, ops_[i].value);
+        return;
+    }
+    if (flit_->op(i).applied)
+        flit_->respond(i, flit_->op(i).ok, ops_[i].value);
 }
 
 void

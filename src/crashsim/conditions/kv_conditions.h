@@ -4,21 +4,23 @@
  * workload, re-grounded in formal persistency conditions.
  *
  * KvConditionsChecker drives the same sharded KV workload the old
- * KvPrefixChecker did — pre-drawn put/erase stream, one event per
- * operation, tiered salvage regions, per-shard recovery — but instead
- * of the bespoke "store equals applied prefix" predicate it emits a
- * formal operation history through a FliT tracker (invocation,
- * response, persist point; util/flit.h) and judges the revived store
- * with the durable-linearizability and buffered-durable-
- * linearizability checkers of conditions.h.
+ * KvPrefixChecker did — pre-drawn put/erase stream, tiered salvage
+ * regions, per-shard recovery — but instead of the bespoke "store
+ * equals applied prefix" predicate it emits a formal operation history
+ * through a FliT tracker (invocation, response, persist point;
+ * util/flit.h) and judges the revived store with the
+ * durable-linearizability and buffered-durable-linearizability
+ * checkers of conditions.h.
  *
- * Each operation is two events: apply at t_i (mutation + history
- * invocation) and respond at t_i + ackDelay (the caller observes the
- * result). schedule.ackBeforeApply swaps them — the planted
- * persist-before-response bug: a crash in the gap leaves an operation
- * that completed at the caller but never touched the store, which
- * violates durable linearizability while buffered durable
- * linearizability (correctly) forgives it.
+ * Each operation has two dispatch slots: apply at t_i (mutation +
+ * history invocation) and respond at t_i + ackDelay (the caller
+ * observes the result). schedule.ackBeforeApply swaps them — the
+ * planted persist-before-response bug: a crash in the gap leaves an
+ * operation that completed at the caller but never touched the store,
+ * which violates durable linearizability while buffered durable
+ * linearizability (correctly) forgives it. The whole stream keeps one
+ * pending event on the queue: crashsim/op_stream_driver.h fires the
+ * slots in reserved dispatch order and calls applyOp/respondOp.
  *
  * DetectableExecutionChecker rides on the battery's history and
  * asserts every operation — in-flight ones included — can report
@@ -33,6 +35,7 @@
 
 #include "crashsim/conditions/conditions.h"
 #include "crashsim/invariants.h"
+#include "crashsim/op_stream_driver.h"
 #include "util/flit.h"
 
 namespace wsp::crashsim::conditions {
@@ -71,10 +74,42 @@ class KvConditionsChecker : public InvariantChecker
     const std::vector<HistoryOp> &history() const { return history_; }
     const KvState &survivingState() const { return survivingState_; }
 
+  protected:
+    /**
+     * prepare() without starting the op stream: create the store,
+     * wire its FliT tracker, register the salvage regions and
+     * pre-draw the operations (declaring their history records).
+     * Protected, with the two actions below, so a test can hold the
+     * driver to a reference that fires the same actions its own way.
+     */
+    void prepareWorkload(WspSystem &system, const CrashSchedule &schedule);
+
+    /**
+     * Operation @p i's two actions, fired by the op-stream driver in
+     * the schedule's order. applyOp mutates the store and records the
+     * history invocation; respondOp acknowledges the op to its caller
+     * (under ackBeforeApply, whether or not it has applied). Both do
+     * nothing while the machine is dark.
+     */
+    void applyOp(WspSystem &system, unsigned i);
+    void respondOp(WspSystem &system, unsigned i);
+
   private:
+    friend class crashsim::OpStreamDriver;
+
+    struct Op
+    {
+        bool isPut;
+        uint64_t key;
+        uint64_t value;
+    };
+
+    std::vector<Op> ops_; ///< the pre-drawn stream
+    OpStreamDriver driver_;
     std::map<uint64_t, uint64_t> model_; ///< applied ops (backend)
     uint64_t appliedOps_ = 0;
     unsigned shards_ = 1;
+    bool ackBeforeApply_ = false;
     ConditionMode condition_ = ConditionMode::All;
 
     /// Shared so the cache write-back observer outlives this checker.

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/logging.h"
 
@@ -11,6 +13,21 @@ namespace wsp::crashsim {
 namespace {
 
 constexpr const char *kHeader = "wsp-crash-schedule v1";
+
+/**
+ * A count for an unsigned field. Throws (as std::stoull does on
+ * garbage) for a sign or a value the field cannot hold, instead of
+ * wrapping it into range.
+ */
+unsigned
+parseCount(const std::string &value)
+{
+    const unsigned long long n = std::stoull(value);
+    if (value.find('-') != std::string::npos ||
+        n > std::numeric_limits<unsigned>::max())
+        throw std::out_of_range(value);
+    return static_cast<unsigned>(n);
+}
 
 } // namespace
 
@@ -115,12 +132,11 @@ CrashSchedule::parse(const std::string &text)
             else if (key == "outage_ns")
                 schedule.outage = std::stoull(value);
             else if (key == "ops")
-                schedule.ops = static_cast<unsigned>(std::stoul(value));
+                schedule.ops = parseCount(value);
             else if (key == "op_spacing_ns")
                 schedule.opSpacing = std::stoull(value);
             else if (key == "train_cycles")
-                schedule.trainCycles =
-                    static_cast<unsigned>(std::stoul(value));
+                schedule.trainCycles = parseCount(value);
             else if (key == "train_spacing_ns")
                 schedule.trainSpacing = std::stoull(value);
             else if (key == "drain_module")
@@ -136,14 +152,13 @@ CrashSchedule::parse(const std::string &text)
                                          ? SaveOrder::MarkerBeforeFlush
                                          : SaveOrder::MarkerAfterFlush;
             else if (key == "shards")
-                schedule.shards = static_cast<unsigned>(std::stoul(value));
+                schedule.shards = parseCount(value);
             else if (key == "parallel_save")
                 schedule.parallelSave = value == "1";
             else if (key == "salvage")
                 schedule.salvage = value == "1";
             else if (key == "media_faults")
-                schedule.mediaFaults =
-                    static_cast<unsigned>(std::stoul(value));
+                schedule.mediaFaults = parseCount(value);
             else if (key == "media_fault_kind")
                 schedule.mediaFaultKind = std::stoi(value);
             else if (key == "media_fault_seed")
@@ -151,8 +166,7 @@ CrashSchedule::parse(const std::string &text)
             else if (key == "degrade_tier")
                 schedule.degradeTier = std::stoi(value);
             else if (key == "drop_save_cmds")
-                schedule.dropSaveCommands =
-                    static_cast<unsigned>(std::stoul(value));
+                schedule.dropSaveCommands = parseCount(value);
             else if (key == "trust_directory")
                 schedule.trustDirectory = value == "1";
             else if (key == "incremental_save")
@@ -171,11 +185,9 @@ CrashSchedule::parse(const std::string &text)
             else if (key == "ack_before_apply")
                 schedule.ackBeforeApply = value == "1";
             else if (key == "fleet_nodes")
-                schedule.fleetNodes =
-                    static_cast<unsigned>(std::stoul(value));
+                schedule.fleetNodes = parseCount(value);
             else if (key == "fleet_replication")
-                schedule.fleetReplication =
-                    static_cast<unsigned>(std::stoul(value));
+                schedule.fleetReplication = parseCount(value);
             else if (key == "fleet_kill_mask")
                 schedule.fleetKillMask = std::stoull(value);
             else if (key == "fleet_policy")

@@ -23,6 +23,13 @@
  * Callbacks are util::SmallFn with a 48-byte inline buffer, so the
  * closures models actually schedule (an object pointer plus a few
  * arguments) never touch the general-purpose heap.
+ *
+ * Reserved dispatch order: reserve() hands out a block of sequence
+ * numbers now, and scheduleReserved() inserts an event under one of
+ * them later. At equal ticks that event fires exactly where it would
+ * have fired had it been scheduled at reservation time, so a model
+ * can keep one pending event per stream and re-arm it lazily without
+ * changing any equal-tick tie an up-front schedule would have had.
  */
 
 #pragma once
@@ -82,6 +89,26 @@ class EventQueue
     /** Schedule @p fn @p delay ticks from now. */
     EventId scheduleAfter(Tick delay, EventFn fn);
 
+    /**
+     * Reserve @p count consecutive dispatch-order sequence numbers,
+     * as if @p count events were scheduled right now, and return the
+     * first. Aborts if the block would leave the sequence space.
+     */
+    uint64_t reserve(uint64_t count);
+
+    /**
+     * Schedule @p fn at absolute tick @p when (>= now) under sequence
+     * number @p seq, taken from an earlier reserve(). Against every
+     * other event at the same tick it fires exactly where an event
+     * scheduled at reservation time would have fired. Each reserved
+     * number may be used at most once; the caller must schedule it
+     * before the dispatch position passes (when, seq), which holds
+     * when it is armed from an event that fires earlier in the same
+     * order (the op-stream driver re-arms from the preceding slot).
+     * @return handle usable with cancel().
+     */
+    EventId scheduleReserved(Tick when, uint64_t seq, EventFn fn);
+
     /** Cancel a pending event; returns false if already fired/unknown. */
     bool cancel(EventId id);
 
@@ -140,9 +167,11 @@ class EventQueue
     static constexpr uint32_t kNotQueued = ~0u;
 
     /** Bits of the packed seq/slot word naming the slot. Bounds the
-     *  queue at 16M concurrent events and 2^40 lifetime schedules. */
+     *  queue at 16M concurrent events and 2^40 lifetime schedules
+     *  (reserved sequence numbers included). */
     static constexpr uint32_t kSlotBits = 24;
     static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+    static constexpr uint64_t kSeqLimit = uint64_t{1} << (64 - kSlotBits);
 
     /**
      * Heap entry: the full sort key travels with the slot index so
@@ -181,6 +210,16 @@ class EventQueue
         heapIndex_[entry.slot()] = pos;
     }
 
+    /**
+     * The insert path schedule() and scheduleReserved() share, in two
+     * halves so schedule() draws its sequence number between them, as
+     * it did before the path was shared: claimSlot() moves @p fn
+     * straight into a fresh slot, enqueue() queues that slot at
+     * (when, seq).
+     */
+    uint32_t claimSlot(EventFn &&fn);
+    EventId enqueue(Tick when, uint64_t seq, uint32_t slot);
+
     void siftUp(uint32_t pos);
     void siftDown(uint32_t pos);
 
@@ -202,24 +241,55 @@ class EventQueue
     bool stopRequested_ = false;
 };
 
-inline EventId
-EventQueue::schedule(Tick when, EventFn fn)
+inline uint32_t
+EventQueue::claimSlot(EventFn &&fn)
 {
     WSP_CHECK(static_cast<bool>(fn));
-    if (when < now_)
-        when = now_;
     const uint32_t slot = slots_.acquire();
     WSP_CHECKF(slot < kSlotMask, "EventQueue slot space exhausted");
-    WSP_CHECKF(nextSeq_ < (uint64_t{1} << (64 - kSlotBits)),
-               "EventQueue sequence space exhausted");
     if (slot >= heapIndex_.size())
         heapIndex_.resize(slot + 1, kNotQueued);
     slots_[slot] = std::move(fn);
+    return slot;
+}
+
+inline EventId
+EventQueue::enqueue(Tick when, uint64_t seq, uint32_t slot)
+{
+    if (when < now_)
+        when = now_;
     const uint32_t pos = static_cast<uint32_t>(heap_.size());
-    heap_.push_back(HeapEntry{when, (nextSeq_++ << kSlotBits) | slot});
+    heap_.push_back(HeapEntry{when, (seq << kSlotBits) | slot});
     heapIndex_[slot] = pos;
     siftUp(pos);
     return makeId(slot, slots_.generation(slot));
+}
+
+inline EventId
+EventQueue::schedule(Tick when, EventFn fn)
+{
+    const uint32_t slot = claimSlot(std::move(fn));
+    WSP_CHECKF(nextSeq_ < kSeqLimit, "EventQueue sequence space exhausted");
+    return enqueue(when, nextSeq_++, slot);
+}
+
+inline uint64_t
+EventQueue::reserve(uint64_t count)
+{
+    WSP_CHECKF(count <= kSeqLimit - nextSeq_,
+               "EventQueue sequence space exhausted");
+    const uint64_t first = nextSeq_;
+    nextSeq_ += count;
+    return first;
+}
+
+inline EventId
+EventQueue::scheduleReserved(Tick when, uint64_t seq, EventFn fn)
+{
+    WSP_CHECKF(seq < nextSeq_, "EventQueue sequence %llu was not reserved",
+               static_cast<unsigned long long>(seq));
+    WSP_CHECK(when >= now_);
+    return enqueue(when, seq, claimSlot(std::move(fn)));
 }
 
 inline EventId

@@ -4,10 +4,12 @@
  * durable-linearizability / buffered / detectable checkers against
  * hand-built histories, a differential sweep of the exact checkers
  * against brute-force linearization searchers on small histories, the
- * schedule plumbing for the new condition fields, and the end-to-end
+ * schedule plumbing for the new condition fields, the end-to-end
  * planted bug: acknowledge-before-apply is caught by the DL checker at
  * every enumerated crash point in the gap, minimizes, and replays —
- * while a buffered-only sweep (correctly) forgives it.
+ * while a buffered-only sweep (correctly) forgives it — and the
+ * op-stream driver held point for point to the eager schedule it
+ * replaced.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +17,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/failure_injector.h"
 #include "crashsim/conditions/conditions.h"
+#include "crashsim/conditions/kv_conditions.h"
 #include "crashsim/crash_explorer.h"
 #include "util/flit.h"
 #include "util/rng.h"
@@ -896,6 +904,37 @@ TEST(ConditionSchedule, ParseRejectsBadConditionAndNonSequentialAck)
         CrashSchedule::parse(overlapping.serialize()).has_value());
 }
 
+TEST(ConditionSchedule, ParseRefusesCountsThatDoNotFitTheirField)
+{
+    const std::string text = CrashSchedule{}.serialize();
+    const auto with = [&text](const std::string &key,
+                              const std::string &value) {
+        const size_t line = text.find("\n" + key + "=");
+        EXPECT_NE(line, std::string::npos) << key;
+        const size_t from = line + key.size() + 2;
+        return text.substr(0, from) + value +
+               text.substr(text.find('\n', from));
+    };
+    // Each of these used to wrap into range: 1 op, 2 shards (a power
+    // of two), 1 fleet node, 0 media faults, and so on.
+    const std::pair<const char *, const char *> wrapping[] = {
+        {"ops", "4294967297"},
+        {"shards", "4294967298"},
+        {"fleet_nodes", "4294967297"},
+        {"media_faults", "4294967296"},
+        {"train_cycles", "4294967297"},
+        {"drop_save_cmds", "4294967296"},
+        {"fleet_replication", "4294967299"},
+        {"ops", "-1"},
+    };
+    for (const auto &[key, value] : wrapping)
+        EXPECT_FALSE(CrashSchedule::parse(with(key, value)).has_value())
+            << key << "=" << value;
+    const auto widest = CrashSchedule::parse(with("ops", "4294967295"));
+    ASSERT_TRUE(widest.has_value());
+    EXPECT_EQ(widest->ops, 4294967295u);
+}
+
 TEST(ConditionSchedule, ModeNamesRoundTrip)
 {
     for (ConditionMode mode :
@@ -1002,6 +1041,413 @@ TEST(ConditionsBattery, CorrectModeHoldsWithAnOpInFlightAtTheCrash)
     const SweepReport report = explorer.sweepEnumerated(false, 60);
     EXPECT_TRUE(report.allHeld())
         << report.failures.front().violations.front();
+}
+
+// Op-stream driver against the eager schedule --------------------------
+
+/**
+ * The reference: the battery as it drove its operations before the
+ * op-stream driver — both slot events of every operation queued up
+ * front at prepare time, op by op, firing the same per-op actions the
+ * driver fires. Nothing outside this test can select it.
+ */
+class EagerKvChecker : public KvConditionsChecker
+{
+  public:
+    void prepare(WspSystem &system, const CrashSchedule &schedule) override
+    {
+        prepareWorkload(system, schedule);
+        EventQueue &queue = system.queue();
+        for (unsigned i = 0; i < schedule.ops; ++i) {
+            const Tick invoke_at =
+                static_cast<Tick>(i + 1) * schedule.opSpacing;
+            const auto apply = [this, &system, i]() { applyOp(system, i); };
+            const auto respond = [this, &system, i]() {
+                respondOp(system, i);
+            };
+            if (!schedule.ackBeforeApply) {
+                queue.scheduleAfter(invoke_at, apply);
+                queue.scheduleAfter(invoke_at + schedule.ackDelay, respond);
+            } else {
+                queue.scheduleAfter(invoke_at, respond);
+                queue.scheduleAfter(invoke_at + schedule.ackDelay, apply);
+            }
+        }
+    }
+};
+
+using Checkers = std::vector<std::unique_ptr<InvariantChecker>>;
+
+/** standardCheckers() with the battery swapped for the eager one. */
+Checkers
+eagerCheckers()
+{
+    Checkers checkers = standardCheckers();
+    auto battery = std::make_unique<EagerKvChecker>();
+    checkers[1] =
+        std::make_unique<DetectableExecutionChecker>(battery.get());
+    checkers[0] = std::move(battery);
+    return checkers;
+}
+
+/** Every dispatch tick of an enumeration reference run. */
+struct ReferenceRun
+{
+    Tick failAt = 0;
+    std::vector<Tick> dispatches;
+};
+
+/** CrashExplorer::enumerateCrashPoints' reference run, @p checkers. */
+ReferenceRun
+observeReferenceRun(const CrashSchedule &base, Checkers checkers)
+{
+    CrashSchedule reference = base;
+    reference.window = fromSeconds(2.0);
+    reference.trainCycles = 1;
+    ReferenceRun run;
+    WspSystem system(CrashExplorer::configFor(reference));
+    system.start();
+    for (auto &checker : checkers)
+        checker->prepare(system, reference);
+    run.failAt = system.queue().now() + reference.failDelay;
+    system.queue().setDispatchObserver(
+        [&run](Tick when) { run.dispatches.push_back(when); });
+    system.psu().failInputAt(run.failAt);
+    system.runFor(reference.failDelay + fromMillis(500.0));
+    system.queue().setDispatchObserver(nullptr);
+    checkers.clear(); // checkers go before their system
+    return run;
+}
+
+/** enumerateCrashPoints' window rule, unthinned, over @p run. */
+std::vector<Tick>
+windowsOf(const ReferenceRun &run)
+{
+    std::set<Tick> points{0, 1};
+    Tick prev = run.failAt;
+    for (Tick when : run.dispatches) {
+        if (when < run.failAt)
+            continue;
+        const Tick offset = when - run.failAt;
+        points.insert(offset);
+        points.insert(offset + 1);
+        if (when > prev + 1)
+            points.insert(((prev - run.failAt) + offset) / 2);
+        prev = when;
+    }
+    return {points.begin(), points.end()};
+}
+
+/** CrashExplorer::runSchedule, call for call, with @p checkers. */
+CrashPointResult
+runWithCheckers(const CrashSchedule &schedule, Checkers checkers,
+                NvramImage *image)
+{
+    CrashPointResult result;
+    result.schedule = schedule;
+    WspSystem crashed(CrashExplorer::configFor(schedule));
+    crashed.start();
+    auto *kv = static_cast<KvConditionsChecker *>(checkers.front().get());
+    for (auto &checker : checkers)
+        checker->prepare(crashed, schedule);
+    if (schedule.salvage) {
+        crashed.setRegionRecovery(
+            [kv, &crashed](const RegionOutcome &region) {
+                kv->onRegionRecovery(crashed, region);
+            });
+    }
+    FailureInjector injector(crashed);
+    if (schedule.drainModule >= 0 &&
+        static_cast<size_t>(schedule.drainModule) <
+            crashed.memory().moduleCount())
+        injector.drainUltracap(static_cast<size_t>(schedule.drainModule),
+                               schedule.drainVoltage);
+    if (schedule.dropSaveCommands > 0)
+        injector.dropSaveCommands(schedule.dropSaveCommands);
+    const auto backendOnCrashed = [&checkers, &crashed]() {
+        for (auto &checker : checkers)
+            checker->onBackendRecovery(crashed);
+    };
+    for (unsigned cycle = 1; cycle < schedule.trainCycles; ++cycle)
+        crashed.powerFailAndRestore(schedule.trainSpacing,
+                                    schedule.outage, backendOnCrashed);
+    crashed.psu().failInputAt(crashed.queue().now() +
+                              schedule.failDelay);
+    crashed.runFor(schedule.failDelay + schedule.outage);
+    unsigned guard = 0;
+    while (!crashed.nvdimms().allIdle() && guard++ < 1000)
+        crashed.runFor(fromMillis(10.0));
+    for (const PlannedMediaFault &fault :
+         plannedMediaFaults(schedule, crashed.memory().moduleCount(),
+                            crashed.memory().module(0).capacity()))
+        crashed.memory().module(fault.module).injectFlashFault(
+            fault.kind, fault.addr);
+    *image = crashed.captureNvramImage();
+
+    WspSystem revived(CrashExplorer::configFor(schedule));
+    if (schedule.salvage) {
+        revived.setRegionRecovery(
+            [kv, &revived](const RegionOutcome &region) {
+                kv->onRegionRecovery(revived, region);
+            });
+    }
+    bool backend_ran = false;
+    result.restore = revived.bootFromImage(
+        *image, [&checkers, &revived, &backend_ran]() {
+            backend_ran = true;
+            for (auto &checker : checkers)
+                checker->onBackendRecovery(revived);
+        });
+    result.backendRan = backend_ran;
+    result.appliedOps = kv->appliedOps();
+    for (auto &checker : checkers)
+        checker->check(crashed, revived, result.restore, backend_ran,
+                       &result.violations);
+    checkers.clear(); // checkers go before their systems
+    return result;
+}
+
+/**
+ * What differs between two runs of one window; empty if nothing.
+ * Flash bytes are compared only when @p flash is set: an NVRAM-backed
+ * recorder stamps wall-clock time into the image.
+ */
+std::string
+pointDifference(const CrashPointResult &a, const NvramImage &image_a,
+                const CrashPointResult &b, const NvramImage &image_b,
+                bool flash)
+{
+    std::ostringstream out;
+    const auto field = [&out](const char *name, auto x, auto y) {
+        if (x != y)
+            out << " " << name << " " << x << " vs " << y;
+    };
+    field("applied-ops", a.appliedOps, b.appliedOps);
+    field("backend-ran", a.backendRan, b.backendRan);
+    field("used-wsp", a.restore.usedWsp, b.restore.usedWsp);
+    field("salvage-mode", a.restore.salvageMode, b.restore.salvageMode);
+    field("restore-ns", a.restore.duration(), b.restore.duration());
+    field("salvaged", a.restore.regionsSalvaged,
+          b.restore.regionsSalvaged);
+    field("quarantined", a.restore.regionsQuarantined,
+          b.restore.regionsQuarantined);
+    field("recovered", a.restore.regionsRecovered,
+          b.restore.regionsRecovered);
+    if (a.violations != b.violations)
+        out << " verdicts (" << a.violations.size() << " vs "
+            << b.violations.size() << " violations)";
+    field("modules", image_a.moduleCount(), image_b.moduleCount());
+    for (size_t m = 0;
+         m < std::min(image_a.moduleCount(), image_b.moduleCount()); ++m) {
+        const NvramImage::ModuleImage &x = image_a.module(m);
+        const NvramImage::ModuleImage &y = image_b.module(m);
+        field("valid", x.valid, y.valid);
+        field("generation", x.generation, y.generation);
+        field("epoch", x.epoch, y.epoch);
+        field("saved-bytes", x.savedBytes, y.savedBytes);
+        if (flash && !x.flash.contentEquals(y.flash))
+            out << " flash of module " << m;
+    }
+    return out.str();
+}
+
+/**
+ * The machine keeps running, so op slots keep taking effect, until the
+ * power-fail interrupt lands 310 us (detect + serial latency) after
+ * PWR_OK drops. In that span a slot that ties with the hard loss
+ * decides whether its op happened, so the differential sweeps every
+ * window of it on top of the evenly thinned ones.
+ */
+constexpr Tick kLiveSpan = fromMicros(400.0);
+
+/**
+ * Runs @p base through the product (the op-stream driver) and the
+ * eager reference: identical dispatch ticks and enumerated windows,
+ * then, at every window in kLiveSpan plus the enumeration thinned to
+ * @p max_points, identical verdicts, restore reports, applied ops and
+ * surviving images. The recorder is volatile so the images compare
+ * byte for byte, unless @p nvram_recorder keeps it NVRAM-backed (as
+ * sweeps run it); then all but the flash bytes are compared. Returns
+ * the product's results, window by window.
+ */
+std::vector<CrashPointResult>
+expectDriverMatchesEager(CrashSchedule base, size_t max_points,
+                         bool nvram_recorder = false)
+{
+    base.blackBox = nvram_recorder;
+    const ReferenceRun driven = observeReferenceRun(base, standardCheckers());
+    const ReferenceRun eager = observeReferenceRun(base, eagerCheckers());
+    EXPECT_EQ(driven.dispatches, eager.dispatches);
+    CrashExplorer explorer(base);
+    const std::vector<Tick> all = explorer.enumerateCrashPoints(SIZE_MAX);
+    EXPECT_EQ(all, windowsOf(eager));
+    const std::vector<Tick> thinned =
+        explorer.enumerateCrashPoints(max_points);
+    std::set<Tick> windows(thinned.begin(), thinned.end());
+    for (Tick window : all) {
+        if (window <= kLiveSpan)
+            windows.insert(window);
+    }
+
+    std::vector<CrashPointResult> results;
+    std::vector<std::string> diverged;
+    for (Tick window : windows) {
+        CrashSchedule schedule = base;
+        schedule.window = window;
+        NvramImage driven_image;
+        NvramImage eager_image;
+        results.push_back(
+            CrashExplorer::runSchedule(schedule, &driven_image));
+        const CrashPointResult reference =
+            runWithCheckers(schedule, eagerCheckers(), &eager_image);
+        const std::string diff =
+            pointDifference(results.back(), driven_image, reference,
+                            eager_image, !nvram_recorder);
+        if (!diff.empty())
+            diverged.push_back(formatTime(window) + ":" + diff);
+    }
+    EXPECT_TRUE(diverged.empty())
+        << diverged.size() << " of " << results.size()
+        << " windows diverged from the eager schedule; first at "
+        << diverged.front();
+    return results;
+}
+
+size_t
+failingPoints(const std::vector<CrashPointResult> &results)
+{
+    return static_cast<size_t>(std::count_if(
+        results.begin(), results.end(),
+        [](const CrashPointResult &r) { return !r.held(); }));
+}
+
+TEST(DriverDifferential, DefaultSchedule)
+{
+    // ops=64 ends at 3.2 ms, before the failure: no slot can tie.
+    const auto results = expectDriverMatchesEager(CrashSchedule{}, 160);
+    EXPECT_EQ(failingPoints(results), 0u);
+}
+
+/** A stream of 200 ops runs to 10 ms, past the 5 ms failure. */
+CrashSchedule
+spanningSchedule()
+{
+    CrashSchedule schedule;
+    schedule.ops = 200;
+    return schedule;
+}
+
+TEST(DriverDifferential, CrashSweepShapeTwoThousandOps)
+{
+    // perfbench's crash-sweep: the stream runs 100 ms, far past the
+    // failure, so most slots fire into a dark machine.
+    CrashSchedule schedule;
+    schedule.ops = 2000;
+    const auto results = expectDriverMatchesEager(schedule, 400);
+    EXPECT_GE(results.size(), 400u);
+    EXPECT_EQ(failingPoints(results), 0u);
+}
+
+TEST(DriverDifferential, CrashSweepShapeWithTheNvramRecorder)
+{
+    // As crash-sweep runs it: the black box rides the save, and its
+    // checker decodes the ring at every point.
+    CrashSchedule schedule;
+    schedule.ops = 2000;
+    const auto results = expectDriverMatchesEager(schedule, 160, true);
+    EXPECT_EQ(failingPoints(results), 0u);
+}
+
+TEST(DriverDifferential, AckBeforeApplyStreamSpanningTheFailure)
+{
+    CrashSchedule schedule = ackBugSchedule();
+    schedule.ops = 200;
+    const auto results = expectDriverMatchesEager(schedule, 160);
+    EXPECT_GT(failingPoints(results), 0u); // the planted bug is caught
+}
+
+TEST(DriverDifferential, TrainWhoseOpSlotsOutlastTheRestore)
+{
+    CrashSchedule schedule;
+    schedule.trainCycles = 2;
+    schedule.outage = fromMillis(200.0);
+    schedule.opSpacing = fromMillis(1.0);
+    schedule.ops = 600;
+    const auto results = expectDriverMatchesEager(schedule, 160);
+    EXPECT_EQ(failingPoints(results), 0u);
+
+    // Ops applied after the train's restore: the same stream with no
+    // train and the first cycle's failure delay applies only the ops
+    // before that failure.
+    CrashSchedule first_cycle = schedule;
+    first_cycle.trainCycles = 1;
+    first_cycle.failDelay = schedule.trainSpacing;
+    first_cycle.blackBox = false;
+    const uint64_t before_restore =
+        CrashExplorer::runSchedule(first_cycle).appliedOps;
+    EXPECT_GE(results.back().appliedOps, before_restore + 5);
+}
+
+TEST(DriverDifferential, SalvageWithMediaFaults)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.salvage = true;
+    schedule.mediaFaults = 3;
+    schedule.mediaFaultSeed = 0x5eed;
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, ForcedDegradedTier)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.salvage = true;
+    schedule.degradeTier = 1;
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, EightShardParallelSave)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.shards = 8;
+    schedule.parallelSave = true;
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, WithDevices)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.withDevices = true;
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, FullSavesWithLazyRestore)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.incrementalSave = false;
+    schedule.lazyRestore = true;
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, AckDelayJustUnderTheOpSpacing)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.ackDelay = fromMicros(49.0);
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, FailDelayOffTheOpGrid)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.failDelay = fromMillis(5.0) + fromMicros(10.0);
+    expectDriverMatchesEager(schedule, 160);
+}
+
+TEST(DriverDifferential, MarkerBeforeFlush)
+{
+    CrashSchedule schedule = spanningSchedule();
+    schedule.saveOrder = SaveOrder::MarkerBeforeFlush;
+    const auto results = expectDriverMatchesEager(schedule, 160);
+    EXPECT_GT(failingPoints(results), 0u); // the planted bug is caught
 }
 
 } // namespace

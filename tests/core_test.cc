@@ -17,6 +17,7 @@
 #include "core/failure_injector.h"
 #include "core/system.h"
 #include "core/valid_marker.h"
+#include "trace/stat_registry.h"
 
 namespace wsp {
 namespace {
@@ -194,6 +195,26 @@ TEST(WspCycle, CleanPowerFailureRecoversEverything)
     // Thread contexts restored exactly.
     EXPECT_EQ(system.machine().core(3).context, before_ctx);
     EXPECT_TRUE(system.wsp().running());
+}
+
+TEST(WspCycle, InterruptWhilePoweredButNotRunningStillWarns)
+{
+    // Never started, power still on when the interrupt arrives: that is
+    // not the expected late interrupt of a short window, so it warns.
+    WspSystem system(testConfig());
+    trace::Counter &late =
+        trace::StatRegistry::instance().counter(
+            "core.power_fail_irq_after_loss");
+    const uint64_t before = late.value();
+    ::testing::internal::CaptureStderr();
+    system.psu().failInputAt(fromMillis(1.0));
+    system.runFor(fromMillis(5.0)); // PWR_OK drop + notify latency
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(system.machine().powerOn());
+    EXPECT_NE(err.find("warn: power-fail interrupt while not running"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(late.value(), before);
 }
 
 TEST(WspCycle, SaveCompletesInsideResidualWindow)

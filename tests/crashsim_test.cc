@@ -95,6 +95,35 @@ TEST(CrashPoint, ZeroWindowFallsBackToBackend)
     EXPECT_TRUE(result.backendRan);
 }
 
+TEST(CrashPoint, InterruptAfterThePowerIsGoneIsCountedNotWarned)
+{
+    // Window 0 of the standard schedule: the hard loss lands before the
+    // monitor's notify latency (detect + serial) delivers the
+    // power-fail interrupt, which then reaches an unpowered machine.
+    // The count is chassis-local ("core."), so read it on the crashed
+    // chassis, before a swap would reset it.
+    CrashSchedule schedule;
+    schedule.window = 0;
+    trace::Counter &late =
+        trace::StatRegistry::instance().counter(
+            "core.power_fail_irq_after_loss");
+    WspSystem crashed(CrashExplorer::configFor(schedule));
+    crashed.start();
+    auto checkers = standardCheckers();
+    for (auto &checker : checkers)
+        checker->prepare(crashed, schedule);
+    const uint64_t before = late.value();
+    ::testing::internal::CaptureStderr();
+    crashed.psu().failInputAt(crashed.queue().now() + schedule.failDelay);
+    crashed.runFor(schedule.failDelay + schedule.outage);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(crashed.wsp().powerLostAt().has_value());
+    EXPECT_EQ(crashed.monitor().interruptsRaised(), 1u);
+    EXPECT_EQ(late.value(), before + 1);
+    EXPECT_EQ(err.find("warn:"), std::string::npos) << err;
+    checkers.clear(); // checkers go before their system
+}
+
 TEST(CrashPoint, DrainedUltracapStillRecoversConsistently)
 {
     CrashSchedule schedule = fastSchedule();

@@ -7,11 +7,13 @@
  *  1. A differential property test drives the index-tracked-heap
  *     EventQueue and a naive reference model (a sorted vector with
  *     explicit FIFO sequence numbers) through hundreds of thousands
- *     of randomized schedule / scheduleAfter / cancel / step /
- *     runUntil / requestStop operations — including schedules,
- *     cancellations and stop requests issued from inside firing
- *     callbacks — asserting identical dispatch order, now() and
- *     pending() throughout.
+ *     of randomized schedule / scheduleAfter / reserve /
+ *     scheduleReserved / cancel / step / runUntil / requestStop
+ *     operations — including schedules, cancellations and stop
+ *     requests issued from inside firing callbacks, and reserved
+ *     sequence numbers inserted out of order across later dispatches
+ *     — asserting identical dispatch order, now() and pending()
+ *     throughout.
  *  2. A full-system determinism regression: two runs of the same
  *     crashsim schedule must produce byte-identical trace-record
  *     sequences (wall-clock timestamps excluded).
@@ -67,6 +69,20 @@ class ReferenceQueue
     uint64_t scheduleAfter(Tick delay, uint64_t token)
     {
         return schedule(now_ + delay, token);
+    }
+
+    uint64_t reserve(uint64_t count)
+    {
+        const uint64_t first = seq_;
+        seq_ += count;
+        return first;
+    }
+
+    uint64_t scheduleReserved(Tick when, uint64_t seq, uint64_t token)
+    {
+        const uint64_t id = nextId_++;
+        entries_.push_back(Entry{when, seq, id, token});
+        return id;
     }
 
     bool cancel(uint64_t id)
@@ -198,8 +214,10 @@ class DifferentialDriver
     void applyOneOp()
     {
         const uint64_t choice = rng_.next(100);
-        if (choice < 35) {
+        if (choice < 30) {
             scheduleBoth(fast_.now() + rng_.next(1024));
+        } else if (choice < 35) {
+            scheduleReservedOrReserve();
         } else if (choice < 50) {
             const Tick delay = rng_.next(1024);
             const uint64_t token = allocToken();
@@ -245,6 +263,33 @@ class DifferentialDriver
         const uint64_t token = allocToken();
         refIds_[token] = ref_.schedule(when, token);
         fastIds_[token] = fast_.schedule(when, callbackFor(token));
+    }
+
+    /**
+     * Either reserve a block of sequence numbers (both sides must hand
+     * out the same ones) or schedule a random still-unused member of
+     * the reserved pool, so reserved events enter the heap out of
+     * sequence order and dispatches after their reservation.
+     */
+    void scheduleReservedOrReserve()
+    {
+        if (reserved_.empty() || rng_.chance(0.25)) {
+            const uint64_t count = 1 + rng_.next(8);
+            const uint64_t first = ref_.reserve(count);
+            ASSERT_EQ(first, fast_.reserve(count));
+            for (uint64_t i = 0; i < count; ++i)
+                reserved_.push_back(first + i);
+            return;
+        }
+        const size_t pick = rng_.next(reserved_.size());
+        const uint64_t seq = reserved_[pick];
+        reserved_[pick] = reserved_.back();
+        reserved_.pop_back();
+        const Tick when = fast_.now() + rng_.next(1024);
+        const uint64_t token = allocToken();
+        refIds_[token] = ref_.scheduleReserved(when, seq, token);
+        fastIds_[token] =
+            fast_.scheduleReserved(when, seq, callbackFor(token));
     }
 
     EventFn callbackFor(uint64_t token)
@@ -317,6 +362,9 @@ class DifferentialDriver
     uint64_t refSpawn_ = 1u << 20;
     uint64_t fastSpawn_ = 1u << 20;
     std::vector<uint64_t> refLog_, fastLog_;
+    /// Reserved sequence numbers not yet scheduled (shared: both sides
+    /// reserve the same numbers).
+    std::vector<uint64_t> reserved_;
 };
 
 TEST(SimDifferential, MatchesReferenceAcrossManySeeds)

@@ -282,6 +282,86 @@ TEST(EventQueue, ObserverSeesEveryDispatchBoundaryAcrossRunModes)
     EXPECT_EQ(observed.size(), 3u); // uninstalled: no further calls
 }
 
+// Reserved dispatch order ----------------------------------------------
+
+TEST(EventQueue, ReservedEventsFireInReservationOrderAtEqualTicks)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    queue.schedule(10, [&] { order.push_back(0); });
+    const uint64_t first = queue.reserve(3);
+    queue.schedule(10, [&] { order.push_back(9); });
+    // Inserted after the plain event above and out of order, yet they
+    // fire where they would had they been scheduled at reserve().
+    queue.scheduleReserved(10, first + 2, [&] { order.push_back(3); });
+    queue.scheduleReserved(10, first, [&] {
+        order.push_back(1);
+        // Re-armed mid-dispatch at the same tick: still ahead of the
+        // event scheduled after the reservation.
+        queue.scheduleReserved(10, first + 1,
+                               [&] { order.push_back(2); });
+    });
+    queue.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 9}));
+}
+
+TEST(EventQueue, ReservedEventCanBeCancelled)
+{
+    EventQueue queue;
+    const uint64_t first = queue.reserve(2);
+    bool fired = false;
+    const EventId id =
+        queue.scheduleReserved(5, first + 1, [&] { fired = true; });
+    EXPECT_TRUE(queue.cancel(id));
+    EXPECT_FALSE(queue.cancel(id));
+    queue.run();
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(queue.now(), 0u);
+}
+
+TEST(EventQueue, PendingCountsReservedEventsNotReservations)
+{
+    EventQueue queue;
+    const uint64_t first = queue.reserve(4);
+    EXPECT_EQ(queue.pending(), 0u);
+    queue.scheduleReserved(3, first + 3, [] {});
+    queue.scheduleReserved(1, first, [] {});
+    queue.schedule(2, [] {});
+    EXPECT_EQ(queue.pending(), 3u);
+    EXPECT_TRUE(queue.step());
+    EXPECT_EQ(queue.now(), 1u);
+    EXPECT_EQ(queue.pending(), 2u);
+    queue.run();
+    EXPECT_EQ(queue.pending(), 0u);
+    EXPECT_EQ(queue.now(), 3u);
+}
+
+TEST(EventQueueDeathTest, ReservationPastSequenceSpaceIsRefused)
+{
+    constexpr uint64_t kSeqSpace = uint64_t{1} << 40;
+    EXPECT_DEATH(
+        {
+            EventQueue queue;
+            queue.schedule(1, [] {});
+            queue.reserve(kSeqSpace);
+        },
+        "sequence space exhausted");
+    EXPECT_DEATH(
+        {
+            EventQueue queue;
+            queue.reserve(kSeqSpace); // fills the space exactly
+            queue.schedule(1, [] {});
+        },
+        "sequence space exhausted");
+    EXPECT_DEATH(
+        {
+            EventQueue queue;
+            const uint64_t first = queue.reserve(1);
+            queue.scheduleReserved(1, first + 1, [] {});
+        },
+        "was not reserved");
+}
+
 // Signal --------------------------------------------------------------
 
 TEST(Signal, ObserverSeesOldAndNew)

@@ -14,9 +14,11 @@
  * 1 = bad usage or internal error.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "crashsim/crash_explorer.h"
@@ -70,9 +72,26 @@ usage()
 bool
 parseUint(const char *text, uint64_t *out)
 {
+    // strtoull would wrap a sign and saturate an overflow silently.
+    if (std::strchr(text, '-') != nullptr)
+        return false;
     char *end = nullptr;
+    errno = 0;
     *out = std::strtoull(text, &end, 0);
-    return end != nullptr && *end == '\0' && end != text;
+    return errno == 0 && end != nullptr && *end == '\0' && end != text;
+}
+
+/** parseUint into a narrower field, refusing what does not fit. */
+template <typename T>
+bool
+parseCount(const char *text, T *out)
+{
+    uint64_t n = 0;
+    if (!parseUint(text, &n) ||
+        n > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+        return false;
+    *out = static_cast<T>(n);
+    return true;
 }
 
 } // namespace
@@ -83,9 +102,9 @@ main(int argc, char **argv)
     using namespace wsp::crashsim;
 
     CrashSchedule base;
-    uint64_t fuzz_runs = 0;
+    unsigned fuzz_runs = 0;
     uint64_t max_points = 160;
-    uint64_t pheap_txns = 6;
+    int pheap_txns = 6;
     bool sweep_pheap = false;
     bool stop_on_first = false;
     bool equivalence = false;
@@ -97,7 +116,7 @@ main(int argc, char **argv)
         if (arg == "--broken-marker") {
             base.saveOrder = wsp::SaveOrder::MarkerBeforeFlush;
         } else if (arg.rfind("--fuzz=", 0) == 0) {
-            if (!parseUint(arg.c_str() + 7, &fuzz_runs)) {
+            if (!parseCount(arg.c_str() + 7, &fuzz_runs)) {
                 usage();
                 return 1;
             }
@@ -110,7 +129,7 @@ main(int argc, char **argv)
         } else if (arg == "--pheap") {
             sweep_pheap = true;
         } else if (arg.rfind("--pheap-txns=", 0) == 0) {
-            if (!parseUint(arg.c_str() + 13, &pheap_txns)) {
+            if (!parseCount(arg.c_str() + 13, &pheap_txns)) {
                 usage();
                 return 1;
             }
@@ -123,12 +142,10 @@ main(int argc, char **argv)
         } else if (arg == "--salvage") {
             base.salvage = true;
         } else if (arg.rfind("--media-faults=", 0) == 0) {
-            uint64_t n = 0;
-            if (!parseUint(arg.c_str() + 15, &n)) {
+            if (!parseCount(arg.c_str() + 15, &base.mediaFaults)) {
                 usage();
                 return 1;
             }
-            base.mediaFaults = static_cast<unsigned>(n);
         } else if (arg.rfind("--media-fault-seed=", 0) == 0) {
             if (!parseUint(arg.c_str() + 19, &base.mediaFaultSeed)) {
                 usage();
@@ -149,21 +166,18 @@ main(int argc, char **argv)
             }
             base.degradeTier = static_cast<int>(tier);
         } else if (arg.rfind("--drop-save-cmds=", 0) == 0) {
-            uint64_t n = 0;
-            if (!parseUint(arg.c_str() + 17, &n)) {
+            if (!parseCount(arg.c_str() + 17, &base.dropSaveCommands)) {
                 usage();
                 return 1;
             }
-            base.dropSaveCommands = static_cast<unsigned>(n);
         } else if (arg == "--trust-directory") {
             base.trustDirectory = true;
         } else if (arg.rfind("--train-cycles=", 0) == 0) {
-            uint64_t n = 0;
-            if (!parseUint(arg.c_str() + 15, &n) || n == 0) {
+            if (!parseCount(arg.c_str() + 15, &base.trainCycles) ||
+                base.trainCycles == 0) {
                 usage();
                 return 1;
             }
-            base.trainCycles = static_cast<unsigned>(n);
         } else if (arg == "--no-incremental") {
             base.incrementalSave = false;
         } else if (arg == "--lazy-restore") {
@@ -185,12 +199,10 @@ main(int argc, char **argv)
         } else if (arg == "--ack-before-apply") {
             base.ackBeforeApply = true;
         } else if (arg.rfind("--ops=", 0) == 0) {
-            uint64_t n = 0;
-            if (!parseUint(arg.c_str() + 6, &n) || n == 0) {
+            if (!parseCount(arg.c_str() + 6, &base.ops) || base.ops == 0) {
                 usage();
                 return 1;
             }
-            base.ops = static_cast<unsigned>(n);
         } else if (arg.rfind("--fail-delay-us=", 0) == 0) {
             uint64_t us = 0;
             if (!parseUint(arg.c_str() + 16, &us)) {
@@ -243,8 +255,7 @@ main(int argc, char **argv)
     violated |= !sweep.allHeld();
 
     if (fuzz_runs > 0 && !(violated && stop_on_first)) {
-        SweepReport fuzzed = explorer.fuzz(
-            static_cast<unsigned>(fuzz_runs), base.seed ^ 0xf0f0ull);
+        SweepReport fuzzed = explorer.fuzz(fuzz_runs, base.seed ^ 0xf0f0ull);
         std::printf("fuzz: %zu runs, %zu WSP recoveries, %zu "
                     "fallbacks, %zu failing\n",
                     fuzzed.points, fuzzed.wspRecoveries,
@@ -280,8 +291,7 @@ main(int argc, char **argv)
         const std::string scratch = "/tmp";
         for (PheapDiscipline discipline : allPheapDisciplines()) {
             PheapSweepReport report = sweepPheapCrashPoints(
-                discipline, base.seed,
-                static_cast<int>(pheap_txns), scratch);
+                discipline, base.seed, pheap_txns, scratch);
             std::printf("pheap %s: %zu crash points, %zu recoveries, "
                         "%zu violations\n",
                         pheapDisciplineName(discipline),
