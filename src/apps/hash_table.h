@@ -17,13 +17,10 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "pheap/policies.h"
-#include "util/logging.h"
 
 namespace wsp::apps {
 
@@ -197,109 +194,6 @@ class HashTable
 
     PHeap &heap_;
     Offset header_ = kNullOffset;
-};
-
-/**
- * Lock-striped sharded hash table: N independent HashTables, each in
- * its *own* persistent heap, each behind its own mutex.
- *
- * Per-shard heap privacy is what makes the striping sound under real
- * threads: a transaction only ever touches its shard's region, undo
- * and redo logs, so two threads in different shards share no mutable
- * state at all. Shard count must be a power of two.
- */
-template <typename Policy>
-class ShardedHashTable
-{
-  public:
-    /** Create @p shards fresh tables, each in a heap built from
-     *  @p heap_config, with @p buckets_per_shard chains each. */
-    ShardedHashTable(unsigned shards, pmem::PHeapConfig heap_config,
-                     uint64_t buckets_per_shard)
-        : locks_(std::make_unique<std::mutex[]>(shards))
-    {
-        WSP_CHECKF(shards >= 1 && (shards & (shards - 1)) == 0,
-                   "shard count must be a power of two");
-        heaps_.reserve(shards);
-        tables_.reserve(shards);
-        for (unsigned i = 0; i < shards; ++i) {
-            heaps_.push_back(std::make_unique<PHeap>(heap_config));
-            tables_.push_back(std::make_unique<HashTable<Policy>>(
-                *heaps_[i], buckets_per_shard));
-        }
-    }
-
-    unsigned shardCount() const
-    {
-        return static_cast<unsigned>(tables_.size());
-    }
-
-    /** The shard owning @p key. */
-    unsigned
-    shardOf(uint64_t key) const
-    {
-        uint64_t h = key;
-        h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 29;
-        return static_cast<unsigned>(h & (tables_.size() - 1));
-    }
-
-    bool
-    insert(uint64_t key, uint64_t value)
-    {
-        const unsigned shard = shardOf(key);
-        std::lock_guard<std::mutex> guard(locks_[shard]);
-        return tables_[shard]->insert(key, value);
-    }
-
-    bool
-    erase(uint64_t key)
-    {
-        const unsigned shard = shardOf(key);
-        std::lock_guard<std::mutex> guard(locks_[shard]);
-        return tables_[shard]->erase(key);
-    }
-
-    bool
-    lookup(uint64_t key, uint64_t *value_out = nullptr)
-    {
-        const unsigned shard = shardOf(key);
-        std::lock_guard<std::mutex> guard(locks_[shard]);
-        return tables_[shard]->lookup(key, value_out);
-    }
-
-    /** Total entries across shards. */
-    uint64_t
-    size() const
-    {
-        uint64_t total = 0;
-        for (size_t i = 0; i < tables_.size(); ++i) {
-            std::lock_guard<std::mutex> guard(locks_[i]);
-            total += tables_[i]->size();
-        }
-        return total;
-    }
-
-    /** Sum of all values across shards (order-independent). */
-    uint64_t
-    sumValues()
-    {
-        uint64_t sum = 0;
-        for (size_t i = 0; i < tables_.size(); ++i) {
-            std::lock_guard<std::mutex> guard(locks_[i]);
-            sum += tables_[i]->sumValues();
-        }
-        return sum;
-    }
-
-    /** Shard @p i's heap (stats, recovery experiments). */
-    PHeap &heap(unsigned i) { return *heaps_.at(i); }
-
-  private:
-    std::vector<std::unique_ptr<PHeap>> heaps_;
-    std::vector<std::unique_ptr<HashTable<Policy>>> tables_;
-    mutable std::unique_ptr<std::mutex[]> locks_;
 };
 
 } // namespace wsp::apps

@@ -21,7 +21,7 @@ KvStore::KvStore(CacheModel &cache, uint64_t base, uint64_t capacity)
 {
     WSP_CHECKF((capacity & (capacity - 1)) == 0,
                "KvStore capacity must be a power of two");
-    WSP_CHECKF(base % 16 == 0,
+    WSP_CHECKF(base % kSlotBytes == 0,
                "KvStore base must be 16-byte aligned (no slot may "
                "straddle a cache line)");
     // O(1) line lookups over our region. With a shared cache the last
@@ -41,14 +41,14 @@ KvStore::KvStore(CacheModel &cache, uint64_t base, uint64_t capacity,
                  std::nullptr_t)
     : cache_(cache), base_(base), capacity_(capacity)
 {
-    WSP_CHECKF(base % 16 == 0, "KvStore base must be 16-byte aligned");
+    WSP_CHECKF(base % kSlotBytes == 0, "KvStore base must be 16-byte aligned");
     cache_.registerRegionView(base_, regionBytes(capacity_));
 }
 
 uint64_t
 KvStore::regionBytes(uint64_t capacity)
 {
-    return kHeaderBytes + capacity * 16;
+    return kHeaderBytes + capacity * kSlotBytes;
 }
 
 std::optional<KvStore>
@@ -332,15 +332,16 @@ KvStore::scanSlots(Fn &&fn) const
     // One cache read per chunk instead of two readU64 calls per slot:
     // dirty lines still come from the cache and clean runs from one
     // NVRAM read each, so the bytes seen are exactly the per-word ones.
-    uint8_t chunk[kScanSlots * 16];
+    uint8_t chunk[kScanSlots * kSlotBytes];
     for (uint64_t first = 0; first < capacity_; first += kScanSlots) {
         const uint64_t count = std::min(kScanSlots, capacity_ - first);
-        cache_.read(slotAddr(first), std::span<uint8_t>(chunk, count * 16));
+        cache_.read(slotAddr(first),
+                    std::span<uint8_t>(chunk, count * kSlotBytes));
         for (uint64_t i = 0; i < count; ++i) {
             uint64_t key;
             uint64_t value;
-            std::memcpy(&key, chunk + i * 16, 8);
-            std::memcpy(&value, chunk + i * 16 + 8, 8);
+            std::memcpy(&key, chunk + i * kSlotBytes, 8);
+            std::memcpy(&value, chunk + i * kSlotBytes + 8, 8);
             if (key != 0 && key != kTombstone)
                 fn(key, value);
         }

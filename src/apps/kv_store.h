@@ -81,6 +81,11 @@ struct KvBatchResult
 class KvStore
 {
   public:
+    /** Persistent layout: a header line, then the slot array. */
+    static constexpr uint64_t kHeaderBytes = 64;
+    /** One (key, value) slot. */
+    static constexpr uint64_t kSlotBytes = 16;
+
     /**
      * @param cache    the cache all accesses go through
      * @param base     NVRAM base address of the store's region
@@ -144,11 +149,10 @@ class KvStore
   private:
     static constexpr uint64_t kMagic = 0x5753504b56535431ull; // WSPKVST1
     static constexpr uint64_t kTombstone = ~0ull;
-    static constexpr uint64_t kHeaderBytes = 64;
 
     uint64_t slotAddr(uint64_t index) const
     {
-        return base_ + kHeaderBytes + index * 16;
+        return base_ + kHeaderBytes + index * kSlotBytes;
     }
 
     uint64_t probeStart(uint64_t key) const;
@@ -252,9 +256,12 @@ class ShardedKvStore
         return static_cast<unsigned>(shards_.size());
     }
 
-    /** The shard owning @p key. Inline: the traffic plane's
-     *  producers route every generated op through this. */
-    unsigned shardOf(uint64_t key) const
+    /**
+     * The shard owning @p key among @p shards (a power of two). The
+     * one owner of the key-to-shard mapping: the crash checkers and
+     * the fleet route keys through it without attaching a store.
+     */
+    static unsigned shardOf(uint64_t key, unsigned shards)
     {
         // Distinct mix from KvStore::probeStart so shard choice and
         // probe position stay uncorrelated.
@@ -262,7 +269,14 @@ class ShardedKvStore
         h ^= h >> 33;
         h *= 0xff51afd7ed558ccdull;
         h ^= h >> 29;
-        return static_cast<unsigned>(h & (shards_.size() - 1));
+        return static_cast<unsigned>(h & (shards - 1));
+    }
+
+    /** The shard owning @p key. Inline: the traffic plane's
+     *  producers route every generated op through this. */
+    unsigned shardOf(uint64_t key) const
+    {
+        return shardOf(key, shardCount());
     }
 
     /**

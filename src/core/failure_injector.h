@@ -67,13 +67,6 @@ class FailureInjector
   public:
     explicit FailureInjector(WspSystem &system) : system_(system) {}
 
-    /** Schedule an AC failure @p delay from now. */
-    void
-    failAcAfter(Tick delay)
-    {
-        system_.psu().failInputAt(system_.queue().now() + delay);
-    }
-
     /**
      * Drain module @p index's ultracapacitor down to @p voltage so
      * the next save may run out of energy.

@@ -147,21 +147,10 @@ SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
         report_.started);
     report_.dirtyBytesFlushed = machine_.totalDirtyBytes();
 
-    // Degraded-mode decision: a forced config, the platform's health
-    // verdict, or a promised residual window the full save cannot
-    // meet. The cut is the deepest tier predicted to fit.
+    // Degraded-mode decision: a forced config or the platform's
+    // health verdict.
     degraded_ = config_.forceDegradedSave || degraded_hint;
-    tierCut_ = SaveTier::Bulk;
-    if (degraded_) {
-        tierCut_ = config_.degradedTierCut;
-    } else if (config_.plannedResidualWindow > 0 &&
-               predictDuration() > config_.plannedResidualWindow) {
-        degraded_ = true;
-        tierCut_ = predictDurationForTier(SaveTier::Metadata) <=
-                           config_.plannedResidualWindow
-                       ? SaveTier::Metadata
-                       : SaveTier::Core;
-    }
+    tierCut_ = degraded_ ? config_.degradedTierCut : SaveTier::Bulk;
     report_.degraded = degraded_;
     report_.tierCut = tierCut_;
     if (directory_ != nullptr) {
@@ -198,17 +187,13 @@ SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
         // Fig. 9 shows why this is infeasible within the residual
         // window.
         const Tick start = queue_.now();
-        auto after = [this, start](Tick total) {
+        devices_->suspendAll([this, start](Tick total) {
             if (!machine_.powerOn())
                 return;
             report_.deviceSuspendTime = total;
             record("acpi device suspend", start, queue_.now());
             stepIpis();
-        };
-        if (config_.parallelDeviceSuspend)
-            devices_->suspendAllParallel(std::move(after));
-        else
-            devices_->suspendAll(std::move(after));
+        });
         return;
     }
     stepIpis();
@@ -267,10 +252,7 @@ unsigned
 SaveRoutine::flushWorkers(unsigned socket) const
 {
     (void)socket; // all presets are symmetric across sockets
-    const unsigned cpus = std::max(1u, machine_.spec().logicalCpusPerSocket());
-    if (config_.flushWorkersPerSocket == 0)
-        return cpus;
-    return std::min(config_.flushWorkersPerSocket, cpus);
+    return std::max(1u, machine_.spec().logicalCpusPerSocket());
 }
 
 void
@@ -593,30 +575,6 @@ SaveRoutine::predictDuration() const
     // Header + marker lines + command issue.
     total += machine_.socketCache(0).clflushLoopCost(3);
     total += config_.commandIssueLatency;
-    return total;
-}
-
-Tick
-SaveRoutine::predictDurationForTier(SaveTier cut) const
-{
-    Tick total = machine_.interrupts().ipiLatency();
-    total += machine_.spec().contextSaveLatency;
-    const uint64_t slot_lines =
-        (CpuContext::serializedSize() + CacheModel::kLineSize - 1) /
-        CacheModel::kLineSize;
-    total += machine_.socketCache(0).clflushLoopCost(slot_lines);
-
-    // Tier flush instead of the whole-cache walk.
-    const uint64_t lines =
-        directory_ != nullptr ? directory_->regionLines(cut) : 0;
-    total += machine_.socketCache(0).clflushLoopCost(lines);
-
-    total += directoryCost(cut);
-    total += machine_.socketCache(0).clflushLoopCost(3);
-    total += config_.commandIssueLatency;
-    // The degraded path always waits out one retry backoff before the
-    // control processor halts.
-    total += config_.saveCommandRetryBackoff;
     return total;
 }
 

@@ -70,9 +70,6 @@ class SaveRoutine
      */
     Tick predictDuration() const;
 
-    /** Predicted duration of a degraded save down to @p cut. */
-    Tick predictDurationForTier(SaveTier cut) const;
-
     /**
      * The report of the save attempt in progress (or the last one).
      * Unlike the done-callback report this is readable after a power
@@ -103,10 +100,8 @@ class SaveRoutine
     /** Per-socket flush cost under the configured method. */
     Tick flushCost(unsigned socket) const;
 
-    /** Execute the functional flush for @p socket. */
-    Tick executeFlush(unsigned socket);
-
-    /** Flush workers driving @p socket's cache under parallelFlush. */
+    /** Flush workers driving @p socket's cache under parallelFlush:
+     *  one per logical CPU. */
     unsigned flushWorkers(unsigned socket) const;
 
     /**

@@ -65,10 +65,10 @@ std::string saveOrderName(SaveOrder order);
 
 /**
  * Priority tier of a saved memory region. When a save runs degraded
- * (energy self-test failed, residual window too short) it persists
- * tiers from the top down and records how far it got: Core state must
- * always make it, shard metadata next, bulk data last. A region's
- * tier is the price of losing it.
+ * (energy self-test failed, or forced) it persists tiers from the top
+ * down and records how far it got: Core state must always make it,
+ * shard metadata next, bulk data last. A region's tier is the price
+ * of losing it.
  */
 enum class SaveTier {
     Core = 0,     ///< CPU contexts, resume block, valid marker
@@ -101,24 +101,12 @@ struct WspConfig
 
     /**
      * Parallel flush-on-fail: partition each socket cache's dirty
-     * lines across its cores and flush the partitions concurrently,
-     * charging the residual window the slowest core instead of a
-     * whole-cache walk. Off by default so the calibrated Table 2 /
-     * Fig. 8 wbinvd numbers keep reproducing.
+     * lines across the socket's logical CPUs and flush the partitions
+     * concurrently, charging the residual window the slowest CPU
+     * instead of a whole-cache walk. Off by default so the calibrated
+     * Table 2 / Fig. 8 wbinvd numbers keep reproducing.
      */
     bool parallelFlush = false;
-
-    /** Flush workers per socket under parallelFlush (0 = all the
-     *  socket's logical CPUs). */
-    unsigned flushWorkersPerSocket = 0;
-
-    /**
-     * Suspend independent devices in parallel waves (grouped by
-     * DeviceConfig::suspendWave) instead of the sequential ACPI walk.
-     * Only meaningful with DevicePolicy::AcpiSuspendOnSave; off by
-     * default so Fig. 9 keeps measuring the sequential strawman.
-     */
-    bool parallelDeviceSuspend = false;
 
     /** Firmware (BIOS + bootloader) latency on the boot path. */
     Tick firmwareBootLatency = fromSeconds(5.0);
@@ -141,13 +129,6 @@ struct WspConfig
     /** Safety margin the self-test demands on top of the predicted
      *  save energy. */
     double healthEnergyMargin = 0.25;
-
-    /**
-     * Residual window the platform promises the save routine
-     * (crashsim sets this from the schedule). 0 = unknown; the save
-     * then only degrades on the health monitor's say-so.
-     */
-    Tick plannedResidualWindow = 0;
 
     /** Force every save to run degraded (tests and fault storms). */
     bool forceDegradedSave = false;
@@ -179,10 +160,6 @@ struct WspConfig
      * controller applies the mode process-wide at construction.
      */
     trace::FrMode flightRecorder = trace::FrMode::Nvram;
-
-    /** Ring size in 64-byte records (power of two). The default
-     *  64 KiB region costs one flushed line per recorded event. */
-    uint32_t flightRecorderRecords = trace::kFrDefaultRecords;
 };
 
 /** One timed step of the save or restore sequence. */

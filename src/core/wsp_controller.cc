@@ -8,8 +8,7 @@
 namespace wsp {
 
 WspLayout
-WspLayout::topOfMemory(uint64_t capacity, unsigned cores,
-                       size_t recorder_records)
+WspLayout::topOfMemory(uint64_t capacity, unsigned cores)
 {
     const uint64_t line = CacheModel::kLineSize;
     const uint64_t resume_size = ResumeBlock::sizeFor(cores);
@@ -30,7 +29,7 @@ WspLayout::topOfMemory(uint64_t capacity, unsigned cores,
     layout.recorderHeader =
         (layout.directoryBase - trace::kFrHeaderBytes) / line * line;
     layout.recorderBase = layout.recorderHeader -
-                          recorder_records * trace::kFrRecordBytes;
+                          trace::kFrDefaultRecords * trace::kFrRecordBytes;
     return layout;
 }
 
@@ -42,8 +41,7 @@ WspController::WspController(EventQueue &queue, MachineModel &machine,
       machine_(machine), psu_(psu), monitor_(monitor), nvdimms_(nvdimms),
       devices_(devices),
       layout_(WspLayout::topOfMemory(machine.memory().capacity(),
-                                     machine.coreCount(),
-                                     config_.flightRecorderRecords)),
+                                     machine.coreCount())),
       marker_(machine.cacheOfCore(0), layout_.markerBase),
       resumeBlock_(machine.cacheOfCore(0), layout_.resumeBase,
                    machine.coreCount()),
@@ -115,7 +113,7 @@ WspController::attachFlightRecorder()
     // legal against an Active, powered module.
     trace::FlightRecorder::Backing backing;
     backing.base = layout_.recorderBase;
-    backing.capacityRecords = config_.flightRecorderRecords;
+    backing.capacityRecords = trace::kFrDefaultRecords;
     backing.writeLine = [this](uint64_t addr,
                                std::span<const uint8_t> bytes) {
         CacheModel &cache = machine_.cacheOfCore(0);

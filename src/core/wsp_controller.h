@@ -47,13 +47,11 @@ struct WspLayout
     uint64_t recorderBase = 0;
 
     /**
-     * Place the structures at the top of a @p capacity space.
-     * @p recorder_records sizes the flight-recorder ring below the
-     * salvage directory; it does not move the other structures.
+     * Place the structures at the top of a @p capacity space. The
+     * flight-recorder ring below the salvage directory holds
+     * trace::kFrDefaultRecords records.
      */
-    static WspLayout topOfMemory(uint64_t capacity, unsigned cores,
-                                 size_t recorder_records =
-                                     trace::kFrDefaultRecords);
+    static WspLayout topOfMemory(uint64_t capacity, unsigned cores);
 };
 
 /** Top-level whole-system persistence orchestrator. */

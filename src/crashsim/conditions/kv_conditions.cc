@@ -14,24 +14,6 @@ namespace {
 /** Keys are drawn from [1, kKeyUniverse] so absence is checkable. */
 constexpr uint64_t kKeyUniverse = 128;
 
-/** KvStore header bytes ahead of a shard's slot array. */
-constexpr uint64_t kKvHeaderBytes = 64;
-
-/**
- * Mirrors ShardedKvStore::shardOf so a single wounded shard can be
- * replayed without attaching the whole store (whose sibling headers
- * may themselves be scrubbed at that point).
- */
-unsigned
-shardOfKey(uint64_t key, unsigned shards)
-{
-    uint64_t h = key;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 29;
-    return static_cast<unsigned>(h & (shards - 1));
-}
-
 /**
  * Attach the checker's store as @p shards stripes over the system's
  * (single) cache. The striped layout with shards == 1 is bit-for-bit
@@ -128,11 +110,12 @@ KvConditionsChecker::prepareWorkload(WspSystem &system,
             char name[SalvageDirectory::kMaxNameBytes + 1];
             std::snprintf(name, sizeof(name), "kv%u.meta", i);
             system.registerSalvageRegion(SalvageRegionSpec{
-                name, shard_base, kKvHeaderBytes, SaveTier::Metadata});
+                name, shard_base, apps::KvStore::kHeaderBytes,
+                SaveTier::Metadata});
             std::snprintf(name, sizeof(name), "kv%u.data", i);
             system.registerSalvageRegion(SalvageRegionSpec{
-                name, shard_base + kKvHeaderBytes, per_shard * 16,
-                SaveTier::Bulk});
+                name, shard_base + apps::KvStore::kHeaderBytes,
+                per_shard * apps::KvStore::kSlotBytes, SaveTier::Bulk});
         }
     }
 
@@ -219,11 +202,12 @@ KvConditionsChecker::onRegionRecovery(WspSystem &system,
     // Reformat exactly the wounded shard, then replay its keys from
     // the model — the "fetch from the back end" of one shard, not the
     // whole store. A second quarantine of the same shard (header and
-    // slots both hit) just repeats the idempotent rebuild.
+    // slots both hit) just repeats the idempotent rebuild. Keys route
+    // without attaching the store: sibling headers may be scrubbed.
     apps::KvStore fresh(system.cache(), kBase + shard * stride,
                         per_shard);
     for (const auto &[key, value] : model_) {
-        if (shardOfKey(key, shards_) == shard)
+        if (apps::ShardedKvStore::shardOf(key, shards_) == shard)
             fresh.put(key, value);
     }
 }

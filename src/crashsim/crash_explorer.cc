@@ -81,6 +81,8 @@ CrashPointResult
 CrashExplorer::runSchedule(const CrashSchedule &schedule,
                            NvramImage *captured_image)
 {
+    WSP_CHECKF(schedule.fleetNodes == 0,
+               "a fleet schedule runs through fleet::FleetSweep::runSchedule");
     CrashPointResult result;
     result.schedule = schedule;
 

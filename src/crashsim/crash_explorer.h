@@ -84,7 +84,9 @@ class CrashExplorer
     /**
      * Execute one schedule end to end: workload, (optional) outage
      * train, the final crash at the exact window, image capture,
-     * fresh-chassis boot, invariant evaluation.
+     * fresh-chassis boot, invariant evaluation. Single-machine
+     * schedules only (fleetNodes == 0); a fleet schedule runs through
+     * fleet::FleetSweep::runSchedule.
      */
     static CrashPointResult runSchedule(const CrashSchedule &schedule);
 

@@ -202,7 +202,6 @@ diskConfig()
     config.busyQueueDepth = 32;
     config.serialDrain = true;
     config.supportsPnpRestart = false; // holds the paging file
-    config.suspendWave = 1; // other drivers may page while quiescing
     return config;
 }
 

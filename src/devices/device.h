@@ -85,15 +85,6 @@ struct DeviceConfig
      * devices or the disk holding the paging file (paper section 4).
      */
     bool supportsPnpRestart = true;
-
-    /**
-     * Suspend-dependency wave for the parallel suspend path: devices
-     * in wave W suspend concurrently, but only after every device in
-     * waves < W is in D3. Most devices are independent (wave 0); the
-     * paging disk is wave 1 because other drivers may still page
-     * while quiescing.
-     */
-    unsigned suspendWave = 0;
 };
 
 /** A device with an operation queue and modelled power transitions. */

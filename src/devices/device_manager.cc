@@ -2,10 +2,8 @@
 
 #include <cstdio>
 
-#include "trace/flight_recorder.h"
 #include "trace/stat_registry.h"
 #include "trace/trace.h"
-#include "util/logging.h"
 
 namespace wsp {
 
@@ -101,58 +99,6 @@ DeviceManager::suspendNext(size_t index, Tick started,
         trace::StatRegistry::instance().counter("devices.suspends").add();
         suspendNext(index + 1, started, std::move(done));
     });
-}
-
-void
-DeviceManager::suspendAllParallel(std::function<void(Tick)> done)
-{
-    suspendWave(0, now(), std::move(done));
-}
-
-void
-DeviceManager::suspendWave(unsigned wave, Tick started,
-                           std::function<void(Tick)> done)
-{
-    // Collect this wave's members and remember whether later waves
-    // exist; when the current wave is empty we either advance or
-    // finish.
-    std::vector<Device *> members;
-    bool later = false;
-    for (auto &device : devices_) {
-        if (device->config().suspendWave == wave)
-            members.push_back(device.get());
-        else if (device->config().suspendWave > wave)
-            later = true;
-    }
-    if (members.empty()) {
-        if (later) {
-            suspendWave(wave + 1, started, std::move(done));
-        } else if (done) {
-            done(now() - started);
-        }
-        return;
-    }
-
-    auto remaining = std::make_shared<size_t>(members.size());
-    auto shared_done =
-        std::make_shared<std::function<void(Tick)>>(std::move(done));
-    trace::frEmit(trace::FrEvent::DeviceSuspendWave,
-                  trace::Category::Devices, wave, members.size());
-    for (Device *device : members) {
-        traceDeviceEdge(device->name(), "suspend", trace::Phase::Begin);
-        device->suspend([this, device, wave, started, later, remaining,
-                         shared_done](Tick) {
-            traceDeviceEdge(device->name(), "suspend", trace::Phase::End);
-            trace::StatRegistry::instance().counter("devices.suspends").add();
-            WSP_CHECK(*remaining > 0);
-            if (--*remaining > 0)
-                return;
-            if (later)
-                suspendWave(wave + 1, started, std::move(*shared_done));
-            else if (*shared_done)
-                (*shared_done)(now() - started);
-        });
-    }
 }
 
 void

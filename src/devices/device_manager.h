@@ -75,15 +75,6 @@ class DeviceManager : public SimObject
     void suspendAll(std::function<void(Tick total)> done);
 
     /**
-     * Suspend independent devices concurrently, in waves: all devices
-     * with DeviceConfig::suspendWave == W suspend in parallel once
-     * every device of waves < W is in D3. The total is the sum over
-     * waves of each wave's slowest device — the best case a
-     * dependency-aware ACPI walk could reach.
-     */
-    void suspendAllParallel(std::function<void(Tick total)> done);
-
-    /**
      * Restore-path recovery per @p policy; @p done receives a report.
      * For VirtualizedReplay, @p host_stack_boot models booting the
      * fresh host OS device stack before replay.
@@ -105,8 +96,6 @@ class DeviceManager : public SimObject
 
   private:
     void suspendNext(size_t index, Tick started,
-                     std::function<void(Tick)> done);
-    void suspendWave(unsigned wave, Tick started,
                      std::function<void(Tick)> done);
     void resumeChain(size_t index, Tick started, DeviceRestoreReport report,
                      std::function<void(DeviceRestoreReport)> done);

@@ -58,10 +58,7 @@ Fleet::Fleet(FleetConfig config)
     WSP_CHECKF(config_.nodes >= 1 && config_.nodes <= 64,
                "fleet size must be 1..64 (kill masks are 64-bit)");
     effectiveR_ = std::max(1u, std::min(config_.replication, config_.nodes));
-    writeQuorum_ =
-        config_.writeQuorum == 0
-            ? effectiveR_ / 2 + 1
-            : std::min(config_.writeQuorum, effectiveR_);
+    writeQuorum_ = effectiveR_ / 2 + 1;
 
     for (uint32_t id = 0; id < config_.nodes; ++id) {
         FleetNodeConfig node_config;
@@ -70,7 +67,6 @@ Fleet::Fleet(FleetConfig config)
         node_config.shards = config_.shardsPerNode;
         node_config.perShardCapacity = config_.perShardCapacity;
         node_config.killWindow = config_.killWindow;
-        node_config.salvage = config_.salvage;
         auto node = std::make_unique<FleetNode>(node_config);
         node->setRefillSource([this, id](unsigned shard) {
             // The backend's checkpoint+log view of this node: every

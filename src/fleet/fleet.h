@@ -19,9 +19,10 @@
  * Consistency contract (what NoReplicaDivergence asserts):
  *
  *  - A client write is acknowledged only when at least writeQuorum()
- *    replicas are Up; it is then applied atomically to every *live*
- *    replica (Up, CatchingUp, DegradedReadOnly) and logged to the
- *    modelled backend. Otherwise it is rejected with no mutation.
+ *    replicas (a majority of the effective replication factor) are
+ *    Up; it is then applied atomically to every *live* replica (Up,
+ *    CatchingUp, DegradedReadOnly) and logged to the modelled
+ *    backend. Otherwise it is rejected with no mutation.
  *  - Acked writes therefore survive any kill: live replicas carry
  *    them (and flush-on-fail persists them), and the backend log
  *    covers cold boots.
@@ -55,9 +56,6 @@ struct FleetConfig
     unsigned nodes = 5;
     unsigned replication = 3;
 
-    /** Up replicas required to ack a write (0 = majority of R). */
-    unsigned writeQuorum = 0;
-
     uint64_t seed = 0x464c454554ull; // "FLEET"
 
     /** Per-node store geometry. */
@@ -68,9 +66,6 @@ struct FleetConfig
     uint64_t keyUniverse = 512;
 
     RecoveryPolicy policy = RecoveryPolicy::WspLocal;
-
-    /** Register shards as tiered salvage regions on every node. */
-    bool salvage = true;
 
     /** Default residual window of a kill (overridable per storm). */
     Tick killWindow = fromMillis(33.0);
@@ -88,9 +83,6 @@ struct FleetConfig
     double antiEntropyBandwidth = 1.25e9;
 
     // Client-traffic model -------------------------------------------
-
-    /** Request rate the fleet stands for (millions of users). */
-    double modeledClientRate = 1.2e6;
 
     /** Spacing of the *sampled* requests actually executed. */
     Tick trafficSpacing = fromMillis(20.0);
@@ -159,7 +151,9 @@ class Fleet
     const FleetConfig &config() const { return config_; }
     Tick now() const { return now_; }
 
+    /** Effective replication factor: min(replication, nodes). */
     unsigned replication() const { return effectiveR_; }
+    /** Up replicas a write needs: a majority of replication(). */
     unsigned writeQuorum() const { return writeQuorum_; }
 
     FleetNode &node(uint32_t id) { return *nodes_.at(id); }

@@ -87,10 +87,6 @@ FleetSweep::configFor(const crashsim::CrashSchedule &schedule)
     config.shardsPerNode = std::max(1u, schedule.shards);
     config.keyUniverse = 256;
     config.killWindow = schedule.window;
-    // Sweeps always register salvage regions: mid-save kills with
-    // media damage must exercise the per-region path, not fall to
-    // whole-image backend recovery.
-    config.salvage = true;
     // Small modelled footprint keeps recovery timelines (and thus the
     // interleaved sampled traffic) short; the bench raises it to the
     // paper's 256 GiB per server.

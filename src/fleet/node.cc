@@ -14,9 +14,6 @@ namespace {
 /** NVRAM base of the node's store (below everything reserved). */
 constexpr uint64_t kStoreBase = 0;
 
-/** KvStore header bytes ahead of a shard's slot array. */
-constexpr uint64_t kKvHeaderBytes = 64;
-
 } // namespace
 
 const char *
@@ -67,13 +64,9 @@ FleetNode::~FleetNode() = default;
 unsigned
 FleetNode::shardOf(uint64_t key) const
 {
-    // Mirrors ShardedKvStore::shardOf so shard indices align across
-    // nodes (and with the salvage region names).
-    uint64_t h = key;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 29;
-    return static_cast<unsigned>(h & (config_.shards - 1));
+    // The store's own mapping, available while the node is dark, so
+    // shard indices align across nodes and with the region names.
+    return apps::ShardedKvStore::shardOf(key, config_.shards);
 }
 
 SystemConfig
@@ -102,8 +95,6 @@ FleetNode::systemConfig() const
 void
 FleetNode::registerRegions()
 {
-    if (!config_.salvage)
-        return;
     const uint64_t stride =
         apps::ShardedKvStore::shardStride(config_.perShardCapacity);
     for (unsigned i = 0; i < config_.shards; ++i) {
@@ -111,11 +102,13 @@ FleetNode::registerRegions()
         char name[SalvageDirectory::kMaxNameBytes + 1];
         std::snprintf(name, sizeof(name), "kv%u.meta", i);
         system_->registerSalvageRegion(SalvageRegionSpec{
-            name, shard_base, kKvHeaderBytes, SaveTier::Metadata});
+            name, shard_base, apps::KvStore::kHeaderBytes,
+            SaveTier::Metadata});
         std::snprintf(name, sizeof(name), "kv%u.data", i);
         system_->registerSalvageRegion(SalvageRegionSpec{
-            name, shard_base + kKvHeaderBytes,
-            config_.perShardCapacity * 16, SaveTier::Bulk});
+            name, shard_base + apps::KvStore::kHeaderBytes,
+            config_.perShardCapacity * apps::KvStore::kSlotBytes,
+            SaveTier::Bulk});
     }
 }
 

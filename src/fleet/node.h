@@ -80,7 +80,6 @@ struct FleetNodeConfig
     unsigned shards = 8;             ///< power of two
     uint64_t perShardCapacity = 256; ///< slots per shard
     Tick killWindow = fromMillis(33.0);
-    bool salvage = true; ///< register shards as tiered salvage regions
 };
 
 /** One replicated-fleet node. */

@@ -82,14 +82,6 @@ class SpscRing
     /** Single-frame convenience push. */
     bool tryPush(const T &item) { return tryPush({&item, 1}) == 1; }
 
-    /** Frames the producer believes are in flight (an upper bound:
-     *  its view of the consumer position may be stale). */
-    size_t sizeProducer() const
-    {
-        return static_cast<size_t>(tail_.load(std::memory_order_relaxed) -
-                                   cachedHead_);
-    }
-
     // Consumer side ----------------------------------------------------
 
     /**

@@ -47,26 +47,11 @@ class InterruptController : public SimObject
         });
     }
 
-    /**
-     * Deliver an external (device/serial line) interrupt to @p cpu
-     * immediately; the source models its own wire latency.
-     */
-    void
-    raiseExternal(unsigned cpu, Handler handler)
-    {
-        ++externalRaised_;
-        queue_.scheduleAfter(0, [cpu, handler = std::move(handler)] {
-            handler(cpu);
-        });
-    }
-
     uint64_t ipisSent() const { return ipisSent_; }
-    uint64_t externalRaised() const { return externalRaised_; }
 
   private:
     Tick ipiLatency_;
     uint64_t ipisSent_ = 0;
-    uint64_t externalRaised_ = 0;
 };
 
 } // namespace wsp

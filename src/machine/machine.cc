@@ -149,13 +149,6 @@ MachineModel::fillCachesDirty(uint64_t bytes_per_socket, Rng &rng)
     }
 }
 
-void
-MachineModel::haltAll()
-{
-    for (auto &core : cores_)
-        core.halted = true;
-}
-
 bool
 MachineModel::allHalted() const
 {

@@ -118,9 +118,6 @@ class MachineModel : public SimObject
     /** Dirty @p bytes_per_socket in every socket cache. */
     void fillCachesDirty(uint64_t bytes_per_socket, Rng &rng);
 
-    /** Halt every core (end of the save routine). */
-    void haltAll();
-
     /** True when every core is halted. */
     bool allHalted() const;
 

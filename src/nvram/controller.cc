@@ -170,15 +170,6 @@ NvdimmController::anySaveFailed() const
 }
 
 Tick
-NvdimmController::maxSaveDuration() const
-{
-    Tick worst = 0;
-    for (const auto *module : modules_)
-        worst = std::max(worst, module->saveDuration());
-    return worst;
-}
-
-Tick
 NvdimmController::maxRestoreDuration() const
 {
     Tick worst = 0;

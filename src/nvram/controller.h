@@ -88,9 +88,6 @@ class NvdimmController : public SimObject
     /** The published epoch (max over modules; equal in practice). */
     uint64_t currentEpoch() const;
 
-    /** Worst-case save duration over the attached modules. */
-    Tick maxSaveDuration() const;
-
     /** Worst-case restore duration over the attached modules. */
     Tick maxRestoreDuration() const;
 

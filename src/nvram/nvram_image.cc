@@ -173,14 +173,4 @@ NvramImage::readFile(const std::string &path)
     return image;
 }
 
-bool
-NvramImage::allValid() const
-{
-    for (const auto &module : modules_) {
-        if (!module.valid)
-            return false;
-    }
-    return true;
-}
-
 } // namespace wsp

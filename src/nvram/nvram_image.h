@@ -49,9 +49,6 @@ class NvramImage
     size_t moduleCount() const { return modules_.size(); }
     const ModuleImage &module(size_t i) const { return modules_.at(i); }
 
-    /** True when every captured module holds a valid flash image. */
-    bool allValid() const;
-
     /**
      * Serialize to a portable binary file ("WSPIMG1" container: per
      * module the valid/generation/epoch/savedBytes metadata plus only

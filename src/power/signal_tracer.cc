@@ -72,16 +72,6 @@ SignalTracer::channel(const std::string &name) const
     return find(name).trace;
 }
 
-std::vector<std::string>
-SignalTracer::channelNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(channels_.size());
-    for (const auto &ch : channels_)
-        names.push_back(ch.name);
-    return names;
-}
-
 bool
 SignalTracer::firstDroop(const std::string &name, double nominal,
                          double frac, Tick window, Tick *when_out) const

@@ -45,9 +45,6 @@ class SignalTracer : public SimObject
     /** Recorded trace of a channel; x = seconds, y = probe value. */
     const Series &channel(const std::string &name) const;
 
-    /** Names of all channels, in registration order. */
-    std::vector<std::string> channelNames() const;
-
     /**
      * Find the first time a channel droops: the start of the first
      * @p window interval during which every sample is below

@@ -64,7 +64,9 @@ enum class FrEvent : uint16_t {
     SaveNvdimmInitiate,///< a0=module count, a1=degraded
     SaveCommandRetry,  ///< a0=retry number
     SaveHalt,          ///< a0=cores halted
-    DeviceSuspendWave, ///< a0=wave index, a1=devices in the wave
+    /** a0=wave index, a1=devices in the wave. Nothing emits it now;
+     *  the value stays so images that carry it still decode. */
+    DeviceSuspendWave,
     HealthDegrade,     ///< a0=now degraded, a1=transition count
     MediaFault,        ///< a0=module, a1=faulted address
     RegionSalvaged,    ///< a0=tier, a1=region base

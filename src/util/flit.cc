@@ -152,18 +152,6 @@ FlitTracker::opPersisted(const FlitOp &op,
     return true;
 }
 
-size_t
-FlitTracker::outstandingLines() const
-{
-    size_t count = 0;
-    for (const auto &[line, ls] : lines_) {
-        (void)line;
-        if (ls.pending > 0)
-            ++count;
-    }
-    return count;
-}
-
 void
 FlitTracker::settleOpsOn(LineState &ls)
 {

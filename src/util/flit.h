@@ -132,9 +132,6 @@ class FlitTracker
     const std::vector<FlitOp> &ops() const { return ops_; }
     FlitOp &op(uint64_t id) { return ops_.at(id); }
 
-    /** Lines with a nonzero flush counter right now. */
-    size_t outstandingLines() const;
-
     /** Forget all operations and counters. */
     void reset();
 

@@ -140,6 +140,15 @@ TEST(CrashPoint, DrainedUltracapStillRecoversConsistently)
     EXPECT_TRUE(result.backendRan);
 }
 
+TEST(CrashPointDeathTest, FleetScheduleIsRefused)
+{
+    // A fleet schedule runs through fleet::FleetSweep::runSchedule;
+    // one machine would ignore every fleet field and report a verdict.
+    CrashSchedule schedule = fastSchedule();
+    schedule.fleetNodes = 3;
+    EXPECT_DEATH(CrashExplorer::runSchedule(schedule), "fleet schedule");
+}
+
 // Enumeration and the exhaustive sweep --------------------------------
 
 TEST(CrashEnumeration, FindsTheWholePipeline)

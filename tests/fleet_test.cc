@@ -207,6 +207,28 @@ TEST(Fleet, QuorumWritesReadsAndConvergence)
     EXPECT_EQ(fleet.stats().failed, 0u);
 }
 
+TEST(Fleet, WriteQuorumIsAMajorityOfTheEffectiveReplication)
+{
+    for (unsigned nodes = 1; nodes <= 6; ++nodes) {
+        for (unsigned replication = 1; replication <= 5; ++replication) {
+            SCOPED_TRACE("nodes=" + std::to_string(nodes) +
+                         " replication=" + std::to_string(replication));
+            FleetConfig config;
+            config.nodes = nodes;
+            config.replication = replication;
+            config.shardsPerNode = 1;
+            config.perShardCapacity = 16;
+            const Fleet fleet(config);
+            const unsigned r = fleet.replication();
+            EXPECT_EQ(r, std::min(replication, nodes));
+            // The smallest count that is more than half of r.
+            const unsigned q = fleet.writeQuorum();
+            EXPECT_GT(2 * q, r);
+            EXPECT_LE(2 * (q - 1), r);
+        }
+    }
+}
+
 TEST(Fleet, WritesRejectedWithoutQuorumAndNotApplied)
 {
     FleetConfig config;

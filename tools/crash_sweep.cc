@@ -14,15 +14,12 @@
  * 1 = bad usage or internal error.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
 
 #include "crashsim/crash_explorer.h"
 #include "crashsim/pheap_crash.h"
+#include "parse_uint.h"
 
 namespace {
 
@@ -69,37 +66,14 @@ usage()
         "  --stop-on-first     stop the sweep at the first violation\n");
 }
 
-bool
-parseUint(const char *text, uint64_t *out)
-{
-    // strtoull would wrap a sign and saturate an overflow silently.
-    if (std::strchr(text, '-') != nullptr)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    *out = std::strtoull(text, &end, 0);
-    return errno == 0 && end != nullptr && *end == '\0' && end != text;
-}
-
-/** parseUint into a narrower field, refusing what does not fit. */
-template <typename T>
-bool
-parseCount(const char *text, T *out)
-{
-    uint64_t n = 0;
-    if (!parseUint(text, &n) ||
-        n > static_cast<uint64_t>(std::numeric_limits<T>::max()))
-        return false;
-    *out = static_cast<T>(n);
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace wsp::crashsim;
+    using wsp::tools::parseCount;
+    using wsp::tools::parseUint;
 
     CrashSchedule base;
     unsigned fuzz_runs = 0;

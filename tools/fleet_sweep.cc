@@ -8,22 +8,23 @@
  * must leave the fleet convergent under the NoReplicaDivergence
  * checker, with no acknowledged write lost. A failing schedule is
  * minimized and written as a replay file (the fleet fields serialize
- * through the standard crash-schedule format).
+ * through the standard crash-schedule format) that tools/crash_replay
+ * re-runs through the fleet.
  *
  * Exit codes: 0 = every run held, 3 = violations found, 1 = bad
  * usage or internal error.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "fleet/fleet_sweep.h"
+#include "parse_uint.h"
 
 using namespace wsp;
 using namespace wsp::fleet;
+using wsp::tools::parseCount;
+using wsp::tools::parseUint;
 
 namespace {
 
@@ -33,7 +34,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: fleet_sweep [options]\n"
-        "  --nodes=N          fleet size (default 3)\n"
+        "  --nodes=N          fleet size, 1..64 (default 3)\n"
         "  --replication=R    replica factor (default 3)\n"
         "  --kill-mask=M      victim subset bitmask (0 = every node)\n"
         "  --policy=P         0 wsp-local, 1 backend-refill,\n"
@@ -44,26 +45,6 @@ usage()
         "  --ops=N            pre-storm client writes (default 48)\n"
         "  --seed=N           base seed\n"
         "  --replay-out=PATH  write the minimized failing schedule\n");
-}
-
-bool
-parseUnsigned(const char *arg, const char *prefix, unsigned *out)
-{
-    const size_t n = std::strlen(prefix);
-    if (std::strncmp(arg, prefix, n) != 0)
-        return false;
-    *out = static_cast<unsigned>(std::strtoul(arg + n, nullptr, 0));
-    return true;
-}
-
-bool
-parseU64(const char *arg, const char *prefix, uint64_t *out)
-{
-    const size_t n = std::strlen(prefix);
-    if (std::strncmp(arg, prefix, n) != 0)
-        return false;
-    *out = std::strtoull(arg + n, nullptr, 0);
-    return true;
 }
 
 void
@@ -82,40 +63,47 @@ main(int argc, char **argv)
     crashsim::CrashSchedule base = FleetSweep::defaultSchedule();
     unsigned points = 24;
     unsigned fuzz_runs = 0;
-    unsigned policy = 0;
     std::string replay_out;
 
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        unsigned u = 0;
-        uint64_t u64 = 0;
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
+        const std::string arg = argv[i];
+        // A value that does not fit its field prints usage rather
+        // than running (and replay-filing) a different sweep.
+        bool ok = true;
+        if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (parseUnsigned(arg, "--nodes=", &u)) {
-            base.fleetNodes = u;
-        } else if (parseUnsigned(arg, "--replication=", &u)) {
-            base.fleetReplication = u;
-        } else if (parseU64(arg, "--kill-mask=", &u64)) {
-            base.fleetKillMask = u64;
-        } else if (parseUnsigned(arg, "--policy=", &policy)) {
-            if (policy > 2) {
-                usage();
-                return 1;
-            }
+        } else if (arg.rfind("--nodes=", 0) == 0) {
+            // 0 would write a single-machine replay file; a fleet
+            // holds at most 64 nodes (kill masks are 64-bit).
+            ok = parseCount(arg.c_str() + 8, &base.fleetNodes) &&
+                 base.fleetNodes >= 1 && base.fleetNodes <= 64;
+        } else if (arg.rfind("--replication=", 0) == 0) {
+            ok = parseCount(arg.c_str() + 14, &base.fleetReplication) &&
+                 base.fleetReplication >= 1;
+        } else if (arg.rfind("--kill-mask=", 0) == 0) {
+            ok = parseUint(arg.c_str() + 12, &base.fleetKillMask);
+        } else if (arg.rfind("--policy=", 0) == 0) {
+            uint64_t policy = 0;
+            ok = parseUint(arg.c_str() + 9, &policy) && policy <= 2;
             base.fleetPolicy = static_cast<int>(policy);
-        } else if (parseUnsigned(arg, "--points=", &points)) {
-        } else if (parseUnsigned(arg, "--fuzz=", &fuzz_runs)) {
-        } else if (parseUnsigned(arg, "--train-cycles=", &u)) {
-            base.trainCycles = u;
-        } else if (parseUnsigned(arg, "--ops=", &u)) {
-            base.ops = u;
-        } else if (parseU64(arg, "--seed=", &u64)) {
-            base.seed = u64;
-        } else if (std::strncmp(arg, "--replay-out=", 13) == 0) {
-            replay_out = arg + 13;
+        } else if (arg.rfind("--points=", 0) == 0) {
+            ok = parseCount(arg.c_str() + 9, &points) && points >= 1;
+        } else if (arg.rfind("--fuzz=", 0) == 0) {
+            ok = parseCount(arg.c_str() + 7, &fuzz_runs);
+        } else if (arg.rfind("--train-cycles=", 0) == 0) {
+            ok = parseCount(arg.c_str() + 15, &base.trainCycles) &&
+                 base.trainCycles >= 1;
+        } else if (arg.rfind("--ops=", 0) == 0) {
+            ok = parseCount(arg.c_str() + 6, &base.ops);
+        } else if (arg.rfind("--seed=", 0) == 0) {
+            ok = parseUint(arg.c_str() + 7, &base.seed);
+        } else if (arg.rfind("--replay-out=", 0) == 0) {
+            replay_out = arg.substr(13);
         } else {
+            ok = false;
+        }
+        if (!ok) {
             usage();
             return 1;
         }
@@ -151,8 +139,8 @@ main(int argc, char **argv)
         FleetSweep::minimize(report.failures.front().schedule);
     std::printf("minimized: %s\n", minimized.summary().c_str());
     if (!replay_out.empty()) {
-        std::ofstream out(replay_out);
-        out << minimized.serialize();
+        if (!minimized.writeFile(replay_out))
+            return 1;
         std::printf("replay file written to %s\n", replay_out.c_str());
     }
     return 3;

@@ -41,8 +41,9 @@ usage()
         stderr,
         "usage: wsp_inspect [options]\n"
         "  --image=PATH      NVRAM image file (crash_sweep --image-out)\n"
-        "  --replay=PATH     crash-replay schedule; re-runs it and\n"
-        "                    inspects the image the crash leaves behind\n"
+        "  --replay=PATH     single-machine crash-replay schedule;\n"
+        "                    re-runs it and inspects the image the\n"
+        "                    crash leaves behind\n"
         "  --diff=PATH       second image: diff the two recorders\n"
         "  --trace-out=PATH  export the timeline as a Chrome trace\n"
         "  --require-header  fail (exit 3) when no recorder header\n"
@@ -68,6 +69,14 @@ loadImage(const std::string &image_path, const std::string &replay_path,
     auto schedule = CrashSchedule::readFile(replay_path);
     if (!schedule) {
         std::fprintf(stderr, "cannot load crash schedule '%s'\n",
+                     replay_path.c_str());
+        return false;
+    }
+    if (schedule->fleetNodes > 0) {
+        // A fleet run leaves one image per node, not one image.
+        std::fprintf(stderr,
+                     "'%s' is a fleet schedule; replay it with "
+                     "crash_replay\n",
                      replay_path.c_str());
         return false;
     }
