@@ -28,6 +28,9 @@
  *                         the median; benches opt in by sampling
  *                         through medianOf(repeat(), fn)
  *
+ * A --seed or --repeat value that does not fit (a sign, an overflow,
+ * trailing garbage, or --repeat=0) prints the usage and exits 1.
+ *
  * finish(check) writes the requested files before returning the exit
  * code, so benches need no extra code beyond init()/finish().
  */
@@ -43,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "tools/parse_uint.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 #include "util/logging.h"
@@ -102,12 +106,36 @@ state()
     return instance;
 }
 
+/** Print the standard flags to @p out. */
+inline void
+usage(std::FILE *out, const char *name)
+{
+    std::fprintf(out,
+                 "usage: %s [--trace-out=FILE] [--metrics-out=FILE] "
+                 "[--seed=N] [--repeat=N]\n"
+                 "env: WSP_TRACE=<cat,...|all>  "
+                 "WSP_LOG_LEVEL=<quiet|normal|debug>  "
+                 "WSP_BENCH_FULL=1\n",
+                 name);
+}
+
+/** Refuse a flag value that does not fit: usage, then exit 1. */
+[[noreturn]] inline void
+badValue(const char *name, const char *flag, const char *value)
+{
+    std::fprintf(stderr, "%s: bad value '%s' for %s\n", name, value,
+                 flag);
+    usage(stderr, name);
+    std::exit(1);
+}
+
 } // namespace detail
 
 /**
  * Standard bench prologue: apply WSP_LOG_LEVEL / WSP_TRACE and parse
- * the --trace-out= / --metrics-out= flags. Unknown flags warn and are
- * ignored so figure-specific options can be added later.
+ * the --trace-out= / --metrics-out= / --seed= / --repeat= flags.
+ * Unknown flags warn and are ignored so figure-specific options can be
+ * added later.
  */
 inline void
 init(const char *name, int argc, char **argv)
@@ -119,6 +147,10 @@ init(const char *name, int argc, char **argv)
     configureLogLevelFromEnv();
     trace::TraceManager::instance().configureFromEnv();
 
+    const auto parse_repeat = [&bench, name](const char *value) {
+        if (!tools::parseCount(value, &bench.repeat) || bench.repeat == 0)
+            detail::badValue(name, "--repeat", value);
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--trace-out=", 12) == 0) {
@@ -126,26 +158,16 @@ init(const char *name, int argc, char **argv)
         } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
             bench.metricsOut = arg + 14;
         } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            bench.seed = std::strtoull(arg + 7, nullptr, 0);
+            if (!tools::parseUint(arg + 7, &bench.seed))
+                detail::badValue(name, "--seed", arg + 7);
             bench.seedExplicit = true;
         } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-            bench.repeat = static_cast<unsigned>(
-                std::strtoul(arg + 9, nullptr, 0));
-            if (bench.repeat == 0)
-                bench.repeat = 1;
+            parse_repeat(arg + 9);
         } else if (std::strcmp(arg, "--repeat") == 0 && i + 1 < argc) {
-            bench.repeat = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-            if (bench.repeat == 0)
-                bench.repeat = 1;
+            parse_repeat(argv[++i]);
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
-            std::printf("usage: %s [--trace-out=FILE] "
-                        "[--metrics-out=FILE] [--seed=N] [--repeat=N]\n"
-                        "env: WSP_TRACE=<cat,...|all>  "
-                        "WSP_LOG_LEVEL=<quiet|normal|debug>  "
-                        "WSP_BENCH_FULL=1\n",
-                        name);
+            detail::usage(stdout, name);
             std::exit(0);
         } else {
             warn("%s: ignoring unknown argument '%s'", name, arg);

@@ -6,13 +6,31 @@
 # Runs one fast bench with WSP_TRACE=all and the standard output
 # flags, then validates the emitted trace/metrics files with
 # trace_check. Fails the test when the bench exits nonzero, a file is
-# missing, or the JSON shape is wrong.
+# missing, or the JSON shape is wrong. Also checks that the standard
+# --seed/--repeat flags refuse values that do not fit: the bench must
+# print its usage and exit 1 instead of running a wrapped, saturated
+# or truncated value.
 
 if(NOT BENCH OR NOT CHECKER OR NOT OUT_DIR)
     message(FATAL_ERROR "trace_smoke: BENCH, CHECKER and OUT_DIR are required")
 endif()
 
 file(MAKE_DIRECTORY ${OUT_DIR})
+
+foreach(bad_flag --repeat=-1 --repeat=4294967297 --seed=-1 --seed=12abc)
+    execute_process(
+        COMMAND ${BENCH} ${bad_flag}
+        RESULT_VARIABLE bad_rc
+        OUTPUT_VARIABLE bad_out
+        ERROR_VARIABLE bad_out
+    )
+    if(NOT bad_rc EQUAL 1 OR NOT bad_out MATCHES "usage:")
+        message(FATAL_ERROR
+            "trace_smoke: ${bad_flag} was not refused with usage and "
+            "exit 1 (rc=${bad_rc}):\n${bad_out}")
+    endif()
+endforeach()
+
 set(TRACE_FILE ${OUT_DIR}/smoke_trace.json)
 set(METRICS_FILE ${OUT_DIR}/smoke_metrics.json)
 

@@ -30,10 +30,12 @@ RestoreRoutine::RestoreRoutine(MachineModel &machine,
                                ResumeBlock &resume_block,
                                DeviceManager *devices,
                                const WspConfig &config,
-                               SalvageDirectory *directory)
+                               SalvageDirectory *directory,
+                               trace::FlightRecorder *recorder)
     : machine_(machine), nvdimms_(nvdimms), marker_(marker),
       resumeBlock_(resume_block), devices_(devices), config_(config),
-      directory_(directory), queue_(machine.queue())
+      directory_(directory), recorder_(recorder),
+      queue_(machine.queue())
 {
 }
 
@@ -76,7 +78,8 @@ RestoreRoutine::run(std::function<void()> backend_recovery,
     // Restore-path records stage in the recorder until the backing
     // module is Active again; they drain into the revived ring when
     // the boot completes.
-    trace::frEmit(trace::FrEvent::RestoreBegin, trace::Category::Core,
+    trace::frEmit(recorder_, trace::FrEvent::RestoreBegin,
+                  trace::Category::Core,
                   static_cast<uint64_t>(config_.restoreMode),
                   lazyRestoreConfigured(nvdimms_) ? 1 : 0);
     machine_.resetForBoot();
@@ -119,9 +122,8 @@ RestoreRoutine::stepNvdimmRestore()
             report_.nvdimmRestoreTime = queue_.now() - start;
             record("restore NVDIMM contents (partial)", start,
                    queue_.now());
-            trace::frEmit(trace::FrEvent::NvdimmRestoreDone,
-                          trace::Category::Nvram,
-                          nvdimms_.modules().size(),
+            trace::frEmit(recorder_, trace::FrEvent::NvdimmRestoreDone,
+                          trace::Category::Nvram, nvdimms_.modules().size(),
                           lazyRestoreConfigured(nvdimms_) ? 1 : 0);
             trySalvageColdBoot("incomplete flash save");
         });
@@ -132,7 +134,7 @@ RestoreRoutine::stepNvdimmRestore()
             return;
         report_.nvdimmRestoreTime = queue_.now() - start;
         record("restore NVDIMM contents", start, queue_.now());
-        trace::frEmit(trace::FrEvent::NvdimmRestoreDone,
+        trace::frEmit(recorder_, trace::FrEvent::NvdimmRestoreDone,
                       trace::Category::Nvram, nvdimms_.modules().size(),
                       lazyRestoreConfigured(nvdimms_) ? 1 : 0);
         stepCheckMarker();
@@ -145,8 +147,9 @@ RestoreRoutine::stepCheckMarker()
     const Tick start = queue_.now();
     const MarkerState state = marker_.read(machine_.memory());
     report_.markerValid = state.valid;
-    trace::frEmit(trace::FrEvent::MarkerChecked, trace::Category::Core,
-                  state.valid ? 1 : 0, state.bootSequence);
+    trace::frEmit(recorder_, trace::FrEvent::MarkerChecked,
+                  trace::Category::Core, state.valid ? 1 : 0,
+                  state.bootSequence);
     if (!state.valid) {
         record("check image validity", start, queue_.now());
         trySalvageColdBoot("valid marker missing or torn");
@@ -251,9 +254,9 @@ RestoreRoutine::processRegion(const SalvageDirectoryEntry &entry)
         outcome.salvaged = true;
         ++report_.regionsSalvaged;
         registry.counter("core.regions_salvaged").add();
-        trace::frEmit(trace::FrEvent::RegionSalvaged,
-                      trace::Category::Core,
-                      static_cast<uint64_t>(entry.tier), entry.base);
+        trace::frEmit(recorder_, trace::FrEvent::RegionSalvaged,
+                      trace::Category::Core, static_cast<uint64_t>(entry.tier),
+                      entry.base);
     } else {
         // Scrub before recovery: a half-programmed or faulted region
         // must never masquerade as data.
@@ -271,9 +274,9 @@ RestoreRoutine::processRegion(const SalvageDirectoryEntry &entry)
         outcome.quarantined = true;
         ++report_.regionsQuarantined;
         registry.counter("core.regions_quarantined").add();
-        trace::frEmit(trace::FrEvent::RegionQuarantined,
-                      trace::Category::Core,
-                      static_cast<uint64_t>(entry.tier), entry.base);
+        trace::frEmit(recorder_, trace::FrEvent::RegionQuarantined,
+                      trace::Category::Core, static_cast<uint64_t>(entry.tier),
+                      entry.base);
         inform("restore: region '%s' quarantined (%s)",
                entry.name.c_str(),
                entry.saved ? "checksum mismatch" : "not saved");
@@ -282,7 +285,7 @@ RestoreRoutine::processRegion(const SalvageDirectoryEntry &entry)
             outcome.recovered = true;
             ++report_.regionsRecovered;
             registry.counter("core.regions_recovered").add();
-            trace::frEmit(trace::FrEvent::RegionRecovered,
+            trace::frEmit(recorder_, trace::FrEvent::RegionRecovered,
                           trace::Category::Core,
                           static_cast<uint64_t>(entry.tier), entry.base);
         }
@@ -340,7 +343,7 @@ RestoreRoutine::stepRestoreContexts()
         machine_.core(i).halted = false;
     }
     report_.contextsRestored = true;
-    trace::frEmit(trace::FrEvent::ContextsRestored,
+    trace::frEmit(recorder_, trace::FrEvent::ContextsRestored,
                   trace::Category::Core, machine_.coreCount(), 0);
     // The marker must not survive the resume: a crash after this
     // point is a fresh failure, not a replay of this image.
@@ -399,7 +402,7 @@ RestoreRoutine::trySalvageColdBoot(const char *reason)
             return;
         for (const SalvageDirectoryEntry &entry : image.entries)
             processRegion(entry);
-        trace::frEmit(trace::FrEvent::SalvageColdBoot,
+        trace::frEmit(recorder_, trace::FrEvent::SalvageColdBoot,
                       trace::Category::Core, report_.regionsSalvaged,
                       report_.regionsQuarantined);
         record("salvage checksummed regions", start, queue_.now());
@@ -424,7 +427,7 @@ RestoreRoutine::fallbackColdBoot(const char *reason)
 {
     inform("restore: falling back to cold boot (%s)", reason);
     trace::StatRegistry::instance().counter("core.cold_boots").add();
-    trace::frEmit(trace::FrEvent::FallbackColdBoot,
+    trace::frEmit(recorder_, trace::FrEvent::FallbackColdBoot,
                   trace::Category::Core, 0, 0);
     TRACE_INSTANT(Core, "fallback to cold boot");
     const Tick start = queue_.now();
@@ -450,8 +453,9 @@ RestoreRoutine::finish(bool used_wsp)
 {
     report_.usedWsp = used_wsp;
     report_.finished = queue_.now();
-    trace::frEmit(trace::FrEvent::RestoreDone, trace::Category::Core,
-                  used_wsp ? 1 : 0, report_.salvageMode ? 1 : 0);
+    trace::frEmit(recorder_, trace::FrEvent::RestoreDone,
+                  trace::Category::Core, used_wsp ? 1 : 0,
+                  report_.salvageMode ? 1 : 0);
     auto &registry = trace::StatRegistry::instance();
     registry.counter("core.restores_completed").add();
     registry.gauge("core.restore.total_ns")

@@ -34,6 +34,7 @@
 #include "core/wsp_config.h"
 #include "machine/machine.h"
 #include "nvram/controller.h"
+#include "trace/flight_recorder.h"
 
 namespace wsp {
 
@@ -44,7 +45,8 @@ class RestoreRoutine
     RestoreRoutine(MachineModel &machine, NvdimmController &nvdimms,
                    ValidMarker &marker, ResumeBlock &resume_block,
                    DeviceManager *devices, const WspConfig &config,
-                   SalvageDirectory *directory = nullptr);
+                   SalvageDirectory *directory = nullptr,
+                   trace::FlightRecorder *recorder = nullptr);
 
     /**
      * Run the boot path. @p backend_recovery runs (if non-null) when
@@ -83,6 +85,7 @@ class RestoreRoutine
     DeviceManager *devices_;
     const WspConfig &config_;
     SalvageDirectory *directory_;
+    trace::FlightRecorder *recorder_; ///< the machine's black box, or null
 
     EventQueue &queue_;
     std::function<void()> backendRecovery_;

@@ -75,10 +75,12 @@ SaveRoutine::SaveRoutine(MachineModel &machine, PowerMonitor &monitor,
                          ValidMarker &marker, ResumeBlock &resume_block,
                          DeviceManager *devices, const WspConfig &config,
                          NvdimmController *nvdimms,
-                         SalvageDirectory *directory)
+                         SalvageDirectory *directory,
+                         trace::FlightRecorder *recorder)
     : machine_(machine), monitor_(monitor), marker_(marker),
       resumeBlock_(resume_block), devices_(devices), config_(config),
-      nvdimms_(nvdimms), directory_(directory), queue_(machine.queue())
+      nvdimms_(nvdimms), directory_(directory), recorder_(recorder),
+      queue_(machine.queue())
 {
 }
 
@@ -168,11 +170,11 @@ SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
     // Black box: the save's opening records go in write-ahead, while
     // the recorder's backing module is still Active and accepting
     // host writes.
-    trace::frEmit(trace::FrEvent::SaveBegin, trace::Category::Core,
-                  bootSequence_, degraded_ ? 1 : 0);
+    trace::frEmit(recorder_, trace::FrEvent::SaveBegin,
+                  trace::Category::Core, bootSequence_, degraded_ ? 1 : 0);
     if (degraded_) {
-        trace::frEmit(trace::FrEvent::SaveTierCut, trace::Category::Core,
-                      static_cast<uint64_t>(tierCut_),
+        trace::frEmit(recorder_, trace::FrEvent::SaveTierCut,
+                      trace::Category::Core, static_cast<uint64_t>(tierCut_),
                       report_.regionsDropped);
     }
     record("interrupt control processor", queue_.now(), queue_.now());
@@ -281,7 +283,7 @@ SaveRoutine::stepFinishFlush()
             CacheModel &cache = machine_.socketCache(socket);
             const uint64_t bytes = cache.dirtyBytes();
             cache.wbinvd();
-            trace::frEmit(trace::FrEvent::SaveFlushWave,
+            trace::frEmit(recorder_, trace::FrEvent::SaveFlushWave,
                           trace::Category::Machine,
                           static_cast<uint64_t>(socket) << 32, bytes);
         }
@@ -319,10 +321,9 @@ SaveRoutine::stepParallelFlush(Tick start)
                         cache.partitionDirtyLines(w, workers) *
                         CacheModel::kLineSize;
                     cache.flushPartition(w, workers);
-                    trace::frEmit(trace::FrEvent::SaveFlushWave,
+                    trace::frEmit(recorder_, trace::FrEvent::SaveFlushWave,
                                   trace::Category::Machine,
-                                  (static_cast<uint64_t>(socket) << 32) |
-                                      w,
+                                  (static_cast<uint64_t>(socket) << 32) | w,
                                   bytes);
                     char step[64];
                     std::snprintf(step, sizeof(step),
@@ -378,7 +379,7 @@ SaveRoutine::stepDegradedFlush()
                 }
             }
         }
-        trace::frEmit(trace::FrEvent::SaveFlushWave,
+        trace::frEmit(recorder_, trace::FrEvent::SaveFlushWave,
                       trace::Category::Machine, 0,
                       (directory_ != nullptr
                            ? directory_->regionLines(tierCut_)
@@ -467,7 +468,7 @@ SaveRoutine::stepMarkerStamp()
         if (!machine_.powerOn())
             return;
         marker_.stamp();
-        trace::frEmit(trace::FrEvent::SaveMarkerStamp,
+        trace::frEmit(recorder_, trace::FrEvent::SaveMarkerStamp,
                       trace::Category::Core, bootSequence_,
                       static_cast<uint64_t>(tierCut_));
         record("mark image as valid", start, queue_.now());
@@ -492,10 +493,9 @@ SaveRoutine::stepInitiateNvdimmSave()
         // write-ahead: once a module starts saving it stops accepting
         // host writes, so this is the last record guaranteed to reach
         // the ring before the machine goes dark.
-        trace::frEmit(trace::FrEvent::SaveNvdimmInitiate,
+        trace::frEmit(recorder_, trace::FrEvent::SaveNvdimmInitiate,
                       trace::Category::Nvram,
-                      nvdimms_ != nullptr ? nvdimms_->modules().size()
-                                          : 0,
+                      nvdimms_ != nullptr ? nvdimms_->modules().size() : 0,
                       degraded_ ? 1 : 0);
         monitor_.sendCommand(PowerMonitor::Command::Save);
         record("initiate NVDIMM save", start, queue_.now());
@@ -516,7 +516,8 @@ SaveRoutine::stepInitiateNvdimmSave()
                         ++report_.saveCommandRetries;
                         trace::StatRegistry::instance()
                             .counter("core.save_command_retries").add();
-                        trace::frEmit(trace::FrEvent::SaveCommandRetry,
+                        trace::frEmit(recorder_,
+                                      trace::FrEvent::SaveCommandRetry,
                                       trace::Category::Nvram,
                                       report_.saveCommandRetries, 0);
                         monitor_.sendCommand(PowerMonitor::Command::Save);
@@ -536,8 +537,8 @@ SaveRoutine::stepHalt()
 {
     // Step 8: the control processor halts.
     machine_.core(0).halted = true;
-    trace::frEmit(trace::FrEvent::SaveHalt, trace::Category::Core,
-                  machine_.coreCount(), 0);
+    trace::frEmit(recorder_, trace::FrEvent::SaveHalt,
+                  trace::Category::Core, machine_.coreCount(), 0);
     record("halt control processor", queue_.now(), queue_.now());
     report_.halted = queue_.now();
     report_.completed = true;

@@ -33,6 +33,7 @@
 #include "machine/machine.h"
 #include "nvram/controller.h"
 #include "power/power_monitor.h"
+#include "trace/flight_recorder.h"
 
 namespace wsp {
 
@@ -44,7 +45,8 @@ class SaveRoutine
                 ValidMarker &marker, ResumeBlock &resume_block,
                 DeviceManager *devices, const WspConfig &config,
                 NvdimmController *nvdimms = nullptr,
-                SalvageDirectory *directory = nullptr);
+                SalvageDirectory *directory = nullptr,
+                trace::FlightRecorder *recorder = nullptr);
 
     /**
      * Run the save. @p done fires at the control processor's halt
@@ -121,6 +123,7 @@ class SaveRoutine
     const WspConfig &config_;
     NvdimmController *nvdimms_;
     SalvageDirectory *directory_;
+    trace::FlightRecorder *recorder_; ///< the machine's black box, or null
 
     EventQueue &queue_;
     uint64_t bootSequence_ = 0;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "devices/device_manager.h"
-#include "trace/flight_recorder.h"
 #include "util/units.h"
 
 namespace wsp {
@@ -153,13 +152,12 @@ struct WspConfig
     bool trustSalvageDirectory = false;
 
     /**
-     * Black-box flight recorder mode. Nvram gives the full crash-
-     * surviving black box (a reserved ring below the salvage
-     * directory, published with the marker discipline); Volatile
-     * keeps only the DRAM mirror; Off removes even that. The
-     * controller applies the mode process-wide at construction.
+     * Black-box flight recorder: the controller builds this machine's
+     * own crash-surviving ring (a reserved region below the salvage
+     * directory, published with the marker discipline). false builds
+     * no recorder, and nothing is recorded.
      */
-    trace::FrMode flightRecorder = trace::FrMode::Nvram;
+    bool flightRecorder = true;
 };
 
 /** One timed step of the save or restore sequence. */

@@ -42,16 +42,18 @@ WspController::WspController(EventQueue &queue, MachineModel &machine,
       devices_(devices),
       layout_(WspLayout::topOfMemory(machine.memory().capacity(),
                                      machine.coreCount())),
+      recorder_(config_.flightRecorder ? makeFlightRecorder() : nullptr),
       marker_(machine.cacheOfCore(0), layout_.markerBase),
       resumeBlock_(machine.cacheOfCore(0), layout_.resumeBase,
                    machine.coreCount()),
       directory_(machine.cacheOfCore(0), layout_.directoryBase),
       save_(machine, monitor, marker_, resumeBlock_, devices, config_,
-            &nvdimms, &directory_),
+            &nvdimms, &directory_, recorder_.get()),
       restore_(machine, nvdimms, marker_, resumeBlock_, devices, config_,
-               &directory_)
+               &directory_, recorder_.get())
 {
-    attachFlightRecorder();
+    for (NvdimmModule *module : nvdimms_.modules())
+        module->setFlightRecorder(recorder_.get());
     monitor_.setPowerFailHandler([this] { onPowerFailInterrupt(); });
     monitor_.setCommandSink(nvdimms_.commandSink());
     if (config_.armNvdimms)
@@ -74,7 +76,7 @@ WspController::WspController(EventQueue &queue, MachineModel &machine,
         }
         health_->setDegradedHandler([this](bool degraded) {
             degraded_ = degraded;
-            trace::frEmit(trace::FrEvent::HealthDegrade,
+            trace::frEmit(recorder_.get(), trace::FrEvent::HealthDegrade,
                           trace::Category::Power, degraded ? 1 : 0,
                           health_->transitions());
         });
@@ -90,20 +92,14 @@ WspController::WspController(EventQueue &queue, MachineModel &machine,
 
 WspController::~WspController()
 {
-    auto &recorder = trace::FlightRecorder::instance();
-    recorder.detach(this);
-    recorder.clearTickSource(this);
+    // The modules outlive this controller inside a WspSystem.
+    for (NvdimmModule *module : nvdimms_.modules())
+        module->setFlightRecorder(nullptr);
 }
 
-void
-WspController::attachFlightRecorder()
+std::unique_ptr<trace::FlightRecorder>
+WspController::makeFlightRecorder()
 {
-    auto &recorder = trace::FlightRecorder::instance();
-    recorder.setMode(config_.flightRecorder);
-    recorder.setTickSource(this, [this] { return now(); });
-    if (config_.flightRecorder != trace::FrMode::Nvram)
-        return;
-
     // The recorder lives below the trace layer, so its NVRAM backing
     // is expressed as closures over the control processor's cache:
     // one line write plus an immediate flush per published line, the
@@ -129,12 +125,13 @@ WspController::attachFlightRecorder()
         // writable the instant boot() clears powerLostAt_, but the
         // restore about to stream flash back would erase anything
         // published into it. restoring_ keeps records staged until the
-        // boot path calls flushStaged() after the restore completes.
+        // boot's epoch record drains them after the restore completes.
         return module.hostPowered() &&
                module.state() == NvdimmState::Active &&
                !powerLostAt_.has_value() && !restoring_;
     };
-    recorder.attach(this, std::move(backing), bootSequence_);
+    return std::make_unique<trace::FlightRecorder>(
+        std::move(backing), bootSequence_, [this] { return now(); });
 }
 
 void
@@ -192,10 +189,8 @@ WspController::start()
         health_->start();
     }
     running_ = true;
-    trace::FlightRecorder::instance().setGeneration(this,
-                                                    bootSequence_);
-    trace::frEmit(trace::FrEvent::BootEpoch, trace::Category::Core,
-                  bootSequence_, 0);
+    trace::frEmit(recorder_.get(), trace::FrEvent::BootEpoch,
+                  trace::Category::Core, bootSequence_, 0);
 }
 
 void
@@ -249,18 +244,20 @@ WspController::boot(std::function<void()> backend_recovery,
             health_->checkNow();
             health_->start();
         }
-        auto &recorder = trace::FlightRecorder::instance();
-        recorder.setGeneration(this, bootSequence_);
-        // A boot that did not stream the image back into DRAM (cold,
-        // fallback, salvage) lost every published ring slot with it;
-        // the header must stop vouching for them.
-        if (!report.usedWsp || report.salvageMode)
-            recorder.restartContiguity(this);
-        trace::frEmit(trace::FrEvent::BootEpoch, trace::Category::Core,
-                      bootSequence_, report.usedWsp ? 1 : 0);
+        if (recorder_) {
+            recorder_->setGeneration(bootSequence_);
+            // A boot that did not stream the image back into DRAM
+            // (cold, fallback, salvage) lost every published ring slot
+            // with it; the header must stop vouching for them.
+            if (!report.usedWsp || report.salvageMode)
+                recorder_->restartContiguity();
+        }
         // Records staged while the modules were saving or dark drain
-        // into the revived ring now that NVRAM is writable again.
-        recorder.flushStaged();
+        // into the revived ring ahead of this one, now that NVRAM is
+        // writable again.
+        trace::frEmit(recorder_.get(), trace::FrEvent::BootEpoch,
+                      trace::Category::Core, bootSequence_,
+                      report.usedWsp ? 1 : 0);
         if (done)
             done(report);
     });

@@ -2,8 +2,9 @@
  * @file
  * WSP controller: the whole-system persistence state machine.
  *
- * Owns the valid marker, the resume block, and the save/restore
- * routines, and wires them to the hardware substrates:
+ * Owns the valid marker, the resume block, the save/restore routines
+ * and the machine's black-box flight recorder, and wires them to the
+ * hardware substrates:
  *
  *  - the power monitor's fail interrupt triggers the flush-on-fail
  *    save on the control processor,
@@ -71,6 +72,10 @@ class WspController : public SimObject
     SaveRoutine &saveRoutine() { return save_; }
     SalvageDirectory &salvageDirectory() { return directory_; }
 
+    /** This machine's black box; null when config().flightRecorder
+     *  is off. */
+    trace::FlightRecorder *flightRecorder() { return recorder_.get(); }
+
     /** Register a region for tiered save and checksummed salvage. */
     void registerSalvageRegion(SalvageRegionSpec spec);
 
@@ -125,7 +130,7 @@ class WspController : public SimObject
   private:
     void onPowerFailInterrupt();
     void onHardPowerLoss();
-    void attachFlightRecorder();
+    std::unique_ptr<trace::FlightRecorder> makeFlightRecorder();
 
     WspConfig config_;
     MachineModel &machine_;
@@ -134,6 +139,9 @@ class WspController : public SimObject
     NvdimmController &nvdimms_;
     DeviceManager *devices_;
     WspLayout layout_;
+    uint64_t bootSequence_ = 1;
+    /** Built before the routines it is handed to; null when off. */
+    std::unique_ptr<trace::FlightRecorder> recorder_;
 
     ValidMarker marker_;
     ResumeBlock resumeBlock_;
@@ -142,7 +150,6 @@ class WspController : public SimObject
     RestoreRoutine restore_;
     std::unique_ptr<EnergyHealthMonitor> health_;
 
-    uint64_t bootSequence_ = 1;
     bool degraded_ = false;
     bool running_ = false;
     /** True from boot() entry until the restore completes: the ring's

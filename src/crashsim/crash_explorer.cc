@@ -50,13 +50,10 @@ CrashExplorer::configFor(const CrashSchedule &schedule)
     // IncrementalSaveSound checker reads the mismatch counts. Cheap
     // at crashsim module sizes thanks to the COW page comparison.
     config.nvdimm.verifySaves = true;
-    // Black-box recorder: NVRAM-backed so the ring rides the save and
-    // every failing schedule decodes to a timeline. When the schedule
-    // opts out (equivalence sweep), keep a volatile ring — the events
-    // still flow, just never into flash.
-    config.wsp.flightRecorder = schedule.blackBox
-                                    ? trace::FrMode::Nvram
-                                    : trace::FrMode::Volatile;
+    // Black-box recorder: the ring rides the save, so every failing
+    // schedule decodes to a timeline. A schedule that opts out
+    // (equivalence sweep) builds no recorder at all.
+    config.wsp.flightRecorder = schedule.blackBox;
     if (schedule.salvage && schedule.drainModule >= 0) {
         // A drained bank under the salvage regime also exercises the
         // health monitor: the periodic self-test notices the missing
@@ -280,8 +277,8 @@ CrashExplorer::incrementalEquivalenceSweep(size_t max_points)
     CrashSchedule reference = base_;
     reference.incrementalSave = true;
     // Recorder content legitimately differs between the two pipelines
-    // (wall-clock stamps, full-vs-delta event arguments), so the ring
-    // must stay out of the compared flash for this sweep.
+    // (the full-vs-delta save records carry different arguments), so
+    // the ring must stay out of the compared flash for this sweep.
     reference.blackBox = false;
     EquivalenceReport report;
     for (Tick window :

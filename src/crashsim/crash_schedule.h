@@ -135,8 +135,8 @@ struct CrashSchedule
      * NVRAM-backed black-box flight recorder during the run. On by
      * default so every failing schedule carries a decodable forensic
      * timeline; the incremental-equivalence sweep turns it off because
-     * recorder content (wall-clock stamps, full-vs-delta event args)
-     * legitimately differs between otherwise equivalent images.
+     * the full and delta saves record different event arguments into
+     * otherwise equivalent images.
      */
     bool blackBox = true;
 

@@ -85,9 +85,9 @@ FleetNode::systemConfig() const
     config.wsp.firmwareBootLatency = fromMillis(50.0);
     config.wsp.osResumeLatency = fromMillis(1.0);
     config.wsp.hostStackBootLatency = fromMillis(50.0);
-    // Fleet runs construct many systems; keep the black box volatile
-    // so every node does not pay an NVRAM ring.
-    config.wsp.flightRecorder = trace::FrMode::Volatile;
+    // Nodes run no black box: a ring would dirty NVRAM pages that
+    // every incremental save then programs.
+    config.wsp.flightRecorder = false;
     return FailureInjector::withExactWindow(std::move(config),
                                             config_.killWindow);
 }

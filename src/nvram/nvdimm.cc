@@ -259,8 +259,8 @@ NvdimmModule::injectFlashFault(MediaFaultKind kind, uint64_t addr)
     // falls back to full.
     flashTainted_ = true;
     trace::StatRegistry::instance().counter("nvram.media_faults").add();
-    trace::frEmit(trace::FrEvent::MediaFault, trace::Category::Nvram,
-                  moduleOrdinal(name()), addr);
+    trace::frEmit(recorder_, trace::FrEvent::MediaFault,
+                  trace::Category::Nvram, moduleOrdinal(name()), addr);
     warn("%s: injected %s flash fault at 0x%llx (silent)",
          name().c_str(), mediaFaultKindName(kind).c_str(),
          static_cast<unsigned long long>(addr));
@@ -344,9 +344,10 @@ NvdimmModule::startSave()
     // The module is Saving now, so this record stages in the recorder
     // until the ring's backing module is writable again — exactly the
     // black-box semantics wanted: the epoch choice survives the crash
-    // via the staged drain on the next boot.
-    trace::frEmit(trace::FrEvent::NvdimmSaveStart, trace::Category::Nvram,
-                  saveIncremental_ ? 1 : 0, savePendingBytes_);
+    // via the staged drain on this machine's next boot.
+    trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveStart,
+                  trace::Category::Nvram, saveIncremental_ ? 1 : 0,
+                  savePendingBytes_);
     traceModuleEdge(name(), "save", trace::Phase::Begin);
     debugLog("%s: %s save started, %llu bytes, duration %s, "
              "energy %.1f J",
@@ -479,8 +480,9 @@ NvdimmModule::finishSave()
     registry.counter("nvram.bytes_saved").add(saveProgrammedBytes_);
     if (saveIncremental_)
         registry.counter("nvram.incremental_saves").add();
-    trace::frEmit(trace::FrEvent::NvdimmSaveDone, trace::Category::Nvram,
-                  saveProgrammedBytes_, saveIncremental_ ? 1 : 0);
+    trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveDone,
+                  trace::Category::Nvram, saveProgrammedBytes_,
+                  saveIncremental_ ? 1 : 0);
     traceModuleEdge(name(), "save", trace::Phase::End);
     debugLog("%s: %s save completed at %s (%llu bytes programmed)",
              name().c_str(), saveIncremental_ ? "incremental" : "full",
@@ -519,7 +521,7 @@ NvdimmModule::failSave(const char *reason)
     flashValid_ = false;
     state_ = NvdimmState::SaveFailed;
     trace::StatRegistry::instance().counter("nvram.save_failures").add();
-    trace::frEmit(trace::FrEvent::NvdimmSaveFailed,
+    trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveFailed,
                   trace::Category::Nvram, saveProgrammedBytes_, 0);
     traceModuleEdge(name(), "save", trace::Phase::End);
     TRACE_INSTANT(Nvram, "NVDIMM save failed");
@@ -566,8 +568,8 @@ NvdimmModule::finishRestore()
     registry.counter("nvram.bytes_restored").add(config_.capacityBytes);
     if (config_.lazyRestore) {
         registry.counter("nvram.lazy_restores").add();
-        trace::frEmit(trace::FrEvent::LazyPageIn, trace::Category::Nvram,
-                      moduleOrdinal(name()),
+        trace::frEmit(recorder_, trace::FrEvent::LazyPageIn,
+                      trace::Category::Nvram, moduleOrdinal(name()),
                       config_.capacityBytes / SparseMemory::kPageSize);
     }
     traceModuleEdge(name(), "restore", trace::Phase::End);

@@ -31,6 +31,10 @@
 #include "sim/sim_object.h"
 #include "util/units.h"
 
+namespace wsp::trace {
+class FlightRecorder;
+} // namespace wsp::trace
+
 namespace wsp {
 
 /** Configuration of one NVDIMM module. */
@@ -315,6 +319,10 @@ class NvdimmModule : public SimObject
     /** Direct dirty-state access (tests, health gauges). */
     const SparseMemory &dram() const { return dram_; }
 
+    /** Where this module's save/restore/fault events go: its
+     *  machine's black box, or null for none (set by the controller). */
+    void setFlightRecorder(trace::FlightRecorder *r) { recorder_ = r; }
+
   private:
     /** One integration step of the in-flight save. */
     void saveStep();
@@ -367,6 +375,8 @@ class NvdimmModule : public SimObject
     uint64_t lazyRestoresCompleted_ = 0;
     uint64_t lastSaveProgrammedBytes_ = 0;
     uint64_t saveMismatches_ = 0;
+
+    trace::FlightRecorder *recorder_ = nullptr;
 
     /** Integration step for ultracap discharge during a save. */
     static constexpr Tick kSaveStep = fromMillis(10.0);

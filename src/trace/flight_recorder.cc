@@ -1,7 +1,6 @@
 #include "trace/flight_recorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -11,10 +10,6 @@
 
 namespace wsp::trace {
 
-namespace detail {
-std::atomic<uint8_t> g_frMode{static_cast<uint8_t>(FrMode::Off)};
-} // namespace detail
-
 namespace {
 
 /** "WSPFLREC" read little-endian from the header line. */
@@ -23,15 +18,6 @@ constexpr uint64_t kFrVersion = 1;
 
 /** Payload bytes covered by the per-line CRC (the final 8 carry it). */
 constexpr size_t kCrcSpan = 56;
-
-uint64_t
-wallNowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 void
 storeU64(std::span<uint8_t> out, size_t offset, uint64_t value)
@@ -107,20 +93,6 @@ decodeHeader(std::span<const uint8_t> bytes, Header *out, bool *magic_ok)
 } // namespace
 
 const char *
-frModeName(FrMode mode)
-{
-    switch (mode) {
-      case FrMode::Off:
-        return "off";
-      case FrMode::Volatile:
-        return "volatile";
-      case FrMode::Nvram:
-        return "nvram";
-    }
-    return "unknown";
-}
-
-const char *
 frEventName(FrEvent event)
 {
     switch (event) {
@@ -190,7 +162,8 @@ frEncodeRecord(const FrRecord &record, std::span<uint8_t> out)
     storeU64(out, 0, record.seq);
     storeU64(out, 8, record.generation);
     storeU64(out, 16, record.simTick);
-    storeU64(out, 24, record.wallNs);
+    // Bytes 24-31 are reserved zero; older rings carry a host clock
+    // there, so decode ignores them.
     storeU64(out, 32, record.a0);
     storeU64(out, 40, record.a1);
     storeU16(out, 48, static_cast<uint16_t>(record.event));
@@ -208,7 +181,6 @@ frDecodeRecord(std::span<const uint8_t> bytes, FrRecord *out)
     out->seq = loadU64(bytes, 0);
     out->generation = loadU64(bytes, 8);
     out->simTick = loadU64(bytes, 16);
-    out->wallNs = loadU64(bytes, 24);
     out->a0 = loadU64(bytes, 32);
     out->a1 = loadU64(bytes, 40);
     out->event = static_cast<FrEvent>(loadU16(bytes, 48));
@@ -216,73 +188,22 @@ frDecodeRecord(std::span<const uint8_t> bytes, FrRecord *out)
     return true;
 }
 
-FlightRecorder &
-FlightRecorder::instance()
+FlightRecorder::FlightRecorder(Backing backing, uint64_t generation,
+                               std::function<uint64_t()> now)
+    : backing_(std::move(backing)), generation_(generation),
+      now_(std::move(now))
 {
-    static FlightRecorder recorder;
-    return recorder;
-}
-
-void
-FlightRecorder::setMode(FrMode mode)
-{
-    detail::g_frMode.store(static_cast<uint8_t>(mode),
-                           std::memory_order_relaxed);
-}
-
-FrMode
-FlightRecorder::mode() const
-{
-    return static_cast<FrMode>(
-        detail::g_frMode.load(std::memory_order_relaxed));
-}
-
-void
-FlightRecorder::attach(const void *owner, Backing backing,
-                       uint64_t generation)
-{
-    WSP_CHECKF(backing.capacityRecords >= 2 &&
-                   (backing.capacityRecords &
-                    (backing.capacityRecords - 1)) == 0,
+    WSP_CHECKF(backing_.capacityRecords >= 2 &&
+                   (backing_.capacityRecords &
+                    (backing_.capacityRecords - 1)) == 0,
                "flight recorder ring must be a power of two (got %zu)",
-               backing.capacityRecords);
-    std::lock_guard<std::mutex> lock(mutex_);
-    backingOwner_ = owner;
-    backing_ = std::move(backing);
-    generation_ = generation;
-    mirrorCapacity_ = backing_.capacityRecords;
-    // This backing's slots hold none of the records published into a
-    // previous system's NVRAM: restart contiguity at the oldest
-    // record that can still reach this ring (the staged queue), so
-    // the next header never vouches for slots this NVRAM never saw.
-    ringTail_ = staged_.empty() ? nextSeq_ : staged_.front().seq;
+               backing_.capacityRecords);
+    WSP_CHECK(backing_.writeLine && backing_.writable && now_);
 }
 
 void
-FlightRecorder::detach(const void *owner)
+FlightRecorder::restartContiguity()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (backingOwner_ != owner)
-        return;
-    backingOwner_ = nullptr;
-    backing_ = Backing{};
-}
-
-void
-FlightRecorder::setGeneration(const void *owner, uint64_t generation)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (backingOwner_ != owner)
-        return;
-    generation_ = generation;
-}
-
-void
-FlightRecorder::restartContiguity(const void *owner)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (backingOwner_ != owner)
-        return;
     // Records published before the power loss lived in DRAM; a boot
     // that did not stream the image back (cold, fallback, salvage)
     // lost them, and the next save would program their zeroed slots
@@ -290,25 +211,6 @@ FlightRecorder::restartContiguity(const void *owner)
     // different: they drain into the revived ring and will be
     // written, so contiguity restarts at the oldest of them.
     ringTail_ = staged_.empty() ? nextSeq_ : staged_.front().seq;
-}
-
-void
-FlightRecorder::setTickSource(const void *owner,
-                              std::function<uint64_t()> now)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    tickOwner_ = owner;
-    tickSource_ = std::move(now);
-}
-
-void
-FlightRecorder::clearTickSource(const void *owner)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tickOwner_ != owner)
-        return;
-    tickOwner_ = nullptr;
-    tickSource_ = nullptr;
 }
 
 void
@@ -337,106 +239,39 @@ FlightRecorder::writeHeader(uint64_t head_seq)
     uint8_t line[kFrHeaderBytes];
     encodeHeader(header, line);
     backing_.writeLine(backing_.headerAddr(), line);
-    publishedHead_ = head_seq;
 }
 
 void
 FlightRecorder::emit(FrEvent event, Category category, uint64_t a0,
                      uint64_t a1)
 {
-    const FrMode mode = this->mode();
-    if (mode == FrMode::Off)
-        return;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    FrRecord record;
-    record.seq = nextSeq_++;
-    record.generation = generation_;
-    record.simTick = tickSource_ ? tickSource_() : 0;
-    record.wallNs = wallNowNs();
-    record.a0 = a0;
-    record.a1 = a1;
-    record.event = event;
-    record.category = category;
-
-    mirror_.push_back(record);
-    while (mirror_.size() > mirrorCapacity_)
-        mirror_.erase(mirror_.begin());
-
-    if (mode != FrMode::Nvram) {
-        // Volatile-only records never reach the ring: break the
-        // published-window contiguity so a later NVRAM decode does
-        // not expect them in their slots.
-        ringTail_ = nextSeq_;
-        return;
-    }
-    if (!backing_.writeLine ||
-        (backing_.writable && !backing_.writable())) {
-        // NVRAM is not accepting host writes (no backing attached
-        // yet, module mid-save, or the host is dark): stage the
-        // record; the next writable emit or an explicit
-        // flushStaged() drains the queue in order.
-        staged_.push_back(record);
-        while (staged_.size() > mirrorCapacity_) {
-            ringTail_ =
-                std::max(ringTail_, staged_.front().seq + 1);
-            staged_.pop_front();
-            ++stagedDropped_;
-        }
-        return;
-    }
-    while (!staged_.empty()) {
-        publish(staged_.front());
+    // Records reach the ring in emission order: queue this one behind
+    // any staged while NVRAM refused host writes (module mid-save, or
+    // the host dark), and drain the queue if it accepts them now.
+    staged_.push_back(FrRecord{.seq = nextSeq_++,
+                               .generation = generation_,
+                               .simTick = now_(),
+                               .a0 = a0,
+                               .a1 = a1,
+                               .event = event,
+                               .category = category});
+    flushStaged();
+    while (staged_.size() > backing_.capacityRecords) {
+        ringTail_ = std::max(ringTail_, staged_.front().seq + 1);
         staged_.pop_front();
+        ++stagedDropped_;
     }
-    publish(record);
 }
 
 void
 FlightRecorder::flushStaged()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (mode() != FrMode::Nvram || !backing_.writeLine)
-        return;
-    if (backing_.writable && !backing_.writable())
+    if (!backing_.writable())
         return;
     while (!staged_.empty()) {
         publish(staged_.front());
         staged_.pop_front();
     }
-}
-
-uint64_t
-FlightRecorder::totalEmitted() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return nextSeq_;
-}
-
-uint64_t
-FlightRecorder::stagedDropped() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stagedDropped_;
-}
-
-std::vector<FrRecord>
-FlightRecorder::mirror() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return mirror_;
-}
-
-void
-FlightRecorder::clearForTest()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    mirror_.clear();
-    staged_.clear();
-    stagedDropped_ = 0;
-    // Discarding staged records leaves their slots unwritten: restart
-    // contiguity after them.
-    ringTail_ = nextSeq_;
 }
 
 FrDecodeResult

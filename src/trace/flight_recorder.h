@@ -20,6 +20,11 @@
  * a torn slot strictly inside the published window is a soundness
  * violation the crashsim BlackBoxSound checker asserts never happens.
  *
+ * Ownership: the black box is per machine. Each WSP controller builds
+ * one recorder over its own NVRAM ring (none when the recorder is
+ * configured off) and hands it, as a nullable pointer, to the code
+ * that records; frEmit() does nothing for a null recorder.
+ *
  * Layering: this library (wsp_trace) sits below nvram/machine/core,
  * so the NVRAM backing is injected as closures (writeLine/writable)
  * that the WSP controller wires up from the cache model, and the
@@ -29,11 +34,9 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -42,16 +45,6 @@
 #include "trace/trace.h"
 
 namespace wsp::trace {
-
-/** Recorder operating mode. */
-enum class FrMode : uint8_t {
-    Off = 0,  ///< emit() is a no-op
-    Volatile, ///< volatile mirror ring only (lost on power failure)
-    Nvram,    ///< mirror plus crash-consistent NVRAM publication
-};
-
-/** Human-readable mode name ("off", "volatile", "nvram"). */
-const char *frModeName(FrMode mode);
 
 /** Lifecycle events the black box records. */
 enum class FrEvent : uint16_t {
@@ -95,13 +88,15 @@ constexpr uint16_t kFrEventCount =
 /** Short event name ("save begin", "kv batch", ...). */
 const char *frEventName(FrEvent event);
 
-/** One decoded (or mirrored) flight-recorder record. */
+/**
+ * One decoded flight-recorder record. Records carry simulated time
+ * only, so a machine's ring depends on nothing but its own history.
+ */
 struct FrRecord
 {
-    uint64_t seq = 0;        ///< global emission sequence number
+    uint64_t seq = 0;        ///< the machine's emission sequence number
     uint64_t generation = 0; ///< boot sequence at emission time
-    uint64_t simTick = 0;    ///< simulated ns (0 without a source)
-    uint64_t wallNs = 0;     ///< host steady-clock ns
+    uint64_t simTick = 0;    ///< simulated ns at emission
     uint64_t a0 = 0;
     uint64_t a1 = 0;
     FrEvent event = FrEvent::None;
@@ -115,30 +110,28 @@ constexpr size_t kFrHeaderBytes = 64;
 /** Default ring size in records (region = 64 KiB + header line). */
 constexpr size_t kFrDefaultRecords = 1024;
 
-/** Encode @p record into its 64-byte slot image (CRC stamped). */
+/**
+ * Encode @p record into its 64-byte slot image (CRC stamped). Bytes
+ * 24-31 are reserved and written as zero.
+ */
 void frEncodeRecord(const FrRecord &record, std::span<uint8_t> out);
 
 /**
  * Decode one 64-byte slot. @return false when the CRC does not match
- * the stored payload (torn or never-written slot).
+ * the stored payload (torn or never-written slot). The reserved bytes
+ * 24-31 are covered by the CRC but otherwise ignored, so slots that
+ * still carry a host clock there decode too.
  */
 bool frDecodeRecord(std::span<const uint8_t> bytes, FrRecord *out);
 
-namespace detail {
-/** Global mode; read inline on every emit. */
-extern std::atomic<uint8_t> g_frMode;
-} // namespace detail
-
 /**
- * The process-wide black box. Systems attach an NVRAM backing
- * (owner-token discipline, like TraceManager's tick source); emission
- * is mutex-serialized, so threads may record concurrently.
+ * One machine's black box: records published into that machine's
+ * NVRAM ring. Not thread-safe; a machine records from its own event
+ * loop.
  */
 class FlightRecorder
 {
   public:
-    static FlightRecorder &instance();
-
     /** NVRAM backing, expressed as closures to keep layering clean. */
     struct Backing
     {
@@ -157,24 +150,22 @@ class FlightRecorder
         }
     };
 
-    void setMode(FrMode mode);
-    FrMode mode() const;
-
     /**
-     * Attach an NVRAM backing. @p generation stamps records until the
-     * next setGeneration(); attach does not read back existing NVRAM
-     * content — it restarts ring contiguity at the oldest record that
-     * can still reach this backing (the staged queue), so a header
-     * published here never vouches for slots written into a previous
-     * system's NVRAM.
+     * A recorder publishing into @p backing, which must supply both
+     * closures and a power-of-two capacity of at least two records.
+     * @p generation stamps records until the next setGeneration();
+     * @p now stamps each record's simulated tick. Sequence numbers
+     * start at 0 and nothing is read back from the backing.
      */
-    void attach(const void *owner, Backing backing, uint64_t generation);
+    FlightRecorder(Backing backing, uint64_t generation,
+                   std::function<uint64_t()> now);
 
-    /** Detach when @p owner still holds the backing (dtor path). */
-    void detach(const void *owner);
+    /** One writer per ring: a copy would publish duplicate seqs. */
+    FlightRecorder(const FlightRecorder &) = delete;
+    FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-    /** Bump the generation stamp (boot epoch) for @p owner. */
-    void setGeneration(const void *owner, uint64_t generation);
+    /** Bump the generation stamp (boot epoch). */
+    void setGeneration(uint64_t generation) { generation_ = generation; }
 
     /**
      * Restart ring contiguity at the oldest record that can still
@@ -184,67 +175,51 @@ class FlightRecorder
      * the DRAM it lived in, and the header must stop vouching for
      * them before the next save programs their zeroed slots.
      */
-    void restartContiguity(const void *owner);
+    void restartContiguity();
 
-    /** Simulated-time source, owner-token discipline. */
-    void setTickSource(const void *owner, std::function<uint64_t()> now);
-    void clearTickSource(const void *owner);
-
-    /** Record one event (thread-safe; no-op when the mode is Off). */
+    /**
+     * Record one event: publish it, or stage it while the backing is
+     * not writable. The staged queue holds at most one ring's worth
+     * of records; overflow drops the oldest.
+     */
     void emit(FrEvent event, Category category, uint64_t a0 = 0,
               uint64_t a1 = 0);
 
     /** Write any staged records out if the backing became writable. */
     void flushStaged();
 
-    /** Total records ever emitted (across modes and attachments). */
-    uint64_t totalEmitted() const;
+    /** Records this recorder ever emitted. */
+    uint64_t totalEmitted() const { return nextSeq_; }
 
-    /** Records emitted to NVRAM that had to be staged and were then
-     *  dropped because the backing never became writable in time. */
-    uint64_t stagedDropped() const;
-
-    /** The volatile mirror, oldest first (tests and benches). */
-    std::vector<FrRecord> mirror() const;
-
-    /** Drop mirror/staging content; keep mode, backing, sequence. */
-    void clearForTest();
+    /** Records that had to be staged and were then dropped because
+     *  the backing never became writable in time. */
+    uint64_t stagedDropped() const { return stagedDropped_; }
 
   private:
-    FlightRecorder() = default;
-
     void publish(const FrRecord &record);
     void writeHeader(uint64_t head_seq);
 
-    mutable std::mutex mutex_;
     Backing backing_;
-    const void *backingOwner_ = nullptr;
     uint64_t generation_ = 0;
-    std::function<uint64_t()> tickSource_;
-    const void *tickOwner_ = nullptr;
+    std::function<uint64_t()> now_;
 
     uint64_t nextSeq_ = 0;
-    uint64_t publishedHead_ = 0;
-    /** Seq from which ring content is contiguous: volatile-phase
-     *  emissions and staged-queue drops break contiguity, and the
-     *  header publishes this tail so the decoder never expects a
-     *  record that was deliberately never written. */
+    /** Seq from which ring content is contiguous: staged-queue drops
+     *  and boots that lost DRAM break contiguity, and the header
+     *  publishes this tail so the decoder never expects a record that
+     *  was deliberately never written. */
     uint64_t ringTail_ = 0;
     uint64_t stagedDropped_ = 0;
     std::deque<FrRecord> staged_;
-    std::vector<FrRecord> mirror_;
-    size_t mirrorCapacity_ = kFrDefaultRecords;
 };
 
-/** Emit helper; one relaxed load when the recorder is off. */
+/** Emit helper: records into @p recorder, nothing when it is null. */
 inline void
-frEmit(FrEvent event, Category category, uint64_t a0 = 0,
-       uint64_t a1 = 0)
+frEmit(FlightRecorder *recorder, FrEvent event, Category category,
+       uint64_t a0 = 0, uint64_t a1 = 0)
 {
-    if (detail::g_frMode.load(std::memory_order_relaxed) ==
-        static_cast<uint8_t>(FrMode::Off))
-        return;
-    FlightRecorder::instance().emit(event, category, a0, a1);
+    if (recorder != nullptr)
+        recorder->emit(event, category, a0, a1);
 }
 
 // Decoding a surviving ring ------------------------------------------

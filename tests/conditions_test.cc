@@ -1207,15 +1207,10 @@ runWithCheckers(const CrashSchedule &schedule, Checkers checkers,
     return result;
 }
 
-/**
- * What differs between two runs of one window; empty if nothing.
- * Flash bytes are compared only when @p flash is set: an NVRAM-backed
- * recorder stamps wall-clock time into the image.
- */
+/** What differs between two runs of one window; empty if nothing. */
 std::string
 pointDifference(const CrashPointResult &a, const NvramImage &image_a,
-                const CrashPointResult &b, const NvramImage &image_b,
-                bool flash)
+                const CrashPointResult &b, const NvramImage &image_b)
 {
     std::ostringstream out;
     const auto field = [&out](const char *name, auto x, auto y) {
@@ -1245,7 +1240,7 @@ pointDifference(const CrashPointResult &a, const NvramImage &image_a,
         field("generation", x.generation, y.generation);
         field("epoch", x.epoch, y.epoch);
         field("saved-bytes", x.savedBytes, y.savedBytes);
-        if (flash && !x.flash.contentEquals(y.flash))
+        if (!x.flash.contentEquals(y.flash))
             out << " flash of module " << m;
     }
     return out.str();
@@ -1265,10 +1260,10 @@ constexpr Tick kLiveSpan = fromMicros(400.0);
  * eager reference: identical dispatch ticks and enumerated windows,
  * then, at every window in kLiveSpan plus the enumeration thinned to
  * @p max_points, identical verdicts, restore reports, applied ops and
- * surviving images. The recorder is volatile so the images compare
- * byte for byte, unless @p nvram_recorder keeps it NVRAM-backed (as
- * sweeps run it); then all but the flash bytes are compared. Returns
- * the product's results, window by window.
+ * surviving images, byte for byte. The machines run no flight
+ * recorder unless @p nvram_recorder turns it on (as sweeps run it);
+ * its ring holds simulated time only, so the images still compare
+ * whole. Returns the product's results, window by window.
  */
 std::vector<CrashPointResult>
 expectDriverMatchesEager(CrashSchedule base, size_t max_points,
@@ -1302,7 +1297,7 @@ expectDriverMatchesEager(CrashSchedule base, size_t max_points,
             runWithCheckers(schedule, eagerCheckers(), &eager_image);
         const std::string diff =
             pointDifference(results.back(), driven_image, reference,
-                            eager_image, !nvram_recorder);
+                            eager_image);
         if (!diff.empty())
             diverged.push_back(formatTime(window) + ":" + diff);
     }

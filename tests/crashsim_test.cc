@@ -14,9 +14,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "crashsim/crash_explorer.h"
+#include "crashsim/invariants.h"
 #include "crashsim/pheap_crash.h"
 #include "trace/stat_registry.h"
 
@@ -473,6 +475,65 @@ TEST(BlackBox, TimelineAttachedToEveryFailingSchedule)
         CrashExplorer::runSchedule(fastSchedule());
     ASSERT_TRUE(held.held());
     EXPECT_TRUE(held.timeline.empty());
+}
+
+TEST(BlackBox, TwoLiveMachinesKeepTheirOwnRings)
+{
+    // Each machine records into its own NVRAM: building a second
+    // machine must not take the first one's ring or clock, so the
+    // first machine's save lands in the first machine's image.
+    const SystemConfig config = CrashExplorer::configFor(fastSchedule());
+    WspSystem a(config);
+    WspSystem b(config);
+    a.start();
+    b.start();
+    a.powerFailAndRestore(fromMillis(1.0), fromMillis(500.0));
+
+    const trace::FrDecodeResult decode =
+        decodeBlackBox(a.captureNvramImage());
+    ASSERT_TRUE(decode.headerValid)
+        << (decode.notes.empty() ? "" : decode.notes.front());
+    EXPECT_TRUE(decode.sound());
+    EXPECT_TRUE(std::any_of(decode.records.begin(), decode.records.end(),
+                            [](const trace::FrRecord &record) {
+                                return record.event ==
+                                       trace::FrEvent::SaveBegin;
+                            }))
+        << "the save's opening record is missing from its own ring";
+}
+
+TEST(BlackBox, SurvivingImageDependsOnlyOnTheSchedule)
+{
+    // The ring carries simulated time and a per-machine sequence, so
+    // the same schedule leaves the same bytes however much the process
+    // ran before it.
+    NvramImage first;
+    CrashExplorer::runSchedule(fastSchedule(), &first);
+    CrashExplorer(fastSchedule()).sweepEnumerated(false, 8);
+    NvramImage second;
+    CrashExplorer::runSchedule(fastSchedule(), &second);
+
+    ASSERT_EQ(first.moduleCount(), second.moduleCount());
+    for (size_t m = 0; m < first.moduleCount(); ++m) {
+        EXPECT_TRUE(first.module(m).flash.contentEquals(
+            second.module(m).flash))
+            << "flash of module " << m << " differs";
+    }
+}
+
+TEST(BlackBox, MachineWithoutRecorderWritesNoRing)
+{
+    SystemConfig config = CrashExplorer::configFor(fastSchedule());
+    config.wsp.flightRecorder = false;
+    WspSystem system(config);
+    EXPECT_EQ(system.wsp().flightRecorder(), nullptr);
+    system.start();
+    const PowerFailureOutcome outcome =
+        system.powerFailAndRestore(fromMillis(1.0), fromMillis(500.0));
+    ASSERT_TRUE(outcome.save.has_value() && outcome.save->completed);
+    EXPECT_TRUE(outcome.restore.usedWsp);
+
+    EXPECT_FALSE(decodeBlackBox(system.captureNvramImage()).headerFound);
 }
 
 TEST(BlackBox, ChassisSwapResetsVolatileStatsKeepsNvramStats)

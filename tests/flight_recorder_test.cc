@@ -2,23 +2,24 @@
  * @file
  * Unit tests for the NVRAM black-box flight recorder.
  *
- * The recorder is exercised against a synthetic byte-array backing so
- * every publication step is observable: codec round-trips, the
- * write-record-then-publish-header discipline, staging while the
+ * Each test builds its own recorder over a synthetic byte-array
+ * backing so every publication step is observable: codec round-trips,
+ * the write-record-then-publish-header discipline, staging while the
  * backing is unwritable (and the tail-gap bookkeeping when staging
- * overflows), volatile-phase contiguity breaks, and — the acceptance
- * sweep — a decode at every 64-byte tear position over the recorder
- * region, which must never report a torn slot inside the published
- * window.
+ * overflows), contiguity restarts, and — the acceptance sweep — a
+ * decode at every 64-byte tear position over the recorder region,
+ * which must never report a torn slot inside the published window.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "trace/flight_recorder.h"
+#include "util/checksum.h"
 
 namespace wsp::trace {
 namespace {
@@ -32,10 +33,7 @@ class FlightRecorderTest : public ::testing::Test
     void
     SetUp() override
     {
-        auto &recorder = FlightRecorder::instance();
-        recorder.clearForTest();
         nvram_.assign(kBase + (kCap + 1) * kFrRecordBytes, 0);
-        writable_ = true;
 
         FlightRecorder::Backing backing;
         backing.base = kBase;
@@ -47,17 +45,8 @@ class FlightRecorderTest : public ::testing::Test
                         bytes.size());
         };
         backing.writable = [this] { return writable_; };
-        recorder.setMode(FrMode::Nvram);
-        recorder.attach(this, std::move(backing), 7);
-    }
-
-    void
-    TearDown() override
-    {
-        auto &recorder = FlightRecorder::instance();
-        recorder.setMode(FrMode::Off);
-        recorder.detach(this);
-        recorder.clearForTest();
+        recorder_ = std::make_unique<FlightRecorder>(
+            std::move(backing), 7, [this] { return tick_; });
     }
 
     uint64_t
@@ -88,11 +77,13 @@ class FlightRecorderTest : public ::testing::Test
     emitN(unsigned n, FrEvent event = FrEvent::KvBatch)
     {
         for (unsigned i = 0; i < n; ++i)
-            frEmit(event, Category::Apps, i, i * 10);
+            frEmit(recorder_.get(), event, Category::Apps, i, i * 10);
     }
 
     std::vector<uint8_t> nvram_;
     bool writable_ = true;
+    uint64_t tick_ = 0; ///< simulated time the recorder stamps
+    std::unique_ptr<FlightRecorder> recorder_;
 };
 
 TEST_F(FlightRecorderTest, RecordCodecRoundTrip)
@@ -101,7 +92,6 @@ TEST_F(FlightRecorderTest, RecordCodecRoundTrip)
     record.seq = 0x1122334455667788ull;
     record.generation = 3;
     record.simTick = 1234567;
-    record.wallNs = 987654321;
     record.a0 = 42;
     record.a1 = ~0ull;
     record.event = FrEvent::SaveMarkerStamp;
@@ -114,11 +104,28 @@ TEST_F(FlightRecorderTest, RecordCodecRoundTrip)
     EXPECT_EQ(back.seq, record.seq);
     EXPECT_EQ(back.generation, record.generation);
     EXPECT_EQ(back.simTick, record.simTick);
-    EXPECT_EQ(back.wallNs, record.wallNs);
     EXPECT_EQ(back.a0, record.a0);
     EXPECT_EQ(back.a1, record.a1);
     EXPECT_EQ(back.event, record.event);
     EXPECT_EQ(back.category, record.category);
+
+    // Bytes 24-31 are reserved zero. A slot written when they carried
+    // a host clock (CRC over them) decodes to the same record.
+    for (size_t i = 24; i < 32; ++i)
+        EXPECT_EQ(line[i], 0u) << "reserved byte " << i;
+    uint8_t old_line[kFrRecordBytes];
+    std::memcpy(old_line, line, kFrRecordBytes);
+    old_line[24] = 0x5a;
+    old_line[31] = 0xa5;
+    const uint64_t crc = crc64(std::span<const uint8_t>(old_line, 56));
+    for (size_t i = 0; i < 8; ++i)
+        old_line[56 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    FrRecord old_back;
+    ASSERT_TRUE(frDecodeRecord(old_line, &old_back));
+    EXPECT_EQ(old_back.seq, record.seq);
+    EXPECT_EQ(old_back.simTick, record.simTick);
+    EXPECT_EQ(old_back.a0, record.a0);
+    EXPECT_EQ(old_back.a1, record.a1);
 
     // Any flipped payload byte must fail the CRC.
     line[17] ^= 0x40;
@@ -127,6 +134,7 @@ TEST_F(FlightRecorderTest, RecordCodecRoundTrip)
 
 TEST_F(FlightRecorderTest, PublishedRecordsDecodeInOrder)
 {
+    tick_ = 4242;
     emitN(5);
     const FrDecodeResult result = decode();
     ASSERT_TRUE(result.headerFound);
@@ -139,6 +147,8 @@ TEST_F(FlightRecorderTest, PublishedRecordsDecodeInOrder)
         EXPECT_EQ(result.records[i].seq,
                   result.records[i - 1].seq + 1);
     for (size_t i = 0; i < result.records.size(); ++i) {
+        EXPECT_EQ(result.records[i].seq, i); // numbering starts at 0
+        EXPECT_EQ(result.records[i].simTick, 4242u);
         EXPECT_EQ(result.records[i].event, FrEvent::KvBatch);
         EXPECT_EQ(result.records[i].a0, i);
         EXPECT_EQ(result.records[i].a1, i * 10);
@@ -156,10 +166,6 @@ TEST_F(FlightRecorderTest, WrapKeepsNewestCapacityRecords)
     EXPECT_TRUE(result.sound());
     ASSERT_EQ(result.records.size(), kCap);
     EXPECT_EQ(result.records.back().seq + 1, result.headSeq);
-    // The mirror tracks the same window.
-    const auto mirrored = FlightRecorder::instance().mirror();
-    ASSERT_EQ(mirrored.size(), kCap);
-    EXPECT_EQ(mirrored.back().seq, result.records.back().seq);
 }
 
 TEST_F(FlightRecorderTest, InFlightTailSlotIsAcceptable)
@@ -236,7 +242,7 @@ TEST_F(FlightRecorderTest, StagedWhileUnwritableDrainsOnFlush)
     EXPECT_TRUE(result.sound()); // nothing provable, nothing violated
 
     writable_ = true;
-    FlightRecorder::instance().flushStaged();
+    recorder_->flushStaged();
     result = decode();
     ASSERT_TRUE(result.headerValid);
     EXPECT_TRUE(result.sound());
@@ -247,15 +253,12 @@ TEST_F(FlightRecorderTest, StagedWhileUnwritableDrainsOnFlush)
 
 TEST_F(FlightRecorderTest, StagedOverflowDropsOldestAndStaysSound)
 {
-    auto &recorder = FlightRecorder::instance();
-    const uint64_t dropped_before = recorder.stagedDropped();
-
     writable_ = false;
     emitN(static_cast<unsigned>(kCap + 5));
-    EXPECT_EQ(recorder.stagedDropped() - dropped_before, 5u);
+    EXPECT_EQ(recorder_->stagedDropped(), 5u);
 
     writable_ = true;
-    recorder.flushStaged();
+    recorder_->flushStaged();
     const FrDecodeResult result = decode();
     ASSERT_TRUE(result.headerValid);
     // The dropped records leave a gap below the published window; the
@@ -265,39 +268,10 @@ TEST_F(FlightRecorderTest, StagedOverflowDropsOldestAndStaysSound)
     EXPECT_EQ(result.headSeq - result.tailSeq, kCap);
 }
 
-TEST_F(FlightRecorderTest, VolatileEmissionsBreakContiguityCleanly)
-{
-    auto &recorder = FlightRecorder::instance();
-    emitN(2);
-    recorder.setMode(FrMode::Volatile);
-    emitN(4); // mirror-only: their slots are never written
-    recorder.setMode(FrMode::Nvram);
-    emitN(3);
-
-    const FrDecodeResult result = decode();
-    ASSERT_TRUE(result.headerValid);
-    EXPECT_TRUE(result.sound());
-    // Only the post-volatile records are vouched for; the two early
-    // NVRAM records sit below the tail as unclaimed residue.
-    ASSERT_EQ(result.records.size(), 3u);
-    EXPECT_EQ(result.headSeq - result.tailSeq, 3u);
-    EXPECT_GE(result.staleSlots, 1u);
-}
-
-TEST_F(FlightRecorderTest, OffModeEmitsNothing)
-{
-    auto &recorder = FlightRecorder::instance();
-    recorder.setMode(FrMode::Off);
-    const uint64_t before = recorder.totalEmitted();
-    emitN(10);
-    EXPECT_EQ(recorder.totalEmitted(), before);
-    EXPECT_FALSE(decode().headerFound);
-}
-
 TEST_F(FlightRecorderTest, GenerationStampsFollowSetGeneration)
 {
     emitN(1);
-    FlightRecorder::instance().setGeneration(this, 8);
+    recorder_->setGeneration(8);
     emitN(1);
     const FrDecodeResult result = decode();
     ASSERT_EQ(result.records.size(), 2u);
@@ -368,19 +342,13 @@ TEST_F(FlightRecorderTest, RestartContiguityAfterColdBoot)
                   static_cast<ptrdiff_t>(kBase + kCap * kFrRecordBytes),
               uint8_t{0});
 
-    FlightRecorder::instance().restartContiguity(this);
+    recorder_->restartContiguity();
     emitN(2);
     const FrDecodeResult result = decode();
     ASSERT_TRUE(result.headerValid);
     EXPECT_TRUE(result.sound());
     ASSERT_EQ(result.records.size(), 2u);
     EXPECT_EQ(result.headSeq - result.tailSeq, 2u);
-}
-
-TEST_F(FlightRecorderTest, MirrorCapBoundsMemory)
-{
-    emitN(static_cast<unsigned>(4 * kCap));
-    EXPECT_EQ(FlightRecorder::instance().mirror().size(), kCap);
 }
 
 } // namespace

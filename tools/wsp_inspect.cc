@@ -199,8 +199,7 @@ diffRecorders(const wsp::trace::FrDecodeResult &a,
             continue;
         }
         const wsp::trace::FrRecord &o = *it->second;
-        // Wall-clock stamps are host noise; everything else in the
-        // record is part of the simulated history being compared.
+        // Every field of a record is simulated history.
         if (r.event != o.event || r.category != o.category ||
             r.generation != o.generation || r.simTick != o.simTick ||
             r.a0 != o.a0 || r.a1 != o.a1) {
