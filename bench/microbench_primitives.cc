@@ -5,7 +5,8 @@
  * Measures the building blocks whose costs explain Fig. 5 and
  * Table 1: cache-line flushes, non-temporal stores, fences, torn-bit
  * log appends, undo/redo transaction overhead, STM instrumentation,
- * and one hash-table operation under each configuration.
+ * one hash-table operation under each configuration, and the CRC64
+ * that binds saved regions and the resume block.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include "bench/bench_util.h"
 #include "pheap/flush.h"
 #include "pheap/policies.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 using namespace wsp;
@@ -206,6 +208,28 @@ BM_TornBitScan(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TornBitScan);
+
+/**
+ * CRC64 at the sizes the system checksums: a flight-recorder record
+ * (56 B, the table path), one fold step (64 B), a salvage region page
+ * (4 KiB) and a large region (256 KiB).
+ */
+void
+BM_Crc64(benchmark::State &state)
+{
+    std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+    Rng rng(9);
+    for (auto &b : bytes)
+        b = static_cast<uint8_t>(rng());
+    uint64_t crc = 0;
+    for (auto _ : state) {
+        crc = crc64(bytes, crc);
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_Crc64)->Arg(56)->Arg(64)->Arg(4096)->Arg(256 * 1024);
 
 template <typename Policy>
 void

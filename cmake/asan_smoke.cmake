@@ -1,15 +1,18 @@
-# AddressSanitizer smoke test, run as a ctest:
+# AddressSanitizer + UndefinedBehaviorSanitizer smoke test, run as a
+# ctest:
 #
 #   cmake -DSOURCE_DIR=<repo> -DOUT_DIR=<dir> -P asan_smoke.cmake
 #
-# Configures a sub-build of the tree with -DWSP_SANITIZE=address (the
-# existing sanitizer hook), builds the salvage, sim-property and other
-# test binaries below, and runs their suites under ASan. The salvage
-# paths shuffle raw NVRAM spans (scrubbing, CRC passes, directory
-# decode of possibly-torn bytes), which is exactly where an
-# out-of-bounds read would hide; the sim-property battery hammers the event engine's
-# slab/arena recycling and the SmallFn relocate/destroy paths, where a
-# lifetime bug would hide. The sub-build directory persists across
+# Configures a sub-build of the tree with
+# -DWSP_SANITIZE=address,undefined (the existing sanitizer hook),
+# builds the salvage, sim-property and other test binaries below, and
+# runs their suites under ASan and UBSan. The salvage paths shuffle raw
+# NVRAM spans (scrubbing, CRC passes including the carry-less-multiply
+# fold, directory decode of possibly-torn bytes, range checks on
+# decoded 64-bit bases and sizes), which is exactly where an
+# out-of-bounds read or an overflow would hide; the sim-property
+# battery hammers the event engine's slab/arena recycling and the
+# SmallFn relocate/destroy paths, where a lifetime bug would hide. The sub-build directory persists across
 # runs, so re-runs are incremental.
 
 if(NOT SOURCE_DIR OR NOT OUT_DIR)
@@ -20,7 +23,7 @@ file(MAKE_DIRECTORY ${OUT_DIR})
 execute_process(
     COMMAND ${CMAKE_COMMAND} -G Ninja -S ${SOURCE_DIR} -B ${OUT_DIR}
         -DCMAKE_BUILD_TYPE=Release
-        -DWSP_SANITIZE=address
+        -DWSP_SANITIZE=address,undefined
     RESULT_VARIABLE configure_rc
     OUTPUT_VARIABLE configure_out
     ERROR_VARIABLE configure_out
@@ -44,9 +47,10 @@ if(NOT build_rc EQUAL 0)
 endif()
 
 # Death tests fork under ASan; keep them but run them threadsafe.
-# halt_on_error turns any ASan report into a nonzero exit so the ctest
-# fails loudly.
+# halt_on_error turns any ASan or UBSan report into a nonzero exit so
+# the ctest fails loudly.
 set(ENV{ASAN_OPTIONS} "halt_on_error=1")
+set(ENV{UBSAN_OPTIONS} "halt_on_error=1:print_stacktrace=1")
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_salvage
         --gtest_death_test_style=threadsafe
@@ -56,7 +60,7 @@ execute_process(
 )
 if(NOT run_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: ASan run failed (rc=${run_rc}):\n${run_out}")
+        "asan_smoke: salvage ASan/UBSan run failed (rc=${run_rc}):\n${run_out}")
 endif()
 
 execute_process(
@@ -67,7 +71,7 @@ execute_process(
 )
 if(NOT sim_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: sim-property ASan run failed (rc=${sim_rc}):\n${sim_out}")
+        "asan_smoke: sim-property ASan/UBSan run failed (rc=${sim_rc}):\n${sim_out}")
 endif()
 
 # The conditions battery walks raw history/line-tracking structures
@@ -82,7 +86,7 @@ execute_process(
 )
 if(NOT cond_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: conditions ASan run failed (rc=${cond_rc}):\n${cond_out}")
+        "asan_smoke: conditions ASan/UBSan run failed (rc=${cond_rc}):\n${cond_out}")
 endif()
 # The fleet battery churns whole WspSystems (kill, image capture,
 # chassis swap) and walks raw store shards during anti-entropy — a
@@ -101,7 +105,7 @@ execute_process(
 )
 if(NOT fleet_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: fleet ASan run failed (rc=${fleet_rc}):\n${fleet_out}")
+        "asan_smoke: fleet ASan/UBSan run failed (rc=${fleet_rc}):\n${fleet_out}")
 endif()
 # Multi-line cache reads copy coalesced clean runs and dirty lines
 # into one span, and KvStore scans read the slot array through a
@@ -116,7 +120,7 @@ execute_process(
 )
 if(NOT cache_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: cache fuzz ASan run failed (rc=${cache_rc}):\n${cache_out}")
+        "asan_smoke: cache fuzz ASan/UBSan run failed (rc=${cache_rc}):\n${cache_out}")
 endif()
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_apps --gtest_filter=KvScan.*
@@ -126,7 +130,7 @@ execute_process(
 )
 if(NOT scan_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: KvStore scan ASan run failed (rc=${scan_rc}):\n${scan_out}")
+        "asan_smoke: KvStore scan ASan/UBSan run failed (rc=${scan_rc}):\n${scan_out}")
 endif()
 # The latency histogram indexes its buckets from a sample's top bits
 # and grows its storage to the highest bucket recorded; a sample at
@@ -140,7 +144,7 @@ execute_process(
 )
 if(NOT hist_rc EQUAL 0)
     message(FATAL_ERROR
-        "asan_smoke: histogram ASan run failed (rc=${hist_rc}):\n${hist_out}")
+        "asan_smoke: histogram ASan/UBSan run failed (rc=${hist_rc}):\n${hist_out}")
 endif()
 message(STATUS
-    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + histogram suites clean under ASan")
+    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + histogram suites clean under ASan + UBSan")

@@ -68,7 +68,7 @@ ResumeBlock::checksum(const NvramSpace &memory) const
 {
     std::vector<uint8_t> bytes(sizeFor(cores_));
     memory.read(base_, bytes);
-    return fnv1a(bytes);
+    return crc64(bytes);
 }
 
 CpuContext

@@ -7,9 +7,10 @@
  * (paper Fig. 4 step 5). On the restore path the boot code jumps to
  * the resume context found here (step 12) and restores the other
  * processors' contexts from their slots (step 14). The block's
- * checksum is stored in the valid marker, binding marker and contexts
+ * CRC64 is stored in the valid marker, binding marker and contexts
  * together: a marker from boot N never validates contexts from boot
- * N-1.
+ * N-1, and, being a CRC, it catches every burst fault of up to 64
+ * bits inside the block.
  */
 
 #pragma once
@@ -55,7 +56,7 @@ class ResumeBlock
     Tick writeHeader(uint64_t boot_sequence);
 
     /**
-     * Checksum over the header and every slot as currently stored in
+     * CRC64 over the header and every slot as currently stored in
      * NVRAM. The save path stores this in the valid marker; the
      * restore path recomputes and compares.
      */

@@ -1,7 +1,9 @@
 #include "core/salvage_directory.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "util/checksum.h"
 #include "util/logging.h"
@@ -123,15 +125,16 @@ uint64_t
 SalvageDirectory::regionCrc(const NvramSpace &memory, uint64_t base,
                             uint64_t size)
 {
-    std::vector<uint8_t> chunk;
+    // Left unfilled: read() writes every byte of each chunk it is
+    // handed, and the CRC reads only those.
+    std::array<uint8_t, 16 * 1024> buffer;
     uint64_t crc = 0;
-    uint64_t offset = 0;
-    while (offset < size) {
-        const uint64_t n = std::min<uint64_t>(size - offset, 256 * 1024);
-        chunk.resize(n);
+    for (uint64_t offset = 0; offset < size;) {
+        const auto chunk = std::span<uint8_t>(buffer).first(
+            std::min<uint64_t>(size - offset, buffer.size()));
         memory.read(base + offset, chunk);
         crc = crc64(chunk, crc);
-        offset += n;
+        offset += chunk.size();
     }
     return crc;
 }
@@ -222,8 +225,8 @@ SalvageDirectory::read(const NvramSpace &memory, uint64_t base)
             return std::nullopt;
         decoded.tier = static_cast<SaveTier>(flags & 0xff);
         decoded.saved = (flags & 0x100) != 0;
-        if (decoded.size == 0 ||
-            decoded.base + decoded.size > memory.capacity())
+        if (decoded.size == 0 || decoded.size > memory.capacity() ||
+            decoded.base > memory.capacity() - decoded.size)
             return std::nullopt;
         image.entries.push_back(std::move(decoded));
     }

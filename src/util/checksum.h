@@ -1,6 +1,9 @@
 /**
  * @file
- * Checksums for crash-consistency markers and logs.
+ * Checksums for crash-consistency markers and logs: FNV-1a for small
+ * header fields, CRC-64 for bulk content (salvage regions, the resume
+ * block, flight-recorder records). The CRC's carry-less-multiply path
+ * lives in checksum.cc.
  */
 
 #pragma once
@@ -71,24 +74,17 @@ makeCrc64Tables()
 inline constexpr std::array<std::array<uint64_t, 256>, 8> kCrc64Tables =
     makeCrc64Tables();
 
-} // namespace detail
-
 /**
- * CRC-64 (ECMA-182, reflected; the CRC-64/XZ parameters) over a byte
- * span. Unlike FNV-1a, a CRC detects every burst error shorter than
- * the polynomial — the media faults flash actually suffers (bit
- * flips, torn lines, bad blocks) — which is why the per-region
- * salvage directory binds CRCs and not hashes. Incremental use: feed
- * the previous return value as @p crc.
- *
- * At run time on little-endian hosts whole 8-byte words go through
- * the slice-by-8 tables; constant evaluation, big-endian hosts and
- * the tail use the bytewise loop. Both give identical results.
+ * Slice-by-8 CRC-64/XZ: whole 8-byte words at run time on
+ * little-endian hosts, bytewise under constant evaluation, on
+ * big-endian hosts and for the tail. Same contract as crc64(); it is
+ * the one table loop, serving short inputs, hosts without carry-less
+ * multiply and the folded path's last 16-31 bytes.
  */
 constexpr uint64_t
-crc64(std::span<const uint8_t> bytes, uint64_t crc = 0)
+crc64Table(std::span<const uint8_t> bytes, uint64_t crc)
 {
-    const auto &t = detail::kCrc64Tables;
+    const auto &t = kCrc64Tables;
     crc = ~crc;
     size_t i = 0;
     if constexpr (std::endian::native == std::endian::little) {
@@ -109,6 +105,50 @@ crc64(std::span<const uint8_t> bytes, uint64_t crc = 0)
     for (; i < bytes.size(); ++i)
         crc = t[0][(crc ^ bytes[i]) & 0xff] ^ (crc >> 8);
     return ~crc;
+}
+
+/** Shortest input crc64() hands to the folded path: one 4-lane step. */
+constexpr size_t kCrc64FoldMinBytes = 64;
+
+/**
+ * True when the host can run crc64Folded(): x86-64 with PCLMULQDQ,
+ * probed once per process. Always false elsewhere.
+ */
+bool crc64FoldAvailable();
+
+/**
+ * CRC-64/XZ by carry-less multiply: four 128-bit lanes fold 64 bytes
+ * per step, collapse into one, fold 16 bytes at a time, and hand the
+ * last 128-bit remainder plus the tail to crc64Table(). Same contract
+ * as crc64(). Requires @p size >= kCrc64FoldMinBytes and
+ * crc64FoldAvailable().
+ */
+uint64_t crc64Folded(const uint8_t *data, size_t size, uint64_t crc);
+
+} // namespace detail
+
+/**
+ * CRC-64 (ECMA-182, reflected; the CRC-64/XZ parameters) over a byte
+ * span. Unlike FNV-1a, a CRC detects every burst error shorter than
+ * the polynomial — the media faults flash actually suffers (bit
+ * flips, torn lines, bad blocks) — which is why the per-region
+ * salvage directory and the resume block bind CRCs and not hashes.
+ * Incremental use: feed the previous return value as @p crc.
+ *
+ * At run time, inputs of at least 64 bytes on a host with PCLMULQDQ
+ * go through the carry-less-multiply fold (detail::crc64Folded);
+ * everything else — constant evaluation, other hosts, shorter inputs
+ * such as the flight recorder's 56-byte records — goes through the
+ * slice-by-8 tables (detail::crc64Table). Both give identical results.
+ */
+constexpr uint64_t
+crc64(std::span<const uint8_t> bytes, uint64_t crc = 0)
+{
+    if (!std::is_constant_evaluated() &&
+        bytes.size() >= detail::kCrc64FoldMinBytes &&
+        detail::crc64FoldAvailable())
+        return detail::crc64Folded(bytes.data(), bytes.size(), crc);
+    return detail::crc64Table(bytes, crc);
 }
 
 } // namespace wsp

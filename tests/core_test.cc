@@ -18,6 +18,7 @@
 #include "core/system.h"
 #include "core/valid_marker.h"
 #include "trace/stat_registry.h"
+#include "util/checksum.h"
 
 namespace wsp {
 namespace {
@@ -156,9 +157,32 @@ TEST_F(MarkerFixture, ResumeBlockChecksumDetectsChange)
     block.saveContext(0, ctx);
     block.writeHeader(1);
     const uint64_t sum = block.checksum(system.memory());
+
+    // The marker binds a CRC64 of the whole block as stored in NVRAM.
+    std::vector<uint8_t> bytes(ResumeBlock::sizeFor(block.cores()));
+    system.memory().read(block.base(), bytes);
+    EXPECT_EQ(sum, crc64(bytes));
+
     system.cache().writeU64(4096 + 64 + 8, 0xdeadbeefull);
     system.cache().flushLine(4096 + 64 + 8);
-    EXPECT_NE(block.checksum(system.memory()), sum);
+    const uint64_t overwritten = block.checksum(system.memory());
+    EXPECT_NE(overwritten, sum);
+
+    // One flipped bit in the first slot.
+    const uint64_t word = system.memory().readU64(4096 + 64 + 16);
+    system.memory().writeU64(4096 + 64 + 16, word ^ (1ull << 37));
+    const uint64_t flipped = block.checksum(system.memory());
+    EXPECT_NE(flipped, overwritten);
+
+    // A torn 64-byte line at the end of the last slot.
+    const uint64_t last =
+        block.base() + ResumeBlock::sizeFor(block.cores()) - 64;
+    std::vector<uint8_t> line(64);
+    system.memory().read(last, line);
+    for (auto &b : line)
+        b ^= 0xa5;
+    system.memory().write(last, line);
+    EXPECT_NE(block.checksum(system.memory()), flipped);
 }
 
 TEST_F(MarkerFixture, ResumeBlockSizeScalesWithCores)

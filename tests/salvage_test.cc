@@ -123,21 +123,69 @@ crc64Bitwise(std::span<const uint8_t> bytes, uint64_t crc)
     return ~crc;
 }
 
-TEST(Crc64, WordAtATimeMatchesBytewiseReference)
+/** Random bytes with room for a 15-byte start offset. */
+std::vector<uint8_t>
+crcTestBuffer(size_t length)
 {
-    // Every length 0-300 (so every tail length after whole words), at
-    // every start alignment mod 8, each seeded with the previous CRC.
-    std::vector<uint8_t> buffer(300 + 8);
+    std::vector<uint8_t> buffer(length + 16);
     Rng rng(0xc7c64);
     for (auto &b : buffer)
         b = static_cast<uint8_t>(rng());
+    return buffer;
+}
+
+/**
+ * Every length 0-1100 (each tail after whole words and after whole
+ * 16- and 64-byte fold steps, on both sides of the 64-byte fold
+ * threshold) plus page-sized and odd multi-page lengths.
+ */
+std::vector<size_t>
+crcTestLengths()
+{
+    std::vector<size_t> lengths;
+    for (size_t length = 0; length <= 1100; ++length)
+        lengths.push_back(length);
+    for (size_t length : {4095, 4096, 4097, 16384, 65549})
+        lengths.push_back(length);
+    return lengths;
+}
+
+TEST(Crc64, WordAtATimeMatchesBytewiseReference)
+{
+    // Every tested length, starting at offset length % 16 so every
+    // start alignment mod 16 occurs, each seeded with the previous CRC,
+    // through whichever path crc64() picks.
+    const std::vector<uint8_t> buffer = crcTestBuffer(65549);
     uint64_t seed = 0;
-    for (size_t length = 0; length <= 300; ++length) {
+    for (size_t length : crcTestLengths()) {
         const auto bytes =
-            std::span<const uint8_t>(buffer).subspan(length % 8, length);
+            std::span<const uint8_t>(buffer).subspan(length % 16, length);
         const uint64_t expected = crc64Bitwise(bytes, seed);
         ASSERT_EQ(crc64(bytes, seed), expected) << "length " << length;
         seed = expected;
+    }
+}
+
+TEST(Crc64, FoldedPathMatchesTablePath)
+{
+    // With carry-less multiply the fold must agree with the table loop
+    // and the bitwise reference; without it crc64() is the table loop.
+    const bool fold = detail::crc64FoldAvailable();
+    const std::vector<uint8_t> buffer = crcTestBuffer(65549);
+    uint64_t seed = 0;
+    for (size_t length : crcTestLengths()) {
+        const auto bytes =
+            std::span<const uint8_t>(buffer).subspan(length % 16, length);
+        const uint64_t table = detail::crc64Table(bytes, seed);
+        if (!fold) {
+            ASSERT_EQ(crc64(bytes, seed), table) << "length " << length;
+        } else if (length >= detail::kCrc64FoldMinBytes) {
+            ASSERT_EQ(detail::crc64Folded(bytes.data(), length, seed), table)
+                << "length " << length;
+            ASSERT_EQ(crc64Bitwise(bytes, seed), table)
+                << "length " << length;
+        }
+        seed = table;
     }
 }
 
@@ -229,6 +277,40 @@ TEST(SalvageDirectoryCodec, CorruptHeaderOrEntryRejected)
     // Flip one byte of the first entry's name.
     const uint64_t name_word = system.memory().readU64(base + 64);
     system.memory().writeU64(base + 64, name_word ^ 0xff);
+    EXPECT_FALSE(SalvageDirectory::read(system.memory(), base).has_value());
+}
+
+TEST(SalvageDirectoryCodec, RejectsEntryWhoseRangeWraps)
+{
+    WspSystem system(testConfig());
+    system.start();
+    const uint64_t base = 1 * kMiB;
+    SalvageDirectory directory(system.cache(), base);
+    directory.registerRegion({"bulk", 16384, 4096, SaveTier::Bulk});
+    directory.persist(system.memory(), 5, SaveTier::Bulk);
+    ASSERT_TRUE(SalvageDirectory::read(system.memory(), base).has_value());
+
+    // Move the entry to a base whose range wraps past 2^64, then
+    // re-seal the entry, entries and header checksums as the codec
+    // does, so only the range check stands between the table and a
+    // region read far beyond the NVRAM.
+    const uint64_t entry = base + SalvageDirectory::kHeaderBytes;
+    system.memory().writeU64(entry + 24, 0xfffffffffffff000ull);
+    std::vector<uint8_t> bytes(SalvageDirectory::kEntryBytes);
+    system.memory().read(entry, bytes);
+    const uint64_t entry_crc =
+        fnv1a(std::span<const uint8_t>(bytes).first(56));
+    system.memory().writeU64(entry + 56, entry_crc);
+    const uint64_t entries_checksum = fnv1aU64(entry_crc, fnv1aU64(1));
+    system.memory().writeU64(base + 32, entries_checksum);
+    uint64_t header_crc = fnv1aU64(SalvageDirectory::kHeaderBytes);
+    header_crc = fnv1aU64(5, header_crc);
+    header_crc = fnv1aU64(1, header_crc);
+    header_crc =
+        fnv1aU64(static_cast<uint64_t>(SaveTier::Bulk), header_crc);
+    header_crc = fnv1aU64(entries_checksum, header_crc);
+    system.memory().writeU64(base + 40, header_crc);
+
     EXPECT_FALSE(SalvageDirectory::read(system.memory(), base).has_value());
 }
 
