@@ -175,7 +175,7 @@ init(const char *name, int argc, char **argv)
     }
 
     // Asking for a trace file is asking for tracing: if no category
-    // was enabled via WSP_TRACE (or the build default), enable all.
+    // was enabled via WSP_TRACE, enable all.
     if (!bench.traceOut.empty() && !trace::anyEnabled())
         trace::TraceManager::instance().enableAll();
 }

@@ -1,7 +1,7 @@
 # Smoke test for the observability pipeline, run as a ctest:
 #
-#   cmake -DBENCH=<path> -DCHECKER=<path> -DOUT_DIR=<dir> \
-#         -P trace_smoke.cmake
+#   cmake -DBENCH=<path> -DFLEET_BENCH=<path> -DCHECKER=<path> \
+#         -DOUT_DIR=<dir> -P trace_smoke.cmake
 #
 # Runs one fast bench with WSP_TRACE=all and the standard output
 # flags, then validates the emitted trace/metrics files with
@@ -9,10 +9,13 @@
 # missing, or the JSON shape is wrong. Also checks that the standard
 # --seed/--repeat flags refuse values that do not fit: the bench must
 # print its usage and exit 1 instead of running a wrapped, saturated
-# or truncated value.
+# or truncated value. Then traces the fleet storm bench (6 nodes):
+# each node is its own machine on its own clock, so its trace must
+# hold at least one simulated-time process per node.
 
-if(NOT BENCH OR NOT CHECKER OR NOT OUT_DIR)
-    message(FATAL_ERROR "trace_smoke: BENCH, CHECKER and OUT_DIR are required")
+if(NOT BENCH OR NOT FLEET_BENCH OR NOT CHECKER OR NOT OUT_DIR)
+    message(FATAL_ERROR
+        "trace_smoke: BENCH, FLEET_BENCH, CHECKER and OUT_DIR are required")
 endif()
 
 file(MAKE_DIRECTORY ${OUT_DIR})
@@ -65,3 +68,29 @@ if(NOT check_rc EQUAL 0)
         "trace_smoke: validation failed (rc=${check_rc}):\n${check_out}")
 endif()
 message(STATUS "trace_smoke: ${check_out}")
+
+set(FLEET_TRACE_FILE ${OUT_DIR}/fleet_trace.json)
+execute_process(
+    COMMAND ${FLEET_BENCH} --trace-out=${FLEET_TRACE_FILE}
+    WORKING_DIRECTORY ${OUT_DIR}
+    RESULT_VARIABLE fleet_rc
+    OUTPUT_VARIABLE fleet_out
+    ERROR_VARIABLE fleet_out
+)
+if(NOT fleet_rc EQUAL 0 OR NOT EXISTS ${FLEET_TRACE_FILE})
+    message(FATAL_ERROR
+        "trace_smoke: traced fleet bench failed (rc=${fleet_rc}):\n${fleet_out}")
+endif()
+
+execute_process(
+    COMMAND ${CHECKER} --trace=${FLEET_TRACE_FILE} --min-sim-processes=6
+    RESULT_VARIABLE fleet_check_rc
+    OUTPUT_VARIABLE fleet_check_out
+    ERROR_VARIABLE fleet_check_out
+)
+if(NOT fleet_check_rc EQUAL 0)
+    message(FATAL_ERROR
+        "trace_smoke: fleet trace validation failed "
+        "(rc=${fleet_check_rc}):\n${fleet_check_out}")
+endif()
+message(STATUS "trace_smoke: ${fleet_check_out}")

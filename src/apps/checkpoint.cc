@@ -37,7 +37,6 @@ CheckpointScheduler::shipNow()
 {
     for (const BackendLogEntry &entry : pending_)
         backend_.logUpdate(entry);
-    updatesShipped_ += pending_.size();
     pending_.clear();
 }
 

@@ -58,7 +58,6 @@ class CheckpointScheduler : public SimObject
     size_t unshippedUpdates() const { return pending_.size(); }
 
     uint64_t checkpointsTaken() const { return checkpointsTaken_; }
-    uint64_t updatesShipped() const { return updatesShipped_; }
 
   private:
     void checkpointTick();
@@ -70,7 +69,6 @@ class CheckpointScheduler : public SimObject
     std::vector<BackendLogEntry> pending_;
     bool running_ = false;
     uint64_t checkpointsTaken_ = 0;
-    uint64_t updatesShipped_ = 0;
 };
 
 } // namespace wsp::apps

@@ -46,24 +46,6 @@ splitLine(std::string_view line, std::string_view *name,
 
 } // namespace
 
-std::string
-directoryResultName(DirectoryResult result)
-{
-    switch (result) {
-      case DirectoryResult::Success:
-        return "success";
-      case DirectoryResult::InvalidSyntax:
-        return "invalid syntax";
-      case DirectoryResult::UndefinedAttributeType:
-        return "undefined attribute type";
-      case DirectoryResult::EntryAlreadyExists:
-        return "entry already exists";
-      case DirectoryResult::NoSuchObject:
-        return "no such object";
-    }
-    return "unknown";
-}
-
 DirectoryResult
 parseEntry(std::string_view text, DirectoryEntry *out)
 {

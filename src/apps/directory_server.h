@@ -42,9 +42,6 @@ enum class DirectoryResult {
     NoSuchObject,
 };
 
-/** Human-readable result name. */
-std::string directoryResultName(DirectoryResult result);
-
 /**
  * Parse LDIF-ish text ("dn: ...\nattr: value\n..."). Returns
  * InvalidSyntax on malformed input.

@@ -338,8 +338,6 @@ class ShardedKvStore
   private:
     ShardedKvStore() = default;
 
-    KvStore &shardFor(uint64_t key) { return shards_[shardOf(key)]; }
-
     std::vector<KvStore> shards_;
     /// Heap-allocated because std::mutex is immovable and the class
     /// must move (attach returns by value).

@@ -53,9 +53,9 @@ RestoreRoutine::record(const char *step, Tick start, Tick end)
     if (trace::enabled(trace::Category::Core)) {
         auto &manager = trace::TraceManager::instance();
         manager.emitAt(trace::Category::Core, trace::Phase::Begin, step,
-                       start);
+                       queue_.machineId(), start);
         manager.emitAt(trace::Category::Core, trace::Phase::End, step,
-                       end);
+                       queue_.machineId(), end);
     }
     char name[48];
     std::snprintf(name, sizeof(name), "core.restore.step%zu_ns",
@@ -72,9 +72,7 @@ RestoreRoutine::run(std::function<void()> backend_recovery,
     done_ = std::move(done);
     report_ = RestoreReport{};
     report_.started = queue_.now();
-    trace::TraceManager::instance().emitAt(
-        trace::Category::Core, trace::Phase::Instant,
-        "RestoreRoutine start", report_.started);
+    TRACE_SIM_INSTANT(queue_, Core, "RestoreRoutine start");
     // Restore-path records stage in the recorder until the backing
     // module is Active again; they drain into the revived ring when
     // the boot completes.
@@ -381,7 +379,7 @@ RestoreRoutine::trySalvageColdBoot(const char *reason)
     inform("restore: salvage cold boot (%s), %zu regions in directory",
            reason, image->entries.size());
     trace::StatRegistry::instance().counter("core.salvage_boots").add();
-    TRACE_INSTANT(Core, "salvage cold boot");
+    TRACE_SIM_INSTANT(queue_, Core, "salvage cold boot");
     report_.salvageMode = true;
     report_.imageTierCut = image->tierCut;
 
@@ -429,7 +427,7 @@ RestoreRoutine::fallbackColdBoot(const char *reason)
     trace::StatRegistry::instance().counter("core.cold_boots").add();
     trace::frEmit(recorder_, trace::FrEvent::FallbackColdBoot,
                   trace::Category::Core, 0, 0);
-    TRACE_INSTANT(Core, "fallback to cold boot");
+    TRACE_SIM_INSTANT(queue_, Core, "fallback to cold boot");
     const Tick start = queue_.now();
     machine_.resetForBoot();
     nvdimms_.resetToActive();

@@ -109,9 +109,9 @@ SaveRoutine::record(const std::string &step, Tick start, Tick end)
     if (trace::enabled(trace::Category::Core)) {
         auto &manager = trace::TraceManager::instance();
         manager.emitAt(trace::Category::Core, trace::Phase::Begin,
-                       step.c_str(), start);
+                       step.c_str(), queue_.machineId(), start);
         manager.emitAt(trace::Category::Core, trace::Phase::End,
-                       step.c_str(), end);
+                       step.c_str(), queue_.machineId(), end);
     }
     // Gauge names derive from the step name, not its position in the
     // report: under the parallel flush the per-core steps land in
@@ -144,9 +144,7 @@ SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
     report_ = SaveReport{};
     report_.started = queue_.now();
     trace::StatRegistry::instance().counter("core.saves_started").add();
-    trace::TraceManager::instance().emitAt(
-        trace::Category::Core, trace::Phase::Instant, "SaveRoutine start",
-        report_.started);
+    TRACE_SIM_INSTANT(queue_, Core, "SaveRoutine start");
     report_.dirtyBytesFlushed = machine_.totalDirtyBytes();
 
     // Degraded-mode decision: a forced config or the platform's
@@ -282,6 +280,7 @@ SaveRoutine::stepFinishFlush()
              ++socket) {
             CacheModel &cache = machine_.socketCache(socket);
             const uint64_t bytes = cache.dirtyBytes();
+            TRACE_SIM_INSTANT(queue_, Machine, "wbinvd");
             cache.wbinvd();
             trace::frEmit(recorder_, trace::FrEvent::SaveFlushWave,
                           trace::Category::Machine,

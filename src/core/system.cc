@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include "trace/stat_registry.h"
-#include "trace/trace.h"
 #include "util/logging.h"
 
 namespace wsp {
@@ -9,12 +8,9 @@ namespace wsp {
 WspSystem::WspSystem(SystemConfig config)
     : config_(std::move(config)), rng_(config_.seed)
 {
-    // Stamp trace records with this system's simulated time. Benches
-    // build many systems in sequence; the owner token makes sure a
-    // dying system only clears its own source.
-    trace::TraceManager::instance().setTickSource(
-        this, [this] { return queue_.now(); });
-
+    // Every model below stamps its trace records from queue_ (its
+    // machine id and tick), so systems alive at the same time keep
+    // separate timelines.
     psu_ = std::make_unique<AtxPowerSupply>(queue_, config_.psu,
                                             rng_.fork(1));
     psu_->setLoadWatts(config_.platform.load.watts(config_.load));
@@ -40,11 +36,6 @@ WspSystem::WspSystem(SystemConfig config)
     wsp_ = std::make_unique<WspController>(
         queue_, *machine_, *psu_, *monitor_, *nvdimmController_,
         config_.devices.empty() ? nullptr : devices_.get(), config_.wsp);
-}
-
-WspSystem::~WspSystem()
-{
-    trace::TraceManager::instance().clearTickSource(this);
 }
 
 void

@@ -70,7 +70,6 @@ class WspSystem
 {
   public:
     explicit WspSystem(SystemConfig config);
-    ~WspSystem();
 
     EventQueue &queue() { return queue_; }
     MachineModel &machine() { return *machine_; }

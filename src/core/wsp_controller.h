@@ -68,7 +68,6 @@ class WspController : public SimObject
     const WspConfig &config() const { return config_; }
     const WspLayout &layout() const { return layout_; }
     ValidMarker &marker() { return marker_; }
-    ResumeBlock &resumeBlock() { return resumeBlock_; }
     SaveRoutine &saveRoutine() { return save_; }
     SalvageDirectory &salvageDirectory() { return directory_; }
 

@@ -511,16 +511,6 @@ pheapDisciplineName(PheapDiscipline discipline)
     return "unknown";
 }
 
-std::optional<PheapDiscipline>
-parsePheapDiscipline(const std::string &name)
-{
-    for (PheapDiscipline discipline : allPheapDisciplines()) {
-        if (name == pheapDisciplineName(discipline))
-            return discipline;
-    }
-    return std::nullopt;
-}
-
 std::vector<PheapDiscipline>
 allPheapDisciplines()
 {

@@ -25,7 +25,6 @@
 
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,10 +40,6 @@ enum class PheapDiscipline {
 
 /** Short name ("undo", "stm", "redo", "tornbit"). */
 const char *pheapDisciplineName(PheapDiscipline discipline);
-
-/** Parse a short name; nullopt when unknown. */
-std::optional<PheapDiscipline>
-parsePheapDiscipline(const std::string &name);
 
 /** All four disciplines, for sweep-everything loops. */
 std::vector<PheapDiscipline> allPheapDisciplines();

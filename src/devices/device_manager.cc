@@ -11,15 +11,16 @@ namespace {
 
 /** Emit a per-device span edge ("nic suspend" B/E). */
 void
-traceDeviceEdge(const std::string &device, const char *what,
+traceDeviceEdge(const Device &device, const char *what,
                 trace::Phase phase)
 {
     if (!trace::enabled(trace::Category::Devices))
         return;
     char span[trace::Record::kNameBytes];
-    std::snprintf(span, sizeof(span), "%s %s", device.c_str(), what);
-    trace::TraceManager::instance().emit(trace::Category::Devices, phase,
-                                         span);
+    std::snprintf(span, sizeof(span), "%s %s", device.name().c_str(),
+                  what);
+    trace::emitNow(device.queue(), trace::Category::Devices, phase,
+                   span);
 }
 
 } // namespace
@@ -90,12 +91,10 @@ DeviceManager::suspendNext(size_t index, Tick started,
             done(now() - started);
         return;
     }
-    traceDeviceEdge(devices_[index]->name(), "suspend",
-                    trace::Phase::Begin);
+    traceDeviceEdge(*devices_[index], "suspend", trace::Phase::Begin);
     devices_[index]->suspend([this, index, started,
                               done = std::move(done)](Tick) mutable {
-        traceDeviceEdge(devices_[index]->name(), "suspend",
-                        trace::Phase::End);
+        traceDeviceEdge(*devices_[index], "suspend", trace::Phase::End);
         trace::StatRegistry::instance().counter("devices.suspends").add();
         suspendNext(index + 1, started, std::move(done));
     });
@@ -146,12 +145,10 @@ DeviceManager::resumeChain(size_t index, Tick started,
             done(report);
         return;
     }
-    traceDeviceEdge(devices_[index]->name(), "resume",
-                    trace::Phase::Begin);
+    traceDeviceEdge(*devices_[index], "resume", trace::Phase::Begin);
     devices_[index]->resume([this, index, started, report,
                              done = std::move(done)](Tick) mutable {
-        traceDeviceEdge(devices_[index]->name(), "resume",
-                        trace::Phase::End);
+        traceDeviceEdge(*devices_[index], "resume", trace::Phase::End);
         ++report.devicesRestarted;
         trace::StatRegistry::instance().counter("devices.restarts").add();
         resumeChain(index + 1, started, report, std::move(done));
@@ -180,10 +177,10 @@ DeviceManager::restartNext(size_t index, DevicePolicy policy, Tick started,
         return;
     }
 
-    traceDeviceEdge(device.name(), "restart", trace::Phase::Begin);
+    traceDeviceEdge(device, "restart", trace::Phase::Begin);
     device.restart([this, index, policy, started, report,
                     dev = &device, done = std::move(done)](Tick) mutable {
-        traceDeviceEdge(dev->name(), "restart", trace::Phase::End);
+        traceDeviceEdge(*dev, "restart", trace::Phase::End);
         ++report.devicesRestarted;
         auto &registry = trace::StatRegistry::instance();
         registry.counter("devices.restarts").add();

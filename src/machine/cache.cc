@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "trace/stat_registry.h"
-#include "trace/trace.h"
 #include "util/logging.h"
 
 namespace wsp {
@@ -322,7 +321,6 @@ CacheModel::wbinvd()
     auto &registry = trace::StatRegistry::instance();
     registry.counter("machine.wbinvd_count").add();
     registry.counter("machine.wbinvd_dirty_bytes").add(dirtyBytes());
-    TRACE_INSTANT(Machine, "wbinvd");
     // Write back everything, least recently written first. The order
     // is irrelevant to the memory image, but it is what the write-back
     // observer sees.

@@ -40,7 +40,7 @@ class InterruptController : public SimObject
         ++ipisSent_;
         trace::StatRegistry::instance()
             .counter("machine.ipis_sent").add();
-        TRACE_INSTANT(Machine, "IPI");
+        TRACE_SIM_INSTANT(queue_, Machine, "IPI");
         queue_.scheduleAfter(ipiLatency_,
                              [cpu, handler = std::move(handler)] {
             handler(cpu);

@@ -32,15 +32,15 @@ moduleOrdinal(const std::string &name)
 
 /** Emit a per-module span edge ("nvdimm0 save" B/E) on its track. */
 void
-traceModuleEdge(const std::string &module, const char *what,
+traceModuleEdge(const SimObject &module, const char *what,
                 trace::Phase phase)
 {
     if (!trace::enabled(trace::Category::Nvram))
         return;
     char span[trace::Record::kNameBytes];
-    std::snprintf(span, sizeof(span), "%s %s", module.c_str(), what);
-    trace::TraceManager::instance().emit(trace::Category::Nvram, phase,
-                                         span);
+    std::snprintf(span, sizeof(span), "%s %s", module.name().c_str(),
+                  what);
+    trace::emitNow(module.queue(), trace::Category::Nvram, phase, span);
 }
 
 } // namespace
@@ -348,7 +348,7 @@ NvdimmModule::startSave()
     trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveStart,
                   trace::Category::Nvram, saveIncremental_ ? 1 : 0,
                   savePendingBytes_);
-    traceModuleEdge(name(), "save", trace::Phase::Begin);
+    traceModuleEdge(*this, "save", trace::Phase::Begin);
     debugLog("%s: %s save started, %llu bytes, duration %s, "
              "energy %.1f J",
              name().c_str(), saveIncremental_ ? "incremental" : "full",
@@ -483,7 +483,7 @@ NvdimmModule::finishSave()
     trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveDone,
                   trace::Category::Nvram, saveProgrammedBytes_,
                   saveIncremental_ ? 1 : 0);
-    traceModuleEdge(name(), "save", trace::Phase::End);
+    traceModuleEdge(*this, "save", trace::Phase::End);
     debugLog("%s: %s save completed at %s (%llu bytes programmed)",
              name().c_str(), saveIncremental_ ? "incremental" : "full",
              formatTime(now()).c_str(),
@@ -523,8 +523,8 @@ NvdimmModule::failSave(const char *reason)
     trace::StatRegistry::instance().counter("nvram.save_failures").add();
     trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveFailed,
                   trace::Category::Nvram, saveProgrammedBytes_, 0);
-    traceModuleEdge(name(), "save", trace::Phase::End);
-    TRACE_INSTANT(Nvram, "NVDIMM save failed");
+    traceModuleEdge(*this, "save", trace::Phase::End);
+    TRACE_SIM_INSTANT(queue_, Nvram, "NVDIMM save failed");
     if (!hostPower_)
         dram_.poison();
 }
@@ -543,7 +543,7 @@ NvdimmModule::startRestore()
     WSP_CHECKF(flashRestorable(),
                "%s: restore without any flash content", name().c_str());
     state_ = NvdimmState::Restoring;
-    traceModuleEdge(name(), "restore", trace::Phase::Begin);
+    traceModuleEdge(*this, "restore", trace::Phase::Begin);
     queue_.scheduleAfter(restoreDuration(), [this] { finishRestore(); });
 }
 
@@ -572,7 +572,7 @@ NvdimmModule::finishRestore()
                       trace::Category::Nvram, moduleOrdinal(name()),
                       config_.capacityBytes / SparseMemory::kPageSize);
     }
-    traceModuleEdge(name(), "restore", trace::Phase::End);
+    traceModuleEdge(*this, "restore", trace::Phase::End);
     debugLog("%s: restore completed at %s", name().c_str(),
              formatTime(now()).c_str());
 }
@@ -581,7 +581,7 @@ void
 NvdimmModule::hostPowerLost()
 {
     hostPower_ = false;
-    TRACE_INSTANT(Nvram, "host power lost");
+    TRACE_SIM_INSTANT(queue_, Nvram, "host power lost");
     switch (state_) {
       case NvdimmState::Active:
         if (armed_) {
@@ -629,7 +629,7 @@ void
 NvdimmModule::hostPowerRestored()
 {
     hostPower_ = true;
-    TRACE_INSTANT(Nvram, "host power restored");
+    TRACE_SIM_INSTANT(queue_, Nvram, "host power restored");
     // The bank recharges from the 12 V rail; model the recharge as
     // complete by the time the host is back up (tens of seconds).
     if (ultracap_.voltage() < ultracap_.config().maxVoltage)

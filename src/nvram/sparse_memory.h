@@ -76,9 +76,6 @@ class SparseMemory
     /** Number of pages currently allocated. */
     size_t allocatedPages() const { return pageCount_; }
 
-    /** Bytes of backing storage in use. */
-    uint64_t allocatedBytes() const { return pageCount_ * kPageSize; }
-
     /** Drop all content (reads become zero again). */
     void clear();
 

@@ -70,7 +70,6 @@ class TornBitLog
                uint64_t *ckpt_pos, uint64_t *ckpt_pass,
                bool durable_appends);
 
-    uint64_t capacityWords() const { return words_; }
     uint64_t position() const { return pos_; }
     uint64_t pass() const { return pass_; }
     uint64_t wraps() const { return wraps_; }

@@ -49,8 +49,6 @@ class UndoLog
      */
     UndoLog(PersistentRegion &region, bool flush_on_commit);
 
-    bool flushOnCommit() const { return flushOnCommit_; }
-    bool inTxn() const { return inTxn_; }
     const UndoLogStats &stats() const { return stats_; }
 
     /** Begin a transaction (appends a Begin marker). */

@@ -86,12 +86,12 @@ EnergyHealthMonitor::checkNow()
         ++transitions_;
         stats.counter("power.health.transitions").add();
         if (degraded_) {
-            TRACE_INSTANT(Power, "health: DEGRADED");
+            TRACE_SIM_INSTANT(queue_, Power, "health: DEGRADED");
             warn("%s: energy self-test failed, worst margin %.3f J — "
                  "entering degraded mode",
                  name().c_str(), worstMargin_);
         } else {
-            TRACE_INSTANT(Power, "health: recovered");
+            TRACE_SIM_INSTANT(queue_, Power, "health: recovered");
             inform("%s: energy self-test recovered, worst margin %.3f J",
                    name().c_str(), worstMargin_);
         }

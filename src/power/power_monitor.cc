@@ -37,7 +37,7 @@ PowerMonitor::onPwrOkDropped()
         ++interruptsRaised_;
         trace::StatRegistry::instance()
             .counter("power.monitor_interrupts").add();
-        TRACE_INSTANT(Power, "power-fail interrupt");
+        TRACE_SIM_INSTANT(queue_, Power, "power-fail interrupt");
         powerFailHandler_();
     });
 }
@@ -49,16 +49,15 @@ PowerMonitor::sendCommand(Command command)
                "power monitor has no NVDIMM command sink");
     if (dropCommands_ > 0) {
         --dropCommands_;
-        ++commandsDropped_;
         trace::StatRegistry::instance()
             .counter("power.i2c_commands_dropped").add();
-        TRACE_INSTANT(Power, "I2C command DROPPED");
+        TRACE_SIM_INSTANT(queue_, Power, "I2C command DROPPED");
         warn("%s: I2C command dropped (injected bus fault)",
              name().c_str());
         return;
     }
     trace::StatRegistry::instance().counter("power.i2c_commands").add();
-    TRACE_INSTANT(Power, "I2C command to NVDIMMs");
+    TRACE_SIM_INSTANT(queue_, Power, "I2C command to NVDIMMs");
     queue_.scheduleAfter(config_.i2cCommandLatency,
                          [this, command] { commandSink_(command); });
 }

@@ -88,9 +88,6 @@ class PowerMonitor : public SimObject
      */
     void failNextCommands(unsigned count) { dropCommands_ = count; }
 
-    /** Commands dropped by failNextCommands so far. */
-    uint64_t commandsDropped() const { return commandsDropped_; }
-
   private:
     void onPwrOkDropped();
 
@@ -99,7 +96,6 @@ class PowerMonitor : public SimObject
     CommandSink commandSink_;
     uint64_t interruptsRaised_ = 0;
     unsigned dropCommands_ = 0;
-    uint64_t commandsDropped_ = 0;
 };
 
 } // namespace wsp

@@ -166,12 +166,12 @@ AtxPowerSupply::onInputFailed()
     registry.counter("power.input_failures").add();
     registry.gauge("power.residual_window_ns")
         .set(static_cast<double>(residualWindow_));
-    TRACE_INSTANT(Power, "AC input failed");
+    TRACE_SIM_INSTANT(queue_, Power, "AC input failed");
 
     queue_.schedule(pwrOkDropTick_, [this] {
         if (inputFailed_) {
             pwrOk_.set(false);
-            TRACE_INSTANT(Power, "PWR_OK drop");
+            TRACE_SIM_INSTANT(queue_, Power, "PWR_OK drop");
         }
     });
 }
@@ -208,7 +208,7 @@ AtxPowerSupply::restoreInput()
     regulationEnd_ = kTickNever;
     residualWindow_ = 0;
     pwrOk_.set(true);
-    TRACE_INSTANT(Power, "AC input restored");
+    TRACE_SIM_INSTANT(queue_, Power, "AC input restored");
 }
 
 } // namespace wsp

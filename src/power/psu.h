@@ -92,7 +92,6 @@ class AtxPowerSupply : public SimObject
 
     /** Set the system load the supply is driving, in watts. */
     void setLoadWatts(double watts);
-    double loadWatts() const { return loadWatts_; }
 
     /**
      * Recalibrate the residual windows at runtime. The fleet fault

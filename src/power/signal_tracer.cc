@@ -44,14 +44,12 @@ SignalTracer::sampleAll()
     if (!running_)
         return;
     const double t = toSeconds(now() - startTick_);
-    const bool traced = trace::enabled(trace::Category::Power);
     for (auto &ch : channels_) {
         const double value = ch.probe();
         ch.trace.add(t, value);
         // Bridge analog channels onto the event trace as counter
         // tracks ("12V rail", "PWR_OK", ...).
-        if (traced)
-            TRACE_COUNTER(Power, ch.name.c_str(), value);
+        TRACE_SIM_COUNTER(queue_, Power, ch.name.c_str(), value);
     }
     queue_.scheduleAfter(samplePeriod_, [this] { sampleAll(); });
 }

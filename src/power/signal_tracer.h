@@ -40,7 +40,6 @@ class SignalTracer : public SimObject
     void stop();
 
     bool running() const { return running_; }
-    Tick samplePeriod() const { return samplePeriod_; }
 
     /** Recorded trace of a channel; x = seconds, y = probe value. */
     const Series &channel(const std::string &name) const;

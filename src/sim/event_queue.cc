@@ -1,8 +1,22 @@
 #include "sim/event_queue.h"
 
+#include <atomic>
+
 #include "util/logging.h"
 
 namespace wsp {
+
+namespace {
+
+/** Last machine id handed out; 0 stays free for the host clock. */
+std::atomic<uint64_t> lastMachineId{0};
+
+} // namespace
+
+EventQueue::EventQueue()
+    : machineId_(lastMachineId.fetch_add(1, std::memory_order_relaxed) + 1)
+{
+}
 
 void
 EventQueue::dispatchTop()

@@ -30,6 +30,12 @@
  * have fired had it been scheduled at reservation time, so a model
  * can keep one pending event per stream and re-arm it lazily without
  * changing any equal-tick tie an up-front schedule would have had.
+ *
+ * Machine id: each queue is one simulated machine's clock, and takes a
+ * process-unique id at construction (never 0, never reused). The trace
+ * layer stamps simulated-time records with (machineId(), now()), so
+ * records from machines that are alive at once stay on separate
+ * timelines.
  */
 
 #pragma once
@@ -68,12 +74,15 @@ using EventFn = util::SmallFn<48>;
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick now() const { return now_; }
+
+    /** This queue's process-unique machine id (>= 1). */
+    uint64_t machineId() const { return machineId_; }
 
     /**
      * Schedule @p fn at absolute tick @p when (>= now).
@@ -236,6 +245,7 @@ class EventQueue
     std::vector<uint32_t> heapIndex_; ///< per-slot heap position
     std::vector<HeapEntry> heap_;
     std::function<void(Tick)> dispatchObserver_;
+    const uint64_t machineId_;
     Tick now_ = 0;
     uint64_t nextSeq_ = 0;
     bool stopRequested_ = false;

@@ -15,10 +15,16 @@ namespace wsp::trace {
 
 namespace {
 
-// Chrome trace-event pids: one fake "process" per timebase so
-// Perfetto never mixes simulated and host timestamps on one track.
-constexpr int kSimPid = 1;
-constexpr int kHostPid = 2;
+/**
+ * Chrome trace-event pid: one fake "process" per clock, so Perfetto
+ * never mixes two timebases on one track. Machine m (an EventQueue
+ * id, >= 1) is pid m + 1; pid 1 is the host wall clock.
+ */
+uint64_t
+pidOf(const Record &record)
+{
+    return record.machine + 1;
+}
 
 const char *
 phaseLetter(Phase phase)
@@ -127,7 +133,7 @@ chromeTraceJson()
     uint64_t host_base = 0;
     bool have_host_base = false;
     for (const Record &record : records) {
-        if (!record.hasSimTick &&
+        if (record.machine == 0 &&
             (!have_host_base || record.wallNs < host_base)) {
             host_base = record.wallNs;
             have_host_base = true;
@@ -138,34 +144,46 @@ chromeTraceJson()
     out.reserve(records.size() * 96 + 1024);
     out += "{\"traceEvents\":[\n";
 
-    // Metadata: name the two timebase "processes" and each category
-    // "thread" actually used, so the Perfetto tracks are labelled.
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-           "\"name\":\"process_name\",\"args\":{\"name\":"
-           "\"simulated time (1us = 1000 ticks)\"}}";
-    out += ",\n{\"ph\":\"M\",\"pid\":2,\"tid\":0,"
-           "\"name\":\"process_name\",\"args\":{\"name\":"
-           "\"host wall clock\"}}";
-    std::set<std::pair<int, int>> seen_tracks;
+    // Metadata: name each clock "process" and each category "thread"
+    // actually used, so the Perfetto tracks are labelled.
+    std::set<uint64_t> seen_pids;
+    std::set<std::pair<uint64_t, int>> seen_tracks;
+    const char *separator = "";
     for (const Record &record : records) {
-        const int pid = record.hasSimTick ? kSimPid : kHostPid;
+        const uint64_t pid = pidOf(record);
         const int tid = static_cast<int>(record.category);
+        char buf[192];
+        if (seen_pids.insert(pid).second) {
+            char label[96] = "host wall clock";
+            if (record.machine != 0)
+                std::snprintf(label, sizeof(label),
+                              "machine %llu (simulated time, 1us = "
+                              "1000 ticks)",
+                              static_cast<unsigned long long>(
+                                  record.machine));
+            std::snprintf(buf, sizeof(buf),
+                          "%s{\"ph\":\"M\",\"pid\":%llu,\"tid\":0,"
+                          "\"name\":\"process_name\",\"args\":{\"name\":"
+                          "\"%s\"}}",
+                          separator, static_cast<unsigned long long>(pid),
+                          label);
+            out += buf;
+            separator = ",\n";
+        }
         if (!seen_tracks.insert({pid, tid}).second)
             continue;
-        char buf[160];
         std::snprintf(buf, sizeof(buf),
-                      ",\n{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
+                      "%s{\"ph\":\"M\",\"pid\":%llu,\"tid\":%d,"
                       "\"name\":\"thread_name\",\"args\":{\"name\":"
                       "\"%s\"}}",
-                      pid, tid, categoryName(record.category));
+                      separator, static_cast<unsigned long long>(pid), tid,
+                      categoryName(record.category));
         out += buf;
     }
 
     for (const Record &record : records) {
-        const int pid = record.hasSimTick ? kSimPid : kHostPid;
-        const int tid = static_cast<int>(record.category);
         // ts is in microseconds; ticks are simulated ns.
-        const uint64_t ns = record.hasSimTick
+        const uint64_t ns = record.machine != 0
                                 ? record.simTick
                                 : record.wallNs - host_base;
         char ts[48];
@@ -173,7 +191,9 @@ chromeTraceJson()
                       static_cast<unsigned long long>(ns / 1000),
                       static_cast<unsigned>(ns % 1000));
 
-        out += ",\n{\"name\":";
+        out += separator;
+        separator = ",\n";
+        out += "{\"name\":";
         out += jsonQuote(record.name);
         out += ",\"cat\":\"";
         out += categoryName(record.category);
@@ -181,9 +201,10 @@ chromeTraceJson()
         out += phaseLetter(record.phase);
         out += "\",\"ts\":";
         out += ts;
-        char ids[48];
-        std::snprintf(ids, sizeof(ids), ",\"pid\":%d,\"tid\":%d", pid,
-                      tid);
+        char ids[64];
+        std::snprintf(ids, sizeof(ids), ",\"pid\":%llu,\"tid\":%d",
+                      static_cast<unsigned long long>(pidOf(record)),
+                      static_cast<int>(record.category));
         out += ids;
         if (record.phase == Phase::Counter) {
             out += ",\"args\":{\"value\":";

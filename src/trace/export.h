@@ -5,11 +5,12 @@
  * Two formats:
  *
  *  - Chrome trace-event JSON ({"traceEvents":[...]}), loadable in
- *    Perfetto / chrome://tracing. Records carrying a simulated Tick
- *    are emitted under pid 1 ("simulated time", 1 tick = 1ns mapped
- *    to microseconds); records with only a host timestamp (the real
- *    pheap code paths) go under pid 2 ("host wall clock") so the two
- *    timebases never mix on one track.
+ *    Perfetto / chrome://tracing. Each machine that emitted records
+ *    gets its own process ("machine m (simulated time)", pid m + 1,
+ *    1 tick = 1ns mapped to microseconds), so a crashed and a revived
+ *    chassis, or the nodes of a fleet, show as separate track sets.
+ *    Host-clock records (the real pheap code paths) go under pid 1
+ *    ("host wall clock"), so no two timebases mix on one track.
  *
  *  - Flat metrics as JSON ({"name": value, ...}) or CSV
  *    (name,value per line) from a StatRegistry snapshot.

@@ -17,6 +17,25 @@ namespace {
 
 constexpr size_t kDefaultCapacity = 65536;
 
+/**
+ * WSP_TRACE_CAPACITY as a record count: a plain decimal from 1 to
+ * TraceManager::kMaxCapacity, or 0 for anything else (a sign, an
+ * exponent, trailing text, an overflow).
+ */
+size_t
+parseCapacity(const char *text)
+{
+    size_t records = 0;
+    for (const char *c = text; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9')
+            return 0;
+        records = records * 10 + static_cast<size_t>(*c - '0');
+        if (records > TraceManager::kMaxCapacity)
+            return 0;
+    }
+    return records;
+}
+
 uint64_t
 wallNowNs()
 {
@@ -93,8 +112,7 @@ TraceManager::instance()
     return manager;
 }
 
-TraceManager::TraceManager()
-    : ring_(kDefaultCapacity, util::ArenaAllocator<Record>(&ringArena_))
+TraceManager::TraceManager() : configuredCapacity_(kDefaultCapacity)
 {
     // Surface ring overwrites without adding hot-path cost: the
     // exporter polls this probe at snapshot time.
@@ -106,11 +124,14 @@ TraceManager::TraceManager()
 void
 TraceManager::enable(uint32_t mask)
 {
-    detail::g_enabledMask.store(mask & kAllCategories,
-                                std::memory_order_relaxed);
+    mask &= kAllCategories;
+    // The ring exists before any emitter can see an enabled category.
+    if (mask != 0 && ring_.empty())
+        ring_.resize(configuredCapacity_);
+    detail::g_enabledMask.store(mask, std::memory_order_release);
     // Tracing doubles as a debug-message sink: with any category
     // active, debugLog() lines become instant events on the trace.
-    if ((mask & kAllCategories) != 0) {
+    if (mask != 0) {
         setDebugSink([](const char *message) {
             TraceManager::instance().emit(Category::Apps, Phase::Instant,
                                           message);
@@ -125,20 +146,18 @@ TraceManager::configureFromEnv()
 {
     const char *capacity_env = std::getenv("WSP_TRACE_CAPACITY");
     if (capacity_env != nullptr) {
-        const long parsed = std::atol(capacity_env);
-        if (parsed > 0)
-            setCapacity(static_cast<size_t>(parsed));
+        const size_t records = parseCapacity(capacity_env);
+        if (records != 0)
+            setCapacity(records);
+        else
+            warn("WSP_TRACE_CAPACITY=%s is not a record count from 1 to "
+                 "%zu; keeping %zu",
+                 capacity_env, kMaxCapacity, configuredCapacity_);
     }
 
     const char *list = std::getenv("WSP_TRACE");
-    if (list == nullptr) {
-#if defined(WSP_TRACE_DEFAULT_ON)
-        enableAll();
-        return true;
-#else
+    if (list == nullptr)
         return enabledMask() != 0;
-#endif
-    }
     uint32_t mask = 0;
     if (!parseCategoryList(list, &mask)) {
         warn("WSP_TRACE=%s contains an unknown category; expected a "
@@ -160,62 +179,33 @@ TraceManager::enabledMask() const
 void
 TraceManager::setCapacity(size_t records)
 {
-    WSP_CHECK(records >= 1);
-    // Drop the old ring first, then recycle the arena's chunks: the
-    // fresh ring bump-allocates straight back into the same memory
-    // (ArenaAllocator::deallocate is a no-op, so reset() is how the
-    // arena reclaims).
-    ring_.clear();
-    ring_.shrink_to_fit();
-    ringArena_.reset();
-    ring_.resize(records);
+    WSP_CHECK(records >= 1 && records <= kMaxCapacity);
+    configuredCapacity_ = records;
+    std::vector<Record>().swap(ring_);
+    if (enabledMask() != 0)
+        ring_.resize(records);
     next_.store(0, std::memory_order_relaxed);
-}
-
-void
-TraceManager::setTickSource(const void *owner,
-                            std::function<uint64_t()> now)
-{
-    tickOwner_ = owner;
-    tickSource_ = std::move(now);
-}
-
-void
-TraceManager::clearTickSource(const void *owner)
-{
-    if (tickOwner_ != owner)
-        return;
-    tickOwner_ = nullptr;
-    tickSource_ = nullptr;
 }
 
 void
 TraceManager::emit(Category category, Phase phase, const char *name,
                    double value)
 {
-    if (!enabled(category))
-        return;
-    uint64_t sim_tick = 0;
-    bool has_sim_tick = false;
-    if (tickSource_) {
-        sim_tick = tickSource_();
-        has_sim_tick = true;
-    }
-    store(category, phase, name, sim_tick, has_sim_tick, value);
+    if (enabled(category))
+        store(category, phase, name, 0, 0, value);
 }
 
 void
 TraceManager::emitAt(Category category, Phase phase, const char *name,
-                     uint64_t sim_tick, double value)
+                     uint64_t machine, uint64_t sim_tick, double value)
 {
-    if (!enabled(category))
-        return;
-    store(category, phase, name, sim_tick, true, value);
+    if (enabled(category))
+        store(category, phase, name, machine, sim_tick, value);
 }
 
 void
 TraceManager::store(Category category, Phase phase, const char *name,
-                    uint64_t sim_tick, bool has_sim_tick, double value)
+                    uint64_t machine, uint64_t sim_tick, double value)
 {
     const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
     if (seq == static_cast<uint64_t>(ring_.size()) &&
@@ -228,10 +218,10 @@ TraceManager::store(Category category, Phase phase, const char *name,
     Record &slot = ring_[seq % ring_.size()];
     slot.simTick = sim_tick;
     slot.wallNs = wallNowNs();
+    slot.machine = machine;
     slot.value = value;
     slot.category = category;
     slot.phase = phase;
-    slot.hasSimTick = has_sim_tick;
     std::strncpy(slot.name, name, Record::kNameBytes - 1);
     slot.name[Record::kNameBytes - 1] = '\0';
 }

@@ -3,18 +3,23 @@
  * Tick-stamped trace events over a fixed-capacity ring buffer.
  *
  * Every subsystem can emit named events into one global TraceManager:
- * begin/end span pairs, instants, and counter samples, each stamped
- * with both the simulated Tick (when a tick source is installed; the
- * WspSystem constructor installs its event queue) and the host
- * steady-clock time (always, so the real-code pheap paths are
- * traceable too). Records land in a preallocated ring; when it wraps,
- * the newest records win and the overwritten ones are counted as
- * dropped.
+ * begin/end span pairs, instants, and counter samples. Each record
+ * carries the host steady-clock time, and a simulated-time record
+ * also carries the emitting machine's id and its tick: models stamp
+ * their records from their own EventQueue where they emit them
+ * (TRACE_SIM_INSTANT(queue_, ...) or emitAt()), so machines that are
+ * alive at the same time — a crashed and a revived chassis, the nodes
+ * of a fleet — each keep their own timeline. Machine id 0 marks a
+ * host-clock record (the real-code pheap paths, the debug sink, the
+ * crash explorer's verdict instant). Records land in a ring; when it
+ * wraps, the newest records win and the overwritten ones are counted
+ * as dropped. The ring is allocated when a category is first
+ * enabled, so a process that never traces never pays for it.
  *
  * Runtime control: WSP_TRACE=<cat,cat|all> enables categories from
  * the environment (applied by TraceManager::configureFromEnv(), which
  * bench_util's init() calls), or programmatically via enable().
- * Emission is a no-op costing one relaxed load when a category is
+ * Emission is a no-op costing one atomic load when a category is
  * disabled, so instrumentation can stay in hot paths.
  */
 
@@ -22,11 +27,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
-
-#include "util/arena.h"
 
 namespace wsp::trace {
 
@@ -66,16 +68,20 @@ enum class Phase : uint8_t {
 };
 
 namespace detail {
-/** Global enabled-category mask; read inline on every emit. */
+/**
+ * Global enabled-category mask; read inline on every emit. Published
+ * with release after the ring exists, so an emitter that acquires a
+ * set bit also sees the ring.
+ */
 extern std::atomic<uint32_t> g_enabledMask;
 } // namespace detail
 
-/** True when @p category is currently traced (one relaxed load). */
+/** True when @p category is currently traced (one acquire load). */
 inline bool
 enabled(Category category)
 {
     const uint32_t mask =
-        detail::g_enabledMask.load(std::memory_order_relaxed);
+        detail::g_enabledMask.load(std::memory_order_acquire);
     return (mask & (1u << static_cast<unsigned>(category))) != 0;
 }
 
@@ -91,12 +97,12 @@ struct Record
 {
     static constexpr size_t kNameBytes = 46;
 
-    uint64_t simTick = 0; ///< simulated ns (valid when hasSimTick)
+    uint64_t simTick = 0; ///< simulated ns on the machine's clock
     uint64_t wallNs = 0;  ///< host steady-clock ns
+    uint64_t machine = 0; ///< emitting EventQueue's id; 0 = host clock
     double value = 0.0;   ///< Counter payload
     Category category = Category::Core;
     Phase phase = Phase::Instant;
-    bool hasSimTick = false;
     char name[kNameBytes] = {};
 };
 
@@ -121,40 +127,40 @@ class TraceManager
     void disableAll() { enable(0); }
 
     /**
-     * Apply WSP_TRACE from the environment (and, when the library is
-     * built with WSP_TRACE_DEFAULT_ON, enable everything if the
-     * variable is unset). @return true when any category ended up
-     * enabled.
+     * Apply WSP_TRACE_CAPACITY and WSP_TRACE from the environment.
+     * @return true when any category ended up enabled.
      */
     bool configureFromEnv();
 
     uint32_t enabledMask() const;
 
+    /** Largest ring setCapacity() and WSP_TRACE_CAPACITY accept. */
+    static constexpr size_t kMaxCapacity = size_t{1} << 24;
+
     /**
-     * Resize the ring (default 65536 records; WSP_TRACE_CAPACITY
-     * overrides at configureFromEnv() time). Discards the content.
+     * Size the ring in records, 1 to kMaxCapacity (default 65536;
+     * WSP_TRACE_CAPACITY overrides at configureFromEnv() time).
+     * Discards the content; while every category is off the ring is
+     * released and comes back at the next enable().
      */
     void setCapacity(size_t records);
 
+    /** Records the ring holds: 0 until a category is enabled. */
     size_t capacity() const { return ring_.size(); }
-
-    /**
-     * Install the simulated-time source; records emitted while it is
-     * set carry queue.now(). @p owner disambiguates nested systems:
-     * clearTickSource() only resets when the owner matches.
-     */
-    void setTickSource(const void *owner, std::function<uint64_t()> now);
-    void clearTickSource(const void *owner);
 
     // Emission --------------------------------------------------------
 
-    /** Emit a record stamped with the tick source (if installed). */
+    /** Emit a host-clock record (machine 0). */
     void emit(Category category, Phase phase, const char *name,
               double value = 0.0);
 
-    /** Emit a record with an explicit simulated tick (async spans). */
+    /**
+     * Emit a record on machine @p machine's simulated clock at
+     * @p sim_tick (an EventQueue's machineId(); explicit ticks serve
+     * spans completed retroactively).
+     */
     void emitAt(Category category, Phase phase, const char *name,
-                uint64_t sim_tick, double value = 0.0);
+                uint64_t machine, uint64_t sim_tick, double value = 0.0);
 
     // Draining --------------------------------------------------------
 
@@ -174,23 +180,17 @@ class TraceManager
     TraceManager();
 
     void store(Category category, Phase phase, const char *name,
-               uint64_t sim_tick, bool has_sim_tick, double value);
+               uint64_t machine, uint64_t sim_tick, double value);
 
-    /// The ring lives in a dedicated arena: records are fixed-size
-    /// slabs recycled in place on wrap, and setCapacity() resets the
-    /// arena so resizes reuse the same chunks instead of churning the
-    /// general-purpose heap alongside the hot emitters.
-    util::Arena ringArena_;
-    std::vector<Record, util::ArenaAllocator<Record>> ring_;
+    size_t configuredCapacity_; ///< records the ring gets when built
+    std::vector<Record> ring_;  ///< empty until a category is enabled
     std::atomic<uint64_t> next_{0};
     std::atomic<bool> overflowWarned_{false};
-    std::function<uint64_t()> tickSource_;
-    const void *tickOwner_ = nullptr;
 };
 
 /**
- * RAII begin/end span. Emits nothing when the category is disabled
- * at construction time.
+ * RAII begin/end span on the host clock. Emits nothing when the
+ * category is disabled at construction time.
  */
 class ScopedSpan
 {
@@ -217,7 +217,7 @@ class ScopedSpan
     bool active_;
 };
 
-/** Emit an instant event when the category is enabled. */
+/** Emit a host-clock instant when the category is enabled. */
 inline void
 instant(Category category, const char *name)
 {
@@ -225,30 +225,45 @@ instant(Category category, const char *name)
         TraceManager::instance().emit(category, Phase::Instant, name);
 }
 
-/** Emit a counter sample when the category is enabled. */
+/**
+ * Emit a record on @p clock's machine at its current tick when the
+ * category is enabled. @p clock is the emitting model's EventQueue
+ * (anything with machineId() and now()).
+ */
+template <typename Clock>
 inline void
-counter(Category category, const char *name, double value)
+emitNow(const Clock &clock, Category category, Phase phase,
+        const char *name, double value = 0.0)
 {
     if (enabled(category))
-        TraceManager::instance().emit(category, Phase::Counter, name,
-                                      value);
+        TraceManager::instance().emitAt(category, phase, name,
+                                        clock.machineId(), clock.now(),
+                                        value);
 }
 
 #define WSP_TRACE_CONCAT2(a, b) a##b
 #define WSP_TRACE_CONCAT(a, b) WSP_TRACE_CONCAT2(a, b)
 
-/** Scoped duration event: TRACE_SPAN(Pheap, "undo commit"); */
+/** Host-clock scoped span: TRACE_SPAN(Pheap, "undo commit"); */
 #define TRACE_SPAN(cat, name)                                         \
     ::wsp::trace::ScopedSpan WSP_TRACE_CONCAT(wsp_trace_span_,        \
                                               __LINE__)(             \
         ::wsp::trace::Category::cat, name)
 
-/** Point event: TRACE_INSTANT(Power, "PWR_OK drop"); */
+/** Host-clock point event: TRACE_INSTANT(Crashsim, "..."); */
 #define TRACE_INSTANT(cat, name)                                      \
     ::wsp::trace::instant(::wsp::trace::Category::cat, name)
 
-/** Counter sample: TRACE_COUNTER(Power, "rail.v12", volts); */
-#define TRACE_COUNTER(cat, name, value)                               \
-    ::wsp::trace::counter(::wsp::trace::Category::cat, name, value)
+/** Simulated-time point event on the emitting machine's queue:
+ *  TRACE_SIM_INSTANT(queue_, Power, "PWR_OK drop"); */
+#define TRACE_SIM_INSTANT(clock, cat, name)                           \
+    ::wsp::trace::emitNow(clock, ::wsp::trace::Category::cat,         \
+                          ::wsp::trace::Phase::Instant, name)
+
+/** Simulated-time counter sample on the emitting machine's queue:
+ *  TRACE_SIM_COUNTER(queue_, Power, "12V rail", volts); */
+#define TRACE_SIM_COUNTER(clock, cat, name, value)                    \
+    ::wsp::trace::emitNow(clock, ::wsp::trace::Category::cat,         \
+                          ::wsp::trace::Phase::Counter, name, value)
 
 } // namespace wsp::trace

@@ -2,25 +2,21 @@
  * @file
  * Slab and arena allocation for simulation hot paths.
  *
- * The event engine and the trace layer both burn through small,
+ * The event engine and the serving path both burn through small,
  * uniform objects at rates where the general-purpose heap becomes the
- * profile: a malloc/free pair per scheduled event or per staged trace
- * record costs more than the work the object represents. This header
- * provides the three shapes those paths need:
+ * profile: a malloc/free pair per scheduled event or per staged op
+ * costs more than the work the object represents. This header
+ * provides the two shapes those paths need:
  *
  *  - Arena: a chunked bump allocator. Allocation is a pointer bump;
  *    individual frees do not exist; reset() recycles every chunk in
- *    place so a long-lived owner (the trace ring, a per-run scratch)
- *    reuses the same pages forever.
+ *    place so a long-lived owner (a per-run scratch) reuses the same
+ *    pages forever. The traffic plane carves its op frames from one.
  *  - Slab<T>: a generational slot store over a single growable array.
  *    acquire()/release() recycle fixed slots through a free list with
  *    no per-object allocation, and every slot carries a generation
  *    counter so a stale handle can be rejected after reuse — the
  *    EventQueue builds its tombstone-free cancellation on this.
- *  - ArenaAllocator<T>: a std-allocator adapter over Arena, for
- *    containers whose whole lifetime matches the arena's (the trace
- *    record ring). deallocate() is a no-op by design; reclaim by
- *    resetting the arena after the container is emptied.
  */
 
 #pragma once
@@ -37,8 +33,8 @@ namespace wsp::util {
 
 /**
  * Chunked bump allocator. Not thread-safe; owners that share an arena
- * across threads must serialize externally (the trace ring allocates
- * only at configuration time, from one thread).
+ * across threads must serialize externally (the traffic plane carves
+ * its frames at construction, from one thread).
  */
 class Arena
 {
@@ -224,43 +220,6 @@ class Slab
     std::vector<T> values_;
     std::vector<uint32_t> generations_;
     std::vector<uint32_t> freeList_;
-};
-
-/**
- * std-allocator adapter over an Arena. deallocate() is a no-op: use
- * only for containers that live as long as the arena, or reset the
- * arena after dropping every container bound to it.
- */
-template <typename T>
-class ArenaAllocator
-{
-  public:
-    using value_type = T;
-
-    explicit ArenaAllocator(Arena *arena) : arena_(arena) {}
-
-    template <typename U>
-    ArenaAllocator(const ArenaAllocator<U> &other) : arena_(other.arena())
-    {
-    }
-
-    T *allocate(size_t count)
-    {
-        return arena_->template allocate<T>(count);
-    }
-
-    void deallocate(T *, size_t) {}
-
-    Arena *arena() const { return arena_; }
-
-    template <typename U>
-    bool operator==(const ArenaAllocator<U> &other) const
-    {
-        return arena_ == other.arena();
-    }
-
-  private:
-    Arena *arena_;
 };
 
 } // namespace wsp::util

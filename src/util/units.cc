@@ -44,18 +44,6 @@ formatBytes(uint64_t bytes)
 }
 
 std::string
-formatBandwidth(double bytes_per_second)
-{
-    if (bytes_per_second >= static_cast<double>(kGiB))
-        return format("%.2f %s", bytes_per_second / static_cast<double>(kGiB),
-                      "GiB/s");
-    if (bytes_per_second >= static_cast<double>(kMiB))
-        return format("%.2f %s", bytes_per_second / static_cast<double>(kMiB),
-                      "MiB/s");
-    return format("%.0f %s", bytes_per_second, "B/s");
-}
-
-std::string
 formatDouble(double value, int digits)
 {
     char buf[64];

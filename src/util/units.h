@@ -85,9 +85,6 @@ std::string formatTime(Tick t);
 /** Format a byte count with an auto-selected unit, e.g. "8.0 MiB". */
 std::string formatBytes(uint64_t bytes);
 
-/** Format a rate in bytes/second, e.g. "2.1 GiB/s". */
-std::string formatBandwidth(double bytes_per_second);
-
 /** Format a double with @p digits significant decimals. */
 std::string formatDouble(double value, int digits = 2);
 

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -406,6 +407,9 @@ TEST(SimDifferential, LongSingleSeedRun)
  * Runs one crashsim schedule with every trace category enabled and
  * returns the captured record sequence, serialized without the
  * wall-clock field (the only legitimately nondeterministic bit).
+ * Machine ids differ from run to run (each machine built takes a
+ * fresh one), so each is serialized as its order of first appearance
+ * (0 stays the host clock).
  */
 std::vector<std::string>
 traceSequence(const crashsim::CrashSchedule &schedule)
@@ -418,13 +422,16 @@ traceSequence(const crashsim::CrashSchedule &schedule)
     crashsim::CrashExplorer::runSchedule(schedule);
     manager.disableAll();
     std::vector<std::string> out;
+    std::map<uint64_t, size_t> machine_order{{0, 0}};
     for (const trace::Record &r : manager.snapshot()) {
+        const size_t machine =
+            machine_order.emplace(r.machine, machine_order.size())
+                .first->second;
         char line[96];
-        std::snprintf(line, sizeof line, "%llu|%u|%u|%u|%.17g|%s",
+        std::snprintf(line, sizeof line, "%llu|%zu|%u|%u|%.17g|%s",
                       static_cast<unsigned long long>(
-                          r.hasSimTick ? r.simTick : 0),
-                      static_cast<unsigned>(r.hasSimTick),
-                      static_cast<unsigned>(r.category),
+                          r.machine != 0 ? r.simTick : 0),
+                      machine, static_cast<unsigned>(r.category),
                       static_cast<unsigned>(r.phase), r.value, r.name);
         out.emplace_back(line);
     }

@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the trace module: the ring buffer, category
- * filtering, spans, the stat registry, and both exporters (whose
- * output is parsed back with the bundled JSON parser).
+ * filtering, spans, per-machine simulated-time stamps, the stat
+ * registry, and both exporters (whose output is parsed back with the
+ * bundled JSON parser).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/system.h"
+#include "sim/event_queue.h"
 #include "trace/export.h"
 #include "trace/json_lite.h"
 #include "trace/stat_registry.h"
@@ -176,38 +182,119 @@ TEST_F(TraceTest, SpanDisabledAtConstructionStaysSilent)
     EXPECT_EQ(manager.snapshot().size(), 0u);
 }
 
-TEST_F(TraceTest, TickSourceStampsRecords)
+TEST_F(TraceTest, RecordsCarryTheEmittingMachinesIdAndTick)
 {
     auto &manager = TraceManager::instance();
     manager.enableAll();
-    int owner = 0;
-    manager.setTickSource(&owner, [] { return uint64_t{777}; });
-    instant(Category::Core, "stamped");
-    manager.clearTickSource(&owner);
-    instant(Category::Core, "unstamped");
+    EventQueue first;
+    EventQueue second;
+    first.runUntil(777);
+    second.runUntil(5);
+    ASSERT_NE(first.machineId(), 0u);
+    ASSERT_NE(first.machineId(), second.machineId());
+
+    TRACE_SIM_INSTANT(first, Core, "first");
+    TRACE_SIM_INSTANT(second, Core, "second");
+    manager.emitAt(Category::Core, Phase::Instant, "explicit",
+                   first.machineId(), 42);
+    instant(Category::Core, "host");
 
     const auto records = manager.snapshot();
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_TRUE(records[0].hasSimTick);
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_EQ(records[0].machine, first.machineId());
     EXPECT_EQ(records[0].simTick, 777u);
-    EXPECT_FALSE(records[1].hasSimTick);
-    EXPECT_GT(records[1].wallNs, 0u);
+    EXPECT_EQ(records[1].machine, second.machineId());
+    EXPECT_EQ(records[1].simTick, 5u);
+    EXPECT_EQ(records[2].machine, first.machineId());
+    EXPECT_EQ(records[2].simTick, 42u);
+    EXPECT_EQ(records[3].machine, 0u); // host clock
+    EXPECT_GT(records[3].wallNs, 0u);
 }
 
-TEST_F(TraceTest, ClearTickSourceIgnoresWrongOwner)
+TEST_F(TraceTest, LaterMachinesNeverReuseAnId)
 {
-    auto &manager = TraceManager::instance();
-    manager.enableAll();
-    int owner = 0;
-    int stranger = 0;
-    manager.setTickSource(&owner, [] { return uint64_t{5}; });
-    manager.clearTickSource(&stranger); // no-op: not the owner
-    instant(Category::Core, "still stamped");
-    manager.clearTickSource(&owner);
+    std::set<uint64_t> seen;
+    for (int i = 0; i < 64; ++i) {
+        const auto queue = std::make_unique<EventQueue>();
+        EXPECT_TRUE(seen.insert(queue->machineId()).second)
+            << "machine id " << queue->machineId() << " reused";
+    }
+    EXPECT_EQ(seen.count(0), 0u); // 0 is the host clock
+}
 
-    const auto records = manager.snapshot();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_TRUE(records[0].hasSimTick);
+TEST_F(TraceTest, TwoLiveMachinesKeepTheirOwnClocks)
+{
+    // Machine A is up and 10 ms into its run when machine B is built
+    // (at tick 0). Records A's models emit during A's failure and
+    // restore must carry A's id and A's ticks, with B alive and after
+    // B is gone.
+    auto &manager = TraceManager::instance();
+    manager.setCapacity(1 << 16);
+    manager.enableAll();
+    WspSystem a{SystemConfig{}};
+    a.start();
+    a.runFor(fromMillis(10.0));
+    auto b = std::make_unique<WspSystem>(SystemConfig{});
+    const uint64_t id_a = a.queue().machineId();
+    const uint64_t id_b = b->queue().machineId();
+    ASSERT_NE(id_a, id_b);
+
+    const auto check_run = [&](const char *phase) {
+        SCOPED_TRACE(phase);
+        manager.clear();
+        const Tick started = a.queue().now();
+        a.powerFailAndRestore(fromMillis(1.0), fromMillis(500.0));
+        const Tick finished = a.queue().now();
+        std::set<std::string> names;
+        size_t sim_records = 0;
+        for (const Record &record : manager.snapshot()) {
+            if (record.machine == 0)
+                continue; // host clock
+            ++sim_records;
+            names.insert(record.name);
+            EXPECT_EQ(record.machine, id_a) << record.name;
+            EXPECT_GE(record.simTick, started) << record.name;
+            EXPECT_LE(record.simTick, finished) << record.name;
+        }
+        EXPECT_GT(sim_records, 20u);
+        for (const char *step : {"PWR_OK drop", "power-fail interrupt",
+                                 "IPI", "wbinvd", "SaveRoutine start",
+                                 "RestoreRoutine start"})
+            EXPECT_EQ(names.count(step), 1u) << step;
+    };
+    check_run("machine B alive");
+    b.reset();
+    check_run("machine B destroyed");
+
+    WspSystem c{SystemConfig{}};
+    EXPECT_NE(c.queue().machineId(), id_a);
+    EXPECT_NE(c.queue().machineId(), id_b);
+}
+
+TEST_F(TraceTest, NoRingWhileEveryCategoryIsOff)
+{
+    // The ring costs capacity x 80 bytes: nothing may allocate it
+    // until a category is enabled, not even a machine that runs a
+    // whole failure and restore with tracing off.
+    auto &manager = TraceManager::instance();
+    manager.disableAll();
+    manager.setCapacity(4096); // discards any ring an earlier test built
+    EXPECT_EQ(manager.capacity(), 0u);
+    {
+        WspSystem system{SystemConfig{}};
+        system.start();
+        system.powerFailAndRestore(fromMillis(1.0), fromMillis(500.0));
+    }
+    EXPECT_EQ(manager.capacity(), 0u);
+    EXPECT_EQ(manager.totalEmitted(), 0u);
+
+    manager.enable(1u << static_cast<unsigned>(Category::Core));
+    EXPECT_EQ(manager.capacity(), 4096u);
+    instant(Category::Core, "kept");
+    manager.disableAll();
+    // Disabling keeps the ring, so what was traced can still be read.
+    EXPECT_EQ(manager.capacity(), 4096u);
+    EXPECT_EQ(manager.snapshot().size(), 1u);
 }
 
 TEST_F(TraceTest, DebugLogRoutedToTraceWhenEnabled)
@@ -289,14 +376,12 @@ TEST_F(TraceTest, ChromeTraceExportIsValidJson)
 {
     auto &manager = TraceManager::instance();
     manager.enableAll();
-    int owner = 0;
-    manager.setTickSource(&owner, [] { return uint64_t{1000}; });
-    {
-        TRACE_SPAN(Core, "sim span");
-    }
-    manager.clearTickSource(&owner);
+    EventQueue queue;
+    queue.runUntil(1000);
+    emitNow(queue, Category::Core, Phase::Begin, "sim span");
+    emitNow(queue, Category::Core, Phase::End, "sim span");
     instant(Category::Pheap, "host \"quoted\"\nname");
-    counter(Category::Power, "12V rail", 11.8);
+    TRACE_SIM_COUNTER(queue, Power, "12V rail", 11.8);
 
     json::Value doc;
     ASSERT_TRUE(json::parse(chromeTraceJson(), &doc));
@@ -335,19 +420,29 @@ TEST_F(TraceTest, ChromeTraceExportIsValidJson)
     EXPECT_EQ(ends, 1u);
     EXPECT_EQ(counters, 1u);
 
-    // Sim-stamped records sit in the sim-time process (pid 1), host
-    // records in the wall-clock process (pid 2).
+    // Sim-stamped records sit in their machine's process (pid id + 1),
+    // host records in the wall-clock process (pid 1).
+    const double machine_pid = static_cast<double>(queue.machineId() + 1);
+    bool machine_named = false;
     for (const auto &event : events->array) {
         const json::Value *name = event.find("name");
         if (name == nullptr)
             continue;
         if (name->string == "sim span") {
-            EXPECT_DOUBLE_EQ(event.find("pid")->number, 1.0);
+            EXPECT_DOUBLE_EQ(event.find("pid")->number, machine_pid);
+            EXPECT_DOUBLE_EQ(event.find("ts")->number, 1.0);
         }
         if (name->string.find("quoted") != std::string::npos) {
-            EXPECT_DOUBLE_EQ(event.find("pid")->number, 2.0);
+            EXPECT_DOUBLE_EQ(event.find("pid")->number, 1.0);
+        }
+        if (name->string == "process_name" &&
+            event.find("pid")->number == machine_pid) {
+            const std::string label = event.find("args")->find("name")->string;
+            machine_named = label.rfind(
+                "machine " + std::to_string(queue.machineId()) + " ", 0) == 0;
         }
     }
+    EXPECT_TRUE(machine_named);
 
     const json::Value *other = doc.find("otherData");
     ASSERT_NE(other, nullptr);
@@ -515,6 +610,62 @@ TEST_F(TraceTest, ConfigureFromEnvParsesCategories)
               (1u << static_cast<unsigned>(Category::Nvram)) |
                   (1u << static_cast<unsigned>(Category::Devices)));
     unsetenv("WSP_TRACE");
+}
+
+/**
+ * Apply WSP_TRACE_CAPACITY=@p value (WSP_TRACE unset), then enable
+ * tracing and return the ring size; @p warning gets stderr.
+ */
+size_t
+capacityFromEnv(const char *value, std::string *warning)
+{
+    unsetenv("WSP_TRACE");
+    setenv("WSP_TRACE_CAPACITY", value, 1);
+    ::testing::internal::CaptureStderr();
+    TraceManager::instance().configureFromEnv();
+    *warning = ::testing::internal::GetCapturedStderr();
+    unsetenv("WSP_TRACE_CAPACITY");
+    TraceManager::instance().enableAll();
+    return TraceManager::instance().capacity();
+}
+
+TEST_F(TraceTest, CapacityFromEnvAcceptsAPlainDecimal)
+{
+    std::string warning;
+    EXPECT_EQ(capacityFromEnv("4096", &warning), 4096u);
+    EXPECT_EQ(warning, "");
+}
+
+TEST_F(TraceTest, CapacityFromEnvRejectsTrailingText)
+{
+    std::string warning;
+    EXPECT_EQ(capacityFromEnv("12abc", &warning), 1024u);
+    EXPECT_NE(warning.find("WSP_TRACE_CAPACITY=12abc"), std::string::npos);
+}
+
+TEST_F(TraceTest, CapacityFromEnvRejectsAnExponent)
+{
+    std::string warning;
+    EXPECT_EQ(capacityFromEnv("1e6", &warning), 1024u);
+    EXPECT_NE(warning.find("WSP_TRACE_CAPACITY=1e6"), std::string::npos);
+}
+
+TEST_F(TraceTest, CapacityFromEnvWarnsOnANegativeCount)
+{
+    std::string warning;
+    EXPECT_EQ(capacityFromEnv("-5", &warning), 1024u);
+    EXPECT_NE(warning.find("WSP_TRACE_CAPACITY=-5"), std::string::npos);
+}
+
+TEST_F(TraceTest, CapacityFromEnvRejectsAnOverflow)
+{
+    std::string warning;
+    EXPECT_EQ(capacityFromEnv("99999999999999999999", &warning), 1024u);
+    EXPECT_NE(warning.find("WSP_TRACE_CAPACITY=99999999999999999999"),
+              std::string::npos);
+    EXPECT_EQ(capacityFromEnv("16777217", &warning), 1024u);
+    EXPECT_NE(warning.find("WSP_TRACE_CAPACITY=16777217"),
+              std::string::npos);
 }
 
 TEST_F(TraceTest, LogLevelFromEnv)

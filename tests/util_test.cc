@@ -635,17 +635,6 @@ TEST(Arena, OversizedRequestGetsDedicatedChunk)
     EXPECT_GE(arena.bytesReserved(), 1024u);
 }
 
-TEST(ArenaAllocator, VectorGrowsInsideArena)
-{
-    util::Arena arena;
-    std::vector<uint64_t, util::ArenaAllocator<uint64_t>> values{
-        util::ArenaAllocator<uint64_t>(&arena)};
-    for (uint64_t i = 0; i < 1000; ++i)
-        values.push_back(i);
-    EXPECT_EQ(values[999], 999u);
-    EXPECT_GT(arena.bytesAllocated(), 1000 * sizeof(uint64_t));
-}
-
 // Slab ---------------------------------------------------------------
 
 TEST(Slab, AcquireReleaseRecyclesSlots)
