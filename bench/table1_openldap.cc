@@ -111,8 +111,8 @@ runOnce(bool durable_logs, uint64_t entries, uint64_t seed)
     DirectoryServer<Policy> server(heap);
 
     AccessControl acl;
-    acl.addRule(AclRule{"dc=example,dc=com", true, true});
-    acl.setDefault(false, true);
+    acl.addRule(AclRule{"dc=example,dc=com", true});
+    acl.setDefault(false);
 
     LoopbackTransport transport;
 
@@ -136,10 +136,14 @@ runOnce(bool durable_logs, uint64_t entries, uint64_t seed)
         transport.sendResponse(handleAddRequest(server, acl, request));
         const auto response = transport.receiveResponse();
 
+        // An update counts only when a well-formed AddResponse with
+        // its own message id comes back carrying Success.
         uint32_t id = 0;
         LdapCode code = LdapCode::ProtocolError;
-        decodeResponse(response, &id, &code);
-        ok += code == LdapCode::Success ? 1 : 0;
+        if (decodeResponse(response, &id, &code) &&
+            id == static_cast<uint32_t>(i) && code == LdapCode::Success) {
+            ++ok;
+        }
     }
     const double elapsed = timer.seconds();
     if (ok != entries) {

@@ -95,10 +95,14 @@ main()
 
         // Attach to the index through the heap root and verify.
         AvlTree<pmem::StmPolicy> index(heap, heap.rootObject(), nullptr);
+        const bool sound = index.checkInvariants();
         std::printf("directory after recovery: %llu entries, AVL "
                     "invariants %s\n",
                     (unsigned long long)index.size(),
-                    index.checkInvariants() ? "hold" : "VIOLATED");
+                    sound ? "hold" : "VIOLATED");
+        // Every add committed before the crash, so all must survive.
+        if (!sound || index.size() != kEntries)
+            return 1;
     }
 
     // --- The WSP alternative ---------------------------------------------

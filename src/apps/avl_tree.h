@@ -85,27 +85,6 @@ class AvlTree
         return inserted;
     }
 
-    /**
-     * Remove a key; one transaction. Returns true when found. The
-     * node's block is returned to the heap; the payload block (if
-     * any) is the caller's to free.
-     */
-    bool
-    erase(uint64_t key)
-    {
-        bool erased = false;
-        Policy::run(heap_, [&](typename Policy::Tx &tx) {
-            erased = false;
-            Header *h = hdr();
-            const Offset root =
-                eraseRec(tx, tx.read(&h->root), key, &erased);
-            tx.write(&h->root, root);
-            if (erased)
-                tx.write(&h->size, tx.read(&h->size) - 1);
-        });
-        return erased;
-    }
-
     /** Find a key; one transaction. */
     bool
     find(uint64_t key, Offset *payload_out = nullptr)
@@ -281,79 +260,6 @@ class AvlTree
             return rotateLeft(tx, node);
         }
         return node;
-    }
-
-    /** Rebalance @p node after a child subtree changed height. */
-    template <typename Tx>
-    Offset
-    rebalance(Tx &tx, Offset node)
-    {
-        updateHeight(tx, node);
-        const int64_t balance = balanceOf(tx, node);
-        if (balance > 1) {
-            const Offset left = tx.read(&at(node)->left);
-            if (balanceOf(tx, left) < 0)
-                tx.write(&at(node)->left, rotateLeft(tx, left));
-            return rotateRight(tx, node);
-        }
-        if (balance < -1) {
-            const Offset right = tx.read(&at(node)->right);
-            if (balanceOf(tx, right) > 0)
-                tx.write(&at(node)->right, rotateRight(tx, right));
-            return rotateLeft(tx, node);
-        }
-        return node;
-    }
-
-    /** Detach the minimum node of @p node's subtree; returns the new
-     *  subtree root and the detached node through @p min_out. */
-    template <typename Tx>
-    Offset
-    detachMin(Tx &tx, Offset node, Offset *min_out)
-    {
-        const Offset left = tx.read(&at(node)->left);
-        if (left == kNullOffset) {
-            *min_out = node;
-            return tx.read(&at(node)->right);
-        }
-        tx.write(&at(node)->left, detachMin(tx, left, min_out));
-        return rebalance(tx, node);
-    }
-
-    template <typename Tx>
-    Offset
-    eraseRec(Tx &tx, Offset node, uint64_t key, bool *erased)
-    {
-        if (node == kNullOffset)
-            return kNullOffset;
-
-        const uint64_t k = tx.read(&at(node)->key);
-        if (key < k) {
-            tx.write(&at(node)->left,
-                     eraseRec(tx, tx.read(&at(node)->left), key, erased));
-        } else if (key > k) {
-            tx.write(&at(node)->right,
-                     eraseRec(tx, tx.read(&at(node)->right), key,
-                              erased));
-        } else {
-            *erased = true;
-            const Offset left = tx.read(&at(node)->left);
-            const Offset right = tx.read(&at(node)->right);
-            if (left == kNullOffset || right == kNullOffset) {
-                const Offset child =
-                    left != kNullOffset ? left : right;
-                tx.free(node, sizeof(Node));
-                return child;
-            }
-            // Two children: splice in the in-order successor.
-            Offset successor = kNullOffset;
-            const Offset new_right = detachMin(tx, right, &successor);
-            tx.write(&at(successor)->left, left);
-            tx.write(&at(successor)->right, new_right);
-            tx.free(node, sizeof(Node));
-            return rebalance(tx, successor);
-        }
-        return rebalance(tx, node);
     }
 
     /** Returns subtree height, or -1 on violation. */

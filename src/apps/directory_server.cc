@@ -1,12 +1,6 @@
 #include "apps/directory_server.h"
 
 #include <array>
-#include <memory>
-#include <mutex>
-
-#include "util/logging.h"
-#include "util/thread_pool.h"
-#include "util/units.h"
 
 namespace wsp::apps {
 
@@ -132,61 +126,6 @@ renderEntry(const DirectoryEntry &entry)
     for (const auto &[name, value] : entry.attributes)
         out += name + ": " + value + "\n";
     return out;
-}
-
-uint64_t
-runShardedDirectoryWorkload(unsigned shards, unsigned threads,
-                            uint64_t entries_per_thread, uint64_t seed)
-{
-    WSP_CHECKF(shards >= 1 && (shards & (shards - 1)) == 0,
-               "directory shard count must be a power of two");
-    // Per-shard server in a private heap behind a stripe lock: the
-    // Table 1 data path (parse -> validate -> serialize -> index)
-    // runs concurrently across shards.
-    struct DirectoryShard
-    {
-        DirectoryShard(pmem::PHeapConfig config)
-            : heap(config), server(heap)
-        {
-        }
-        pmem::PHeap heap;
-        DirectoryServer<pmem::RawPolicy> server;
-        std::mutex lock;
-    };
-
-    pmem::PHeapConfig heap_config;
-    heap_config.regionSize = 16 * kMiB; // two 4 MiB logs + header + arena
-    std::vector<std::unique_ptr<DirectoryShard>> stripes;
-    stripes.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i)
-        stripes.push_back(std::make_unique<DirectoryShard>(heap_config));
-
-    ThreadPool pool(threads);
-    pool.runWorkers([&](unsigned worker) {
-        Rng rng = Rng(seed).stream(worker);
-        for (uint64_t i = 0; i < entries_per_thread; ++i) {
-            // Index is globally unique, so DNs never collide across
-            // workers and the final count is exact.
-            const uint64_t index = worker * entries_per_thread + i;
-            const DirectoryEntry entry = randomEntry(rng, index);
-            uint64_t h = 0;
-            for (char c : entry.dn)
-                h = h * 131 + static_cast<unsigned char>(c);
-            DirectoryShard &stripe = *stripes[h & (shards - 1)];
-            std::lock_guard<std::mutex> guard(stripe.lock);
-            const DirectoryResult added =
-                stripe.server.add(renderEntry(entry));
-            WSP_CHECK(added == DirectoryResult::Success);
-            // Read-your-write through the full search path.
-            const DirectoryResult found = stripe.server.search(entry.dn);
-            WSP_CHECK(found == DirectoryResult::Success);
-        }
-    });
-
-    uint64_t total = 0;
-    for (const auto &stripe : stripes)
-        total += stripe->server.entryCount();
-    return total;
 }
 
 } // namespace wsp::apps

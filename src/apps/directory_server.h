@@ -39,7 +39,6 @@ enum class DirectoryResult {
     InvalidSyntax,
     UndefinedAttributeType,
     EntryAlreadyExists,
-    NoSuchObject,
 };
 
 /**
@@ -90,61 +89,6 @@ class DirectoryServer
         return DirectoryResult::Success;
     }
 
-    /** Search by DN; fills @p out when found. */
-    DirectoryResult
-    search(std::string_view dn, DirectoryEntry *out = nullptr)
-    {
-        Offset payload = kNullOffset;
-        if (!index_.find(dnKey(dn), &payload))
-            return DirectoryResult::NoSuchObject;
-        if (out != nullptr) {
-            const uint64_t size =
-                *heap_.region().template at<uint64_t>(payload);
-            std::string blob(
-                reinterpret_cast<const char *>(
-                    heap_.region().at(payload + 8)),
-                size);
-            const DirectoryResult parsed = parseEntry(blob, out);
-            if (parsed != DirectoryResult::Success)
-                return parsed;
-        }
-        return DirectoryResult::Success;
-    }
-
-    /** Delete an entry by DN. */
-    DirectoryResult
-    remove(std::string_view dn)
-    {
-        const uint64_t key = dnKey(dn);
-        Offset payload = kNullOffset;
-        if (!index_.find(key, &payload))
-            return DirectoryResult::NoSuchObject;
-        index_.erase(key);
-        freePayload(payload);
-        return DirectoryResult::Success;
-    }
-
-    /**
-     * Replace an entry's attributes (LDAP modify, replace-all form):
-     * the DN must exist; the stored blob is rewritten.
-     */
-    DirectoryResult
-    modify(const DirectoryEntry &entry)
-    {
-        const DirectoryResult valid = validateEntry(entry);
-        if (valid != DirectoryResult::Success)
-            return valid;
-        const uint64_t key = dnKey(entry.dn);
-        Offset old_payload = kNullOffset;
-        if (!index_.find(key, &old_payload))
-            return DirectoryResult::NoSuchObject;
-
-        const Offset fresh = storeBlob(renderEntry(entry));
-        index_.insert(key, fresh); // replaces the payload offset
-        freePayload(old_payload);
-        return DirectoryResult::Success;
-    }
-
     /** The index (exposed for invariant checks in tests). */
     AvlTree<Policy> &index() { return index_; }
 
@@ -163,17 +107,6 @@ class DirectoryServer
         return payload;
     }
 
-    /** Return a blob's block to the heap. */
-    void
-    freePayload(Offset payload)
-    {
-        const uint64_t size =
-            *heap_.region().template at<uint64_t>(payload);
-        Policy::run(heap_, [&](typename Policy::Tx &tx) {
-            tx.free(payload, size + 8);
-        });
-    }
-
     static uint64_t
     dnKey(std::string_view dn)
     {
@@ -184,17 +117,5 @@ class DirectoryServer
     PHeap &heap_;
     AvlTree<Policy> index_;
 };
-
-/**
- * Sharded directory serving (the Table 1 workload, striped): worker
- * threads add and search LDIF entries against per-shard
- * DirectoryServer instances, each in its own persistent heap behind
- * its own stripe lock. Returns the summed entry count (deterministic
- * for the same seed and shape: every worker draws from its own
- * Rng::stream and adds globally unique DNs).
- */
-uint64_t runShardedDirectoryWorkload(unsigned shards, unsigned threads,
-                                     uint64_t entries_per_thread,
-                                     uint64_t seed);
 
 } // namespace wsp::apps

@@ -12,6 +12,8 @@ constexpr uint8_t kTagInteger = 0x02;
 constexpr uint8_t kTagEnum = 0x0a;
 constexpr uint8_t kTagMessage = 0x30; // universal SEQUENCE
 constexpr uint8_t kTagAttribute = 0x30;
+/** An encoded enumerated value: tag, length 1, the value. */
+constexpr size_t kEnumBytes = 3;
 
 } // namespace
 
@@ -27,8 +29,6 @@ toLdapCode(DirectoryResult result)
         return LdapCode::UndefinedAttributeType;
       case DirectoryResult::EntryAlreadyExists:
         return LdapCode::EntryAlreadyExists;
-      case DirectoryResult::NoSuchObject:
-        return LdapCode::NoSuchObject;
     }
     return LdapCode::ProtocolError;
 }
@@ -256,196 +256,13 @@ decodeAddRequest(std::span<const uint8_t> bytes, uint32_t *message_id,
 }
 
 std::vector<uint8_t>
-encodeDelRequest(std::string_view dn, uint32_t message_id)
-{
-    BerWriter writer;
-    const size_t message = writer.beginSequence(kTagMessage);
-    writer.writeInteger(message_id);
-    const size_t op = writer.beginSequence(
-        static_cast<uint8_t>(LdapOp::DelRequest));
-    writer.writeOctetString(dn);
-    writer.endSequence(op);
-    writer.endSequence(message);
-    return writer.bytes();
-}
-
-bool
-decodeDelRequest(std::span<const uint8_t> bytes, uint32_t *message_id,
-                 std::string *dn)
-{
-    BerReader reader(bytes);
-    size_t content = 0;
-    if (!reader.enterSequence(kTagMessage, &content))
-        return false;
-    uint64_t id = 0;
-    if (!reader.readInteger(&id))
-        return false;
-    *message_id = static_cast<uint32_t>(id);
-    if (!reader.enterSequence(static_cast<uint8_t>(LdapOp::DelRequest),
-                              &content)) {
-        return false;
-    }
-    return reader.readOctetString(dn);
-}
-
-std::vector<uint8_t>
-encodeModifyRequest(const DirectoryEntry &entry, uint32_t message_id)
-{
-    BerWriter writer;
-    const size_t message = writer.beginSequence(kTagMessage);
-    writer.writeInteger(message_id);
-    const size_t op = writer.beginSequence(
-        static_cast<uint8_t>(LdapOp::ModifyRequest));
-    writer.writeOctetString(entry.dn);
-    for (const auto &[name, value] : entry.attributes) {
-        const size_t attr = writer.beginSequence(kTagAttribute);
-        writer.writeOctetString(name);
-        writer.writeOctetString(value);
-        writer.endSequence(attr);
-    }
-    writer.endSequence(op);
-    writer.endSequence(message);
-    return writer.bytes();
-}
-
-bool
-decodeModifyRequest(std::span<const uint8_t> bytes, uint32_t *message_id,
-                    DirectoryEntry *entry)
-{
-    BerReader reader(bytes);
-    size_t content = 0;
-    if (!reader.enterSequence(kTagMessage, &content))
-        return false;
-    uint64_t id = 0;
-    if (!reader.readInteger(&id))
-        return false;
-    *message_id = static_cast<uint32_t>(id);
-    if (!reader.enterSequence(
-            static_cast<uint8_t>(LdapOp::ModifyRequest), &content)) {
-        return false;
-    }
-    entry->attributes.clear();
-    if (!reader.readOctetString(&entry->dn))
-        return false;
-    while (!reader.atEnd() && !reader.failed()) {
-        size_t attr_len = 0;
-        if (!reader.enterSequence(kTagAttribute, &attr_len))
-            return false;
-        std::string name;
-        std::string value;
-        if (!reader.readOctetString(&name) ||
-            !reader.readOctetString(&value)) {
-            return false;
-        }
-        entry->attributes.emplace_back(std::move(name), std::move(value));
-    }
-    return !reader.failed();
-}
-
-std::vector<uint8_t>
-encodeSearchRequest(std::string_view dn, uint32_t message_id)
-{
-    BerWriter writer;
-    const size_t message = writer.beginSequence(kTagMessage);
-    writer.writeInteger(message_id);
-    const size_t op = writer.beginSequence(
-        static_cast<uint8_t>(LdapOp::SearchRequest));
-    writer.writeOctetString(dn);
-    writer.endSequence(op);
-    writer.endSequence(message);
-    return writer.bytes();
-}
-
-bool
-decodeSearchRequest(std::span<const uint8_t> bytes, uint32_t *message_id,
-                    std::string *dn)
-{
-    BerReader reader(bytes);
-    size_t content = 0;
-    if (!reader.enterSequence(kTagMessage, &content))
-        return false;
-    uint64_t id = 0;
-    if (!reader.readInteger(&id))
-        return false;
-    *message_id = static_cast<uint32_t>(id);
-    if (!reader.enterSequence(
-            static_cast<uint8_t>(LdapOp::SearchRequest), &content)) {
-        return false;
-    }
-    return reader.readOctetString(dn);
-}
-
-std::vector<uint8_t>
-encodeSearchResponse(uint32_t message_id, LdapCode code,
-                     const DirectoryEntry *entry)
+encodeResponse(uint32_t message_id, LdapCode code)
 {
     BerWriter writer;
     const size_t message = writer.beginSequence(kTagMessage);
     writer.writeInteger(message_id);
     const size_t body = writer.beginSequence(
-        static_cast<uint8_t>(LdapOp::SearchResponse));
-    writer.writeEnum(static_cast<uint8_t>(code));
-    if (code == LdapCode::Success && entry != nullptr) {
-        writer.writeOctetString(entry->dn);
-        for (const auto &[name, value] : entry->attributes) {
-            const size_t attr = writer.beginSequence(kTagAttribute);
-            writer.writeOctetString(name);
-            writer.writeOctetString(value);
-            writer.endSequence(attr);
-        }
-    }
-    writer.endSequence(body);
-    writer.endSequence(message);
-    return writer.bytes();
-}
-
-bool
-decodeSearchResponse(std::span<const uint8_t> bytes, uint32_t *message_id,
-                     LdapCode *code, DirectoryEntry *entry)
-{
-    BerReader reader(bytes);
-    size_t content = 0;
-    if (!reader.enterSequence(kTagMessage, &content))
-        return false;
-    uint64_t id = 0;
-    if (!reader.readInteger(&id))
-        return false;
-    *message_id = static_cast<uint32_t>(id);
-    if (!reader.enterSequence(
-            static_cast<uint8_t>(LdapOp::SearchResponse), &content)) {
-        return false;
-    }
-    uint8_t raw = 0;
-    if (!reader.readEnum(&raw))
-        return false;
-    *code = static_cast<LdapCode>(raw);
-    if (*code != LdapCode::Success || entry == nullptr)
-        return true;
-    entry->attributes.clear();
-    if (!reader.readOctetString(&entry->dn))
-        return false;
-    while (!reader.atEnd() && !reader.failed()) {
-        size_t attr_len = 0;
-        if (!reader.enterSequence(kTagAttribute, &attr_len))
-            return false;
-        std::string name;
-        std::string value;
-        if (!reader.readOctetString(&name) ||
-            !reader.readOctetString(&value)) {
-            return false;
-        }
-        entry->attributes.emplace_back(std::move(name), std::move(value));
-    }
-    return !reader.failed();
-}
-
-std::vector<uint8_t>
-encodeResponse(LdapOp op, uint32_t message_id, LdapCode code)
-{
-    BerWriter writer;
-    const size_t message = writer.beginSequence(kTagMessage);
-    writer.writeInteger(message_id);
-    const size_t body = writer.beginSequence(static_cast<uint8_t>(op));
+        static_cast<uint8_t>(LdapOp::AddResponse));
     writer.writeEnum(static_cast<uint8_t>(code));
     writer.endSequence(body);
     writer.endSequence(message);
@@ -464,11 +281,13 @@ decodeResponse(std::span<const uint8_t> bytes, uint32_t *message_id,
     if (!reader.readInteger(&id))
         return false;
     *message_id = static_cast<uint32_t>(id);
-    uint8_t tag_content = reader.readTag();
-    (void)tag_content;
-    reader.readLength();
+    if (!reader.enterSequence(static_cast<uint8_t>(LdapOp::AddResponse),
+                              &content) ||
+        content != kEnumBytes) {
+        return false;
+    }
     uint8_t raw = 0;
-    if (!reader.readEnum(&raw))
+    if (!reader.readEnum(&raw) || !reader.atEnd())
         return false;
     *code = static_cast<LdapCode>(raw);
     return true;
@@ -529,10 +348,9 @@ normalizeDn(std::string_view dn, std::string *out)
 // AccessControl -------------------------------------------------------------
 
 void
-AccessControl::setDefault(bool allow_add, bool allow_search)
+AccessControl::setDefault(bool allow_add)
 {
     defaultRule_.allowAdd = allow_add;
-    defaultRule_.allowSearch = allow_search;
 }
 
 const AclRule *
@@ -554,12 +372,6 @@ bool
 AccessControl::mayAdd(std::string_view normalized_dn) const
 {
     return match(normalized_dn)->allowAdd;
-}
-
-bool
-AccessControl::maySearch(std::string_view normalized_dn) const
-{
-    return match(normalized_dn)->allowSearch;
 }
 
 } // namespace wsp::apps

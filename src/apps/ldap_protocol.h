@@ -28,12 +28,6 @@ namespace wsp::apps {
 enum class LdapOp : uint8_t {
     AddRequest = 0x68,
     AddResponse = 0x69,
-    SearchRequest = 0x63,
-    SearchResponse = 0x64,
-    ModifyRequest = 0x66,
-    ModifyResponse = 0x67,
-    DelRequest = 0x4a,
-    DelResponse = 0x6b,
 };
 
 /** Wire-level result codes (subset of RFC 4511). */
@@ -44,7 +38,6 @@ enum class LdapCode : uint8_t {
     InvalidDnSyntax = 34,
     InsufficientAccessRights = 50,
     EntryAlreadyExists = 68,
-    NoSuchObject = 32,
 };
 
 /** Map a DirectoryResult onto the wire code. */
@@ -119,48 +112,14 @@ std::vector<uint8_t> encodeAddRequest(const DirectoryEntry &entry,
 bool decodeAddRequest(std::span<const uint8_t> bytes, uint32_t *message_id,
                       DirectoryEntry *entry);
 
-/** Encode a DelRequest for @p dn. */
-std::vector<uint8_t> encodeDelRequest(std::string_view dn,
-                                      uint32_t message_id);
-
-/** Decode a DelRequest; false on protocol error. */
-bool decodeDelRequest(std::span<const uint8_t> bytes, uint32_t *message_id,
-                      std::string *dn);
-
-/** Encode a ModifyRequest (replace-all form) for @p entry. */
-std::vector<uint8_t> encodeModifyRequest(const DirectoryEntry &entry,
-                                         uint32_t message_id);
-
-/** Decode a ModifyRequest; false on protocol error. */
-bool decodeModifyRequest(std::span<const uint8_t> bytes,
-                         uint32_t *message_id, DirectoryEntry *entry);
-
-/** Encode a SearchRequest (base-object lookup) for @p dn. */
-std::vector<uint8_t> encodeSearchRequest(std::string_view dn,
-                                         uint32_t message_id);
-
-/** Decode a SearchRequest; false on protocol error. */
-bool decodeSearchRequest(std::span<const uint8_t> bytes,
-                         uint32_t *message_id, std::string *dn);
+/** Encode an AddResponse carrying @p code. */
+std::vector<uint8_t> encodeResponse(uint32_t message_id, LdapCode code);
 
 /**
- * Encode a SearchResponse: result code plus, on success, the entry
- * rendered as attribute TLVs.
+ * Decode an AddResponse; false on protocol error, including a message
+ * tagged as any other op or a body that holds more or less than the
+ * result enum.
  */
-std::vector<uint8_t> encodeSearchResponse(uint32_t message_id,
-                                          LdapCode code,
-                                          const DirectoryEntry *entry);
-
-/** Decode a SearchResponse; @p entry is filled only on Success. */
-bool decodeSearchResponse(std::span<const uint8_t> bytes,
-                          uint32_t *message_id, LdapCode *code,
-                          DirectoryEntry *entry);
-
-/** Encode an Add/Del/Modify/Search response with a result code. */
-std::vector<uint8_t> encodeResponse(LdapOp op, uint32_t message_id,
-                                    LdapCode code);
-
-/** Decode a response; false on protocol error. */
 bool decodeResponse(std::span<const uint8_t> bytes, uint32_t *message_id,
                     LdapCode *code);
 
@@ -171,12 +130,11 @@ bool decodeResponse(std::span<const uint8_t> bytes, uint32_t *message_id,
  */
 bool normalizeDn(std::string_view dn, std::string *out);
 
-/** One access-control rule: who may do what below a subtree. */
+/** One access-control rule: may entries be added below a subtree. */
 struct AclRule
 {
     std::string subtreeSuffix; ///< normalized DN suffix ("" = all)
     bool allowAdd = false;
-    bool allowSearch = true;
 };
 
 /** Ordered rule list; first match wins. */
@@ -186,16 +144,15 @@ class AccessControl
     void addRule(AclRule rule) { rules_.push_back(std::move(rule)); }
 
     /** Default policy used when no rule matches. */
-    void setDefault(bool allow_add, bool allow_search);
+    void setDefault(bool allow_add);
 
     bool mayAdd(std::string_view normalized_dn) const;
-    bool maySearch(std::string_view normalized_dn) const;
 
   private:
     const AclRule *match(std::string_view normalized_dn) const;
 
     std::vector<AclRule> rules_;
-    AclRule defaultRule_{"", true, true};
+    AclRule defaultRule_{"", true};
 };
 
 /**
@@ -211,107 +168,16 @@ handleAddRequest(DirectoryServer<Policy> &server,
 {
     uint32_t message_id = 0;
     DirectoryEntry entry;
-    if (!decodeAddRequest(request, &message_id, &entry)) {
-        return encodeResponse(LdapOp::AddResponse, message_id,
-                              LdapCode::ProtocolError);
-    }
+    if (!decodeAddRequest(request, &message_id, &entry))
+        return encodeResponse(message_id, LdapCode::ProtocolError);
     std::string normalized;
-    if (!normalizeDn(entry.dn, &normalized)) {
-        return encodeResponse(LdapOp::AddResponse, message_id,
-                              LdapCode::InvalidDnSyntax);
-    }
-    if (!acl.mayAdd(normalized)) {
-        return encodeResponse(LdapOp::AddResponse, message_id,
-                              LdapCode::InsufficientAccessRights);
-    }
+    if (!normalizeDn(entry.dn, &normalized))
+        return encodeResponse(message_id, LdapCode::InvalidDnSyntax);
+    if (!acl.mayAdd(normalized))
+        return encodeResponse(message_id, LdapCode::InsufficientAccessRights);
     entry.dn = normalized;
     const DirectoryResult result = server.add(renderEntry(entry));
-    return encodeResponse(LdapOp::AddResponse, message_id,
-                          toLdapCode(result));
-}
-
-/** Delete pipeline: decode -> normalize -> ACL -> execute -> encode. */
-template <typename Policy>
-std::vector<uint8_t>
-handleDelRequest(DirectoryServer<Policy> &server,
-                 const AccessControl &acl,
-                 std::span<const uint8_t> request)
-{
-    uint32_t message_id = 0;
-    std::string dn;
-    if (!decodeDelRequest(request, &message_id, &dn)) {
-        return encodeResponse(LdapOp::DelResponse, message_id,
-                              LdapCode::ProtocolError);
-    }
-    std::string normalized;
-    if (!normalizeDn(dn, &normalized)) {
-        return encodeResponse(LdapOp::DelResponse, message_id,
-                              LdapCode::InvalidDnSyntax);
-    }
-    // Deletion requires the same write right as addition.
-    if (!acl.mayAdd(normalized)) {
-        return encodeResponse(LdapOp::DelResponse, message_id,
-                              LdapCode::InsufficientAccessRights);
-    }
-    return encodeResponse(LdapOp::DelResponse, message_id,
-                          toLdapCode(server.remove(normalized)));
-}
-
-/** Search pipeline: decode -> normalize -> ACL -> lookup -> encode. */
-template <typename Policy>
-std::vector<uint8_t>
-handleSearchRequest(DirectoryServer<Policy> &server,
-                    const AccessControl &acl,
-                    std::span<const uint8_t> request)
-{
-    uint32_t message_id = 0;
-    std::string dn;
-    if (!decodeSearchRequest(request, &message_id, &dn)) {
-        return encodeSearchResponse(message_id,
-                                    LdapCode::ProtocolError, nullptr);
-    }
-    std::string normalized;
-    if (!normalizeDn(dn, &normalized)) {
-        return encodeSearchResponse(message_id,
-                                    LdapCode::InvalidDnSyntax, nullptr);
-    }
-    if (!acl.maySearch(normalized)) {
-        return encodeSearchResponse(
-            message_id, LdapCode::InsufficientAccessRights, nullptr);
-    }
-    DirectoryEntry entry;
-    const DirectoryResult result = server.search(normalized, &entry);
-    if (result != DirectoryResult::Success)
-        return encodeSearchResponse(message_id, toLdapCode(result),
-                                    nullptr);
-    return encodeSearchResponse(message_id, LdapCode::Success, &entry);
-}
-
-/** Modify pipeline (replace-all form). */
-template <typename Policy>
-std::vector<uint8_t>
-handleModifyRequest(DirectoryServer<Policy> &server,
-                    const AccessControl &acl,
-                    std::span<const uint8_t> request)
-{
-    uint32_t message_id = 0;
-    DirectoryEntry entry;
-    if (!decodeModifyRequest(request, &message_id, &entry)) {
-        return encodeResponse(LdapOp::ModifyResponse, message_id,
-                              LdapCode::ProtocolError);
-    }
-    std::string normalized;
-    if (!normalizeDn(entry.dn, &normalized)) {
-        return encodeResponse(LdapOp::ModifyResponse, message_id,
-                              LdapCode::InvalidDnSyntax);
-    }
-    if (!acl.mayAdd(normalized)) {
-        return encodeResponse(LdapOp::ModifyResponse, message_id,
-                              LdapCode::InsufficientAccessRights);
-    }
-    entry.dn = normalized;
-    return encodeResponse(LdapOp::ModifyResponse, message_id,
-                          toLdapCode(server.modify(entry)));
+    return encodeResponse(message_id, toLdapCode(result));
 }
 
 } // namespace wsp::apps

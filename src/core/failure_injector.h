@@ -11,55 +11,14 @@
  *    loss at any chosen point of the save sequence),
  *  - sabotaged NVDIMM ultracapacitors (undersized or pre-drained
  *    banks, the "NVRAM failures" discussion of paper section 6),
- *  - repeated failure schedules (outage trains).
+ *  - dropped NVDIMM save commands (an I2C bus fault).
  */
 
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "core/system.h"
 
 namespace wsp {
-
-/** What happened in one cycle of an outage train. */
-struct OutageCycleOutcome
-{
-    int cycle = 0;
-    bool usedWsp = false;
-    bool backendRan = false;   ///< full cold boot with back-end rebuild
-    bool salvageMode = false;  ///< cold boot that salvaged regions
-    std::string reason;        ///< why WSP resume was impossible
-    RestoreReport restore;
-};
-
-/** Per-cycle outcome report of FailureInjector::outageTrain. */
-struct OutageTrainReport
-{
-    std::vector<OutageCycleOutcome> cycles;
-
-    int
-    wspRecoveries() const
-    {
-        int n = 0;
-        for (const auto &cycle : cycles)
-            n += cycle.usedWsp ? 1 : 0;
-        return n;
-    }
-
-    int
-    coldBoots() const
-    {
-        return static_cast<int>(cycles.size()) - wspRecoveries();
-    }
-
-    bool
-    allWsp() const
-    {
-        return wspRecoveries() == static_cast<int>(cycles.size());
-    }
-};
 
 /** Declarative failure injection against a WspSystem. */
 class FailureInjector
@@ -119,56 +78,6 @@ class FailureInjector
     dropSaveCommands(unsigned count)
     {
         system_.monitor().failNextCommands(count);
-    }
-
-    /**
-     * Run a train of @p cycles outage/restore cycles, each with the
-     * given spacing and outage duration. The report says, cycle by
-     * cycle, whether recovery came from WSP resume, region salvage,
-     * or a full back-end rebuild — and why the cheaper path was
-     * unavailable.
-     */
-    OutageTrainReport
-    outageTrain(int cycles, Tick spacing, Tick outage,
-                std::function<void()> backend_recovery = nullptr)
-    {
-        OutageTrainReport report;
-        for (int i = 0; i < cycles; ++i) {
-            auto outcome = system_.powerFailAndRestore(
-                spacing, outage, backend_recovery);
-            OutageCycleOutcome cycle;
-            cycle.cycle = i;
-            cycle.usedWsp = outcome.restore.usedWsp;
-            cycle.salvageMode = outcome.restore.salvageMode;
-            cycle.backendRan =
-                !outcome.restore.usedWsp && !outcome.restore.salvageMode;
-            cycle.reason = describe(outcome.restore);
-            cycle.restore = outcome.restore;
-            report.cycles.push_back(std::move(cycle));
-        }
-        return report;
-    }
-
-    /** Human-readable reason a restore did not whole-resume. */
-    static std::string
-    describe(const RestoreReport &restore)
-    {
-        if (restore.usedWsp)
-            return "wsp resume";
-        if (!restore.flashValid)
-            return restore.salvageMode ? "salvage: incomplete flash save"
-                                       : "cold boot: no usable flash";
-        if (!restore.markerValid)
-            return "marker missing or torn";
-        if (!restore.generationOk)
-            return "stale image generation";
-        if (!restore.checksumOk)
-            return "resume block checksum mismatch";
-        if (restore.imageTierCut != SaveTier::Bulk)
-            return "degraded tier-cut image";
-        if (!restore.directoryOk)
-            return "salvage directory corrupt";
-        return "cold boot";
     }
 
   private:

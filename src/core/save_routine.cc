@@ -24,30 +24,6 @@ restoreModeName(RestoreMode mode)
 }
 
 std::string
-flushMethodName(FlushMethod method)
-{
-    switch (method) {
-      case FlushMethod::Wbinvd:
-        return "wbinvd";
-      case FlushMethod::ClflushLoop:
-        return "clflush";
-    }
-    return "unknown";
-}
-
-std::string
-saveOrderName(SaveOrder order)
-{
-    switch (order) {
-      case SaveOrder::MarkerAfterFlush:
-        return "marker-after-flush";
-      case SaveOrder::MarkerBeforeFlush:
-        return "marker-before-flush";
-    }
-    return "unknown";
-}
-
-std::string
 saveTierName(SaveTier tier)
 {
     switch (tier) {

@@ -1,6 +1,5 @@
 #include "core/system.h"
 
-#include "trace/stat_registry.h"
 #include "util/logging.h"
 
 namespace wsp {
@@ -10,7 +9,10 @@ WspSystem::WspSystem(SystemConfig config)
 {
     // Every model below stamps its trace records from queue_ (its
     // machine id and tick), so systems alive at the same time keep
-    // separate timelines.
+    // separate timelines. Their StatRegistry counters and gauges are
+    // process totals instead: every machine adds into the same named
+    // statistic, and neither construction nor bootFromImage resets
+    // one, so no machine can wipe another's counts.
     psu_ = std::make_unique<AtxPowerSupply>(queue_, config_.psu,
                                             rng_.fork(1));
     psu_->setLoadWatts(config_.platform.load.watts(config_.load));
@@ -66,13 +68,6 @@ RestoreReport
 WspSystem::bootFromImage(const NvramImage &image,
                          std::function<void()> backend_recovery)
 {
-    // A replacement chassis starts with fresh chassis-level metrics:
-    // gauges and counters scoped to this machine's lifetime must not
-    // inherit the donor's pre-crash values. DIMM-resident ("nvram.")
-    // statistics travel with the image, and campaign-level
-    // ("crashsim.", "bench.") aggregates outlive any one chassis.
-    trace::StatRegistry::instance().resetPrefixes(
-        {"core.", "power.", "machine.", "devices.", "apps."});
     adoptNvramImage(image);
     bool boot_done = false;
     RestoreReport report;

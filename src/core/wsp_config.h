@@ -20,9 +20,6 @@ enum class FlushMethod {
     ClflushLoop, ///< clflush walk over the whole cache (ablation)
 };
 
-/** Human-readable flush method name. */
-std::string flushMethodName(FlushMethod method);
-
 /**
  * What the boot path restores (paper section 6, "Process
  * persistence").
@@ -58,9 +55,6 @@ enum class SaveOrder {
     MarkerAfterFlush,
     MarkerBeforeFlush,
 };
-
-/** Human-readable save order name. */
-std::string saveOrderName(SaveOrder order);
 
 /**
  * Priority tier of a saved memory region. When a save runs degraded

@@ -286,62 +286,4 @@ checkDetectableExecution(
     return result;
 }
 
-bool
-bruteForceDurablyLinearizable(const std::vector<HistoryOp> &ops,
-                              const KvState &state)
-{
-    // Free choices: invoked operations that never responded.
-    std::vector<size_t> optional_idx;
-    for (size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].invoked && !ops[i].responded)
-            optional_idx.push_back(i);
-    }
-    WSP_CHECKF(optional_idx.size() <= 20,
-               "brute-force oracle: too many in-flight ops (%zu)",
-               optional_idx.size());
-
-    const uint64_t combos = 1ull << optional_idx.size();
-    for (uint64_t mask = 0; mask < combos; ++mask) {
-        std::vector<bool> include(ops.size(), false);
-        for (size_t i = 0; i < ops.size(); ++i)
-            include[i] = ops[i].invoked && ops[i].responded;
-        for (size_t bit = 0; bit < optional_idx.size(); ++bit) {
-            if (mask & (1ull << bit))
-                include[optional_idx[bit]] = true;
-        }
-        const KvState replayed = replay(
-            ops, [&include, &ops](const HistoryOp &op) {
-                return include[static_cast<size_t>(&op - ops.data())];
-            });
-        if (replayed == state)
-            return true;
-    }
-    return false;
-}
-
-bool
-bruteForceBufferedDurablyLinearizable(const std::vector<HistoryOp> &ops,
-                                      const KvState &state)
-{
-    for (size_t p = 0; p <= ops.size(); ++p) {
-        bool legal = true;
-        for (size_t i = p; i < ops.size(); ++i)
-            legal = legal && !(ops[i].invoked && ops[i].persisted);
-        if (!legal)
-            continue;
-        KvState replayed;
-        for (size_t i = 0; i < p; ++i) {
-            if (!ops[i].invoked)
-                continue;
-            if (ops[i].isErase)
-                replayed.erase(ops[i].key);
-            else
-                replayed[ops[i].key] = ops[i].value;
-        }
-        if (replayed == state)
-            return true;
-    }
-    return false;
-}
-
 } // namespace wsp::crashsim::conditions

@@ -32,7 +32,8 @@
  * exact and fast — per key, the admissible final values are the value
  * after the last responded operation plus the value after each later
  * in-flight one — and lets a brute-force linearization searcher
- * (subset enumeration) differentially validate them on small
+ * (subset enumeration, kept beside its tests in
+ * tests/conditions_test.cc) differentially validate them on small
  * histories. Costs below are for n history operations and m keys in
  * the surviving state.
  */
@@ -78,26 +79,6 @@ struct ConditionResult
 };
 
 /**
- * Replay the invoked operations of @p ops for which @p include(op)
- * holds, in history order, from the empty state.
- */
-template <typename Pred>
-KvState
-replay(const std::vector<HistoryOp> &ops, Pred include)
-{
-    KvState state;
-    for (const HistoryOp &op : ops) {
-        if (!op.invoked || !include(op))
-            continue;
-        if (op.isErase)
-            state.erase(op.key);
-        else
-            state[op.key] = op.value;
-    }
-    return state;
-}
-
-/**
  * Durable linearizability: does a subset S of the invoked operations
  * exist, with every responded operation in S, whose replay equals
  * @p state? Exact per-key decision procedure over the invoked
@@ -134,21 +115,5 @@ checkDetectableExecution(const std::vector<HistoryOp> &ops,
                          const KvState &state,
                          std::vector<std::pair<uint64_t, OpVerdict>>
                              *verdicts = nullptr);
-
-/**
- * Brute-force durable-linearizability oracle for differential tests:
- * enumerate every subset S with {responded} ⊆ S ⊆ {invoked}, replay
- * in history order, accept if any replay equals @p state. Exponential
- * in the in-flight count; callers keep histories small (≤ ~16 ops).
- */
-bool bruteForceDurablyLinearizable(const std::vector<HistoryOp> &ops,
-                                   const KvState &state);
-
-/**
- * Brute-force buffered-durable-linearizability oracle: try every
- * prefix cut containing all persisted operations.
- */
-bool bruteForceBufferedDurablyLinearizable(
-    const std::vector<HistoryOp> &ops, const KvState &state);
 
 } // namespace wsp::crashsim::conditions

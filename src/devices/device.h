@@ -94,7 +94,6 @@ class Device : public SimObject
     Device(EventQueue &queue, DeviceConfig config, Rng rng);
 
     const DeviceConfig &config() const { return config_; }
-    DevicePowerState powerState() const { return power_; }
     size_t inflight() const { return inflight_.size(); }
     bool suspended() const { return power_ == DevicePowerState::D3; }
 

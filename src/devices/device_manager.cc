@@ -70,13 +70,6 @@ DeviceManager::startBusyAll()
 }
 
 void
-DeviceManager::stopBusyAll()
-{
-    for (auto &device : devices_)
-        device->stopBusyWorkload();
-}
-
-void
 DeviceManager::suspendAll(std::function<void(Tick)> done)
 {
     suspendNext(0, now(), std::move(done));

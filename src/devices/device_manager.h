@@ -65,9 +65,6 @@ class DeviceManager : public SimObject
     /** Start busy workloads on every device. */
     void startBusyAll();
 
-    /** Stop busy workloads. */
-    void stopBusyAll();
-
     /**
      * Sequentially suspend every device (ACPI S3 walk); @p done
      * receives the total latency. This is what Fig. 9 measures.

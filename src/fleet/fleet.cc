@@ -90,15 +90,6 @@ Fleet::Fleet(FleetConfig config)
 
 Fleet::~Fleet() = default;
 
-unsigned
-Fleet::upNodes() const
-{
-    unsigned up = 0;
-    for (const auto &node : nodes_)
-        up += node->up() ? 1 : 0;
-    return up;
-}
-
 uint64_t
 Fleet::placementOf(uint64_t key) const
 {

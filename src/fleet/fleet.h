@@ -162,7 +162,6 @@ class Fleet
     {
         return static_cast<unsigned>(nodes_.size());
     }
-    unsigned upNodes() const;
 
     /** HRW replica set of @p key, best-first. */
     std::vector<uint32_t> replicaSet(uint64_t key) const

@@ -121,13 +121,6 @@ class PHeap
         tx.write(&h.freeListHeads[size_class], block);
     }
 
-    /** Bytes consumed from the heap area so far. */
-    uint64_t
-    heapBytesUsed() const
-    {
-        return region_->header().bumpCursor - region_->header().heapStart;
-    }
-
     /** Mark a clean shutdown (skips recovery on next open). */
     void close() { region_->markCleanShutdown(); }
 

@@ -149,21 +149,6 @@ Ultracapacitor::discharge(double power_w, Tick duration)
 }
 
 void
-Ultracapacitor::recharge(double charge_power_w, Tick duration)
-{
-    if (charge_power_w <= 0.0 || duration == 0)
-        return;
-    const bool was_depleted = voltage_ < config_.minUsableVoltage;
-    const double c = effectiveCapacitance();
-    const double dt = toSeconds(duration);
-    // Energy-balance charge (charger losses folded into the power).
-    const double e = 0.5 * c * voltage_ * voltage_ + charge_power_w * dt;
-    voltage_ = std::min(std::sqrt(2.0 * e / c), config_.maxVoltage);
-    if (was_depleted && voltage_ >= config_.maxVoltage)
-        ++cycles_;
-}
-
-void
 Ultracapacitor::rechargeFully()
 {
     voltage_ = config_.maxVoltage;

@@ -108,12 +108,6 @@ class Ultracapacitor
      */
     double discharge(double power_w, Tick duration);
 
-    /**
-     * Recharge from the host rail at @p charge_power_w for @p duration.
-     * Counts one aging cycle per full recharge from below the floor.
-     */
-    void recharge(double charge_power_w, Tick duration);
-
     /** Instantly restore full charge; counts one aging cycle. */
     void rechargeFully();
 

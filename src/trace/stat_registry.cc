@@ -58,20 +58,6 @@ StatRegistry::snapshot() const
     return out;
 }
 
-size_t
-StatRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, double> merged;
-    for (const auto &[name, counter] : counters_)
-        merged[name] = static_cast<double>(counter->value());
-    for (const auto &[name, gauge] : gauges_)
-        merged[name] = gauge->value();
-    for (const auto &[name, probe] : probes_)
-        merged[name] = 0.0;
-    return merged.size();
-}
-
 void
 StatRegistry::resetForTest()
 {
@@ -80,27 +66,6 @@ StatRegistry::resetForTest()
         counter->reset();
     for (auto &[name, gauge] : gauges_)
         gauge->set(0.0);
-}
-
-void
-StatRegistry::resetPrefixes(const std::vector<std::string> &prefixes)
-{
-    const auto matches = [&prefixes](const std::string &name) {
-        for (const std::string &prefix : prefixes) {
-            if (name.rfind(prefix, 0) == 0)
-                return true;
-        }
-        return false;
-    };
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[name, counter] : counters_) {
-        if (matches(name))
-            counter->reset();
-    }
-    for (auto &[name, gauge] : gauges_) {
-        if (matches(name))
-            gauge->set(0.0);
-    }
 }
 
 } // namespace wsp::trace

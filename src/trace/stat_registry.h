@@ -11,6 +11,14 @@
  *  - Gauge: last-written double (per-run timings, window sizes),
  *  - Probe: a callback polled only at snapshot time, for subsystems
  *    that already keep their own counters (zero added hot-path cost).
+ *
+ * The registry is process-wide, so every statistic is a process
+ * total: all machines alive in the process (a crash sweep's reference
+ * and crashed runs, a fleet's nodes) count into the same handle, and
+ * a gauge holds whichever machine wrote it last. Nothing but
+ * resetForTest() zeroes a statistic; in particular booting a machine
+ * from an image resets none, so it cannot wipe another machine's
+ * counts.
  */
 
 #pragma once
@@ -79,25 +87,12 @@ class StatRegistry
     /** All statistics, sorted by name (probes polled now). */
     std::vector<Sample> snapshot() const;
 
-    /** Number of registered statistics. */
-    size_t size() const;
-
     /**
      * Zero every counter and gauge (unit tests only). Registrations
      * are kept: modules cache Counter/Gauge pointers on hot paths, so
      * the slots must never be freed.
      */
     void resetForTest();
-
-    /**
-     * Zero counters and gauges whose names start with one of
-     * @p prefixes, keeping registrations. WspSystem::bootFromImage
-     * uses this to clear chassis-level metrics on a replacement
-     * chassis, so post-crash numbers do not inherit pre-crash values;
-     * DIMM-resident ("nvram.") and campaign-level ("crashsim.")
-     * statistics deliberately survive.
-     */
-    void resetPrefixes(const std::vector<std::string> &prefixes);
 
   private:
     StatRegistry() = default;

@@ -27,33 +27,6 @@ RunningStat::add(double sample)
     max_ = std::max(max_, sample);
 }
 
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = n1 + n2;
-    mean_ += delta * n2 / n;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
 double
 RunningStat::variance() const
 {
@@ -186,27 +159,6 @@ Series::minY() const
     for (double y : ys)
         best = std::min(best, y);
     return best;
-}
-
-bool
-findCrossover(const Series &a, const Series &b, double *x_out)
-{
-    WSP_CHECK(a.size() == b.size());
-    for (size_t i = 1; i < a.size(); ++i) {
-        const double d0 = a.ys[i - 1] - b.ys[i - 1];
-        const double d1 = a.ys[i] - b.ys[i];
-        if (d0 == 0.0) {
-            *x_out = a.xs[i - 1];
-            return true;
-        }
-        if ((d0 < 0.0 && d1 >= 0.0) || (d0 > 0.0 && d1 <= 0.0)) {
-            // Interpolate the zero of (a - b) within this segment.
-            const double frac = d0 / (d0 - d1);
-            *x_out = a.xs[i - 1] + frac * (a.xs[i] - a.xs[i - 1]);
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace wsp

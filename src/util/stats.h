@@ -23,12 +23,6 @@ class RunningStat
     /** Add one sample. */
     void add(double sample);
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
-    /** Remove all samples. */
-    void reset();
-
     uint64_t count() const { return count_; }
     double mean() const { return count_ ? mean_ : 0.0; }
     double min() const { return count_ ? min_ : 0.0; }
@@ -125,12 +119,5 @@ struct Series
     /** Smallest y value (0 when empty). */
     double minY() const;
 };
-
-/**
- * Find the x position where series @p a crosses from below @p b to
- * above it (or vice versa). Returns false when they never cross.
- * Both series must be sampled at identical x positions.
- */
-bool findCrossover(const Series &a, const Series &b, double *x_out);
 
 } // namespace wsp

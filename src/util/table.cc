@@ -59,24 +59,6 @@ Table::render() const
     return out;
 }
 
-std::string
-Table::renderCsv() const
-{
-    auto csv_row = [](const std::vector<std::string> &row) {
-        std::string line;
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                line += ",";
-            line += row[c];
-        }
-        return line + "\n";
-    };
-    std::string out = csv_row(header_);
-    for (const auto &row : rows_)
-        out += csv_row(row);
-    return out;
-}
-
 void
 Table::print() const
 {

@@ -33,9 +33,6 @@ class Table
     /** Render as an aligned text table. */
     std::string render() const;
 
-    /** Render as CSV (header + rows). */
-    std::string renderCsv() const;
-
     /** Print render() to stdout. */
     void print() const;
 

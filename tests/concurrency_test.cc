@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/directory_server.h"
 #include "apps/kv_store.h"
 #include "apps/shard_environment.h"
 #include "crashsim/crash_explorer.h"
@@ -321,17 +320,6 @@ TEST(ShardedEquivalence, MoreThreadsThanShardsStillEquivalent)
     config.keysPerWorker = 128;
     config.seed = 99;
     expectThreadedMatchesOneShard(config, /*shards=*/2, /*per_shard=*/4096);
-}
-
-TEST(ShardedEquivalence, DirectoryWorkloadCountsExact)
-{
-    // Every (worker, i) pair produces a unique DN, so the striped
-    // directory must hold exactly threads * entries entries.
-    const uint64_t total =
-        apps::runShardedDirectoryWorkload(/*shards=*/4, /*threads=*/4,
-                                          /*entries_per_thread=*/150,
-                                          /*seed=*/5);
-    EXPECT_EQ(total, 600u);
 }
 
 // Durable linearizability ----------------------------------------------

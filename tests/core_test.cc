@@ -500,16 +500,11 @@ TEST(FailureInjectorScenarios, OutageTrainRecoversEveryCycle)
     system.start();
     writePattern(system, 0, 256, 21);
 
-    FailureInjector injector(system);
     int backend_calls = 0;
-    const OutageTrainReport report = injector.outageTrain(
-        5, fromMillis(5.0), fromSeconds(1.0), [&] { ++backend_calls; });
-
-    EXPECT_EQ(report.wspRecoveries(), 5);
-    EXPECT_TRUE(report.allWsp());
-    for (const auto &cycle : report.cycles) {
-        EXPECT_FALSE(cycle.backendRan);
-        EXPECT_EQ(cycle.reason, "wsp resume");
+    for (int cycle = 0; cycle < 5; ++cycle) {
+        const PowerFailureOutcome outcome = system.powerFailAndRestore(
+            fromMillis(5.0), fromSeconds(1.0), [&] { ++backend_calls; });
+        EXPECT_TRUE(outcome.restore.usedWsp) << "cycle " << cycle;
     }
     EXPECT_EQ(backend_calls, 0);
     EXPECT_TRUE(checkPattern(system, 0, 256, 21));
@@ -526,16 +521,13 @@ TEST(FailureInjectorScenarios, ShortWindowTrainFallsBackEachCycle)
         FailureInjector::withExactWindow(testConfig(), fromMicros(1.0)));
     system.start();
 
-    FailureInjector injector(system);
     int backend_calls = 0;
-    const OutageTrainReport report = injector.outageTrain(
-        4, fromMillis(5.0), fromSeconds(1.0), [&] { ++backend_calls; });
-
-    EXPECT_EQ(report.wspRecoveries(), 0);
-    EXPECT_EQ(report.coldBoots(), 4);
-    for (const auto &cycle : report.cycles)
-        EXPECT_TRUE(cycle.backendRan || cycle.salvageMode);
-    EXPECT_EQ(backend_calls, 4);
+    for (int cycle = 0; cycle < 4; ++cycle) {
+        const PowerFailureOutcome outcome = system.powerFailAndRestore(
+            fromMillis(5.0), fromSeconds(1.0), [&] { ++backend_calls; });
+        EXPECT_FALSE(outcome.restore.usedWsp) << "cycle " << cycle;
+        EXPECT_EQ(backend_calls, cycle + 1);
+    }
     EXPECT_TRUE(system.wsp().running());
 }
 

@@ -244,7 +244,8 @@ TEST(DeviceManager, BusyAllAndStopAll)
     manager.startBusyAll();
     for (const auto &device : manager.devices())
         EXPECT_GT(device->inflight(), 0u);
-    manager.stopBusyAll();
+    for (const auto &device : manager.devices())
+        device->stopBusyWorkload();
     queue.run();
     for (const auto &device : manager.devices())
         EXPECT_EQ(device->inflight(), 0u);

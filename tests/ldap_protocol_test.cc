@@ -29,6 +29,36 @@ sampleEntry()
     return entry;
 }
 
+/**
+ * Offset of the op tag in an encoded message: after the message tag
+ * and its four-byte long-form length, and after the message id.
+ */
+size_t
+opTagOffset(const std::vector<uint8_t> &bytes)
+{
+    constexpr size_t kMessageHeader = 5;
+    return kMessageHeader + 2 + bytes[kMessageHeader + 1];
+}
+
+/**
+ * A response message whose body, tagged @p op_tag, holds the result
+ * enum followed by @p extra octet strings.
+ */
+std::vector<uint8_t>
+responseMessage(uint8_t op_tag, uint32_t id, LdapCode code, int extra = 0)
+{
+    BerWriter writer;
+    const size_t message = writer.beginSequence(0x30);
+    writer.writeInteger(id);
+    const size_t body = writer.beginSequence(op_tag);
+    writer.writeEnum(static_cast<uint8_t>(code));
+    for (int i = 0; i < extra; ++i)
+        writer.writeOctetString("uid=x,dc=example");
+    writer.endSequence(body);
+    writer.endSequence(message);
+    return writer.bytes();
+}
+
 // BER codec -------------------------------------------------------------
 
 TEST(Ber, AddRequestRoundTrip)
@@ -48,13 +78,44 @@ TEST(Ber, AddRequestRoundTrip)
 
 TEST(Ber, ResponseRoundTrip)
 {
-    const auto bytes = encodeResponse(LdapOp::AddResponse, 9,
-                                      LdapCode::EntryAlreadyExists);
+    const auto bytes = encodeResponse(9, LdapCode::EntryAlreadyExists);
     uint32_t id = 0;
     LdapCode code = LdapCode::Success;
     ASSERT_TRUE(decodeResponse(bytes, &id, &code));
     EXPECT_EQ(id, 9u);
     EXPECT_EQ(code, LdapCode::EntryAlreadyExists);
+}
+
+TEST(Ber, ResponseRejectsOtherOpTagsAndBodies)
+{
+    const uint8_t add_response = static_cast<uint8_t>(LdapOp::AddResponse);
+    EXPECT_EQ(encodeResponse(21, LdapCode::Success),
+              responseMessage(add_response, 21, LdapCode::Success));
+    uint32_t id = 0;
+    LdapCode code = LdapCode::ProtocolError;
+    ASSERT_TRUE(decodeResponse(
+        responseMessage(add_response, 21, LdapCode::Success), &id, &code));
+    EXPECT_EQ(id, 21u);
+    EXPECT_EQ(code, LdapCode::Success);
+
+    // LDAP's DelResponse, SearchResultDone and ModifyResponse tags,
+    // and a message tagged as an AddRequest, are not Add results.
+    for (uint8_t tag : {0x6b, 0x65, 0x64, 0x67, 0x68}) {
+        EXPECT_FALSE(decodeResponse(
+            responseMessage(tag, 21, LdapCode::Success), &id, &code))
+            << "tag " << int(tag);
+    }
+    // A body that carries more than the result (a search entry's DN).
+    EXPECT_FALSE(decodeResponse(
+        responseMessage(add_response, 21, LdapCode::Success, 1), &id,
+        &code));
+    // A body without the result.
+    BerWriter empty;
+    const size_t message = empty.beginSequence(0x30);
+    empty.writeInteger(21);
+    empty.endSequence(empty.beginSequence(add_response));
+    empty.endSequence(message);
+    EXPECT_FALSE(decodeResponse(empty.bytes(), &id, &code));
 }
 
 TEST(Ber, EmptyBufferRejected)
@@ -171,34 +232,33 @@ TEST(NormalizeDn, PreservesComponentOrder)
 TEST(Acl, FirstMatchWins)
 {
     AccessControl acl;
-    acl.addRule(AclRule{"ou=secret,dc=example", false, false});
-    acl.addRule(AclRule{"dc=example", true, true});
+    acl.addRule(AclRule{"ou=secret,dc=example", false});
+    acl.addRule(AclRule{"dc=example", true});
     EXPECT_FALSE(acl.mayAdd("uid=x,ou=secret,dc=example"));
     EXPECT_TRUE(acl.mayAdd("uid=x,ou=people,dc=example"));
-    EXPECT_FALSE(acl.maySearch("uid=x,ou=secret,dc=example"));
 }
 
 TEST(Acl, DefaultPolicyApplies)
 {
     AccessControl acl;
-    acl.setDefault(false, true);
+    EXPECT_TRUE(acl.mayAdd("uid=x,dc=other"));
+    acl.setDefault(false);
     EXPECT_FALSE(acl.mayAdd("uid=x,dc=other"));
-    EXPECT_TRUE(acl.maySearch("uid=x,dc=other"));
 }
 
 TEST(Acl, EmptySuffixMatchesEverything)
 {
     AccessControl acl;
-    acl.addRule(AclRule{"", true, false});
+    acl.setDefault(false);
+    acl.addRule(AclRule{"", true});
     EXPECT_TRUE(acl.mayAdd("anything=really"));
-    EXPECT_FALSE(acl.maySearch("anything=really"));
 }
 
 TEST(Acl, SuffixMustMatchAtEnd)
 {
     AccessControl acl;
-    acl.addRule(AclRule{"dc=example", false, true});
-    acl.setDefault(true, true);
+    acl.addRule(AclRule{"dc=example", false});
+    acl.setDefault(true);
     // "dc=example" in the middle does not match the subtree rule.
     EXPECT_TRUE(acl.mayAdd("dc=example,dc=org"));
     EXPECT_FALSE(acl.mayAdd("ou=x,dc=example"));
@@ -210,8 +270,8 @@ struct PipelineFixture : ::testing::Test
 {
     PipelineFixture() : heap(makeConfig()), server(heap)
     {
-        acl.addRule(AclRule{"dc=example,dc=com", true, true});
-        acl.setDefault(false, true);
+        acl.addRule(AclRule{"dc=example,dc=com", true});
+        acl.setDefault(false);
     }
 
     static PHeapConfig
@@ -230,7 +290,7 @@ struct PipelineFixture : ::testing::Test
             handleAddRequest(server, acl, encodeAddRequest(entry, id));
         uint32_t out_id = 0;
         LdapCode code = LdapCode::ProtocolError;
-        decodeResponse(response, &out_id, &code);
+        EXPECT_TRUE(decodeResponse(response, &out_id, &code));
         EXPECT_EQ(out_id, id);
         return code;
     }
@@ -293,171 +353,22 @@ TEST_F(PipelineFixture, GarbageRequestGetsProtocolError)
     EXPECT_EQ(code, LdapCode::ProtocolError);
 }
 
-TEST_F(PipelineFixture, DeleteRoundTrip)
-{
-    EXPECT_EQ(submit(sampleEntry()), LdapCode::Success);
-    const auto response = handleDelRequest(
-        server, acl, encodeDelRequest(sampleEntry().dn, 2));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::ProtocolError;
-    ASSERT_TRUE(decodeResponse(response, &id, &code));
-    EXPECT_EQ(code, LdapCode::Success);
-    EXPECT_EQ(server.entryCount(), 0u);
-    EXPECT_EQ(server.search(sampleEntry().dn),
-              DirectoryResult::NoSuchObject);
-}
-
-TEST_F(PipelineFixture, DeleteMissingEntry)
-{
-    const auto response = handleDelRequest(
-        server, acl, encodeDelRequest("uid=ghost,dc=example,dc=com", 3));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::Success;
-    ASSERT_TRUE(decodeResponse(response, &id, &code));
-    EXPECT_EQ(code, LdapCode::NoSuchObject);
-}
-
-TEST_F(PipelineFixture, DeleteDeniedByAcl)
-{
-    const auto response = handleDelRequest(
-        server, acl, encodeDelRequest("uid=x,dc=evil,dc=org", 4));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::Success;
-    ASSERT_TRUE(decodeResponse(response, &id, &code));
-    EXPECT_EQ(code, LdapCode::InsufficientAccessRights);
-}
-
-TEST_F(PipelineFixture, ModifyReplacesAttributes)
-{
-    EXPECT_EQ(submit(sampleEntry()), LdapCode::Success);
-    DirectoryEntry changed = sampleEntry();
-    changed.attributes = {{"cn", "Augusta Ada King"},
-                          {"mail", "countess@example.com"}};
-    const auto response = handleModifyRequest(
-        server, acl, encodeModifyRequest(changed, 5));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::ProtocolError;
-    ASSERT_TRUE(decodeResponse(response, &id, &code));
-    EXPECT_EQ(code, LdapCode::Success);
-
-    DirectoryEntry found;
-    std::string normalized;
-    ASSERT_TRUE(normalizeDn(changed.dn, &normalized));
-    ASSERT_EQ(server.search(normalized, &found),
-              DirectoryResult::Success);
-    ASSERT_EQ(found.attributes.size(), 2u);
-    EXPECT_EQ(found.attributes[0].second, "Augusta Ada King");
-}
-
-TEST_F(PipelineFixture, ModifyMissingEntryFails)
-{
-    const auto response = handleModifyRequest(
-        server, acl, encodeModifyRequest(sampleEntry(), 6));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::Success;
-    ASSERT_TRUE(decodeResponse(response, &id, &code));
-    EXPECT_EQ(code, LdapCode::NoSuchObject);
-}
-
-TEST(Ber, DelRequestRoundTrip)
-{
-    const auto bytes = encodeDelRequest("uid=x,dc=example", 11);
-    uint32_t id = 0;
-    std::string dn;
-    ASSERT_TRUE(decodeDelRequest(bytes, &id, &dn));
-    EXPECT_EQ(id, 11u);
-    EXPECT_EQ(dn, "uid=x,dc=example");
-}
-
-TEST(Ber, ModifyRequestRoundTrip)
-{
-    DirectoryEntry entry;
-    entry.dn = "uid=y,dc=example";
-    entry.attributes = {{"cn", "Y"}, {"sn", "Z"}};
-    const auto bytes = encodeModifyRequest(entry, 12);
-    uint32_t id = 0;
-    DirectoryEntry back;
-    ASSERT_TRUE(decodeModifyRequest(bytes, &id, &back));
-    EXPECT_EQ(id, 12u);
-    EXPECT_EQ(back.dn, entry.dn);
-    EXPECT_EQ(back.attributes, entry.attributes);
-}
-
 TEST(Ber, CrossOpDecodeRejected)
 {
-    // A Del request must not decode as an Add or Modify.
-    const auto bytes = encodeDelRequest("uid=x,dc=example", 13);
-    uint32_t id = 0;
-    DirectoryEntry entry;
-    EXPECT_FALSE(decodeAddRequest(bytes, &id, &entry));
-    EXPECT_FALSE(decodeModifyRequest(bytes, &id, &entry));
-}
-
-TEST_F(PipelineFixture, SearchRoundTripReturnsEntry)
-{
-    EXPECT_EQ(submit(sampleEntry()), LdapCode::Success);
-    const auto response = handleSearchRequest(
-        server, acl,
-        encodeSearchRequest("UID=Ada.Lovelace.1, OU=People, "
-                            "DC=Example, DC=Com",
-                            7));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::ProtocolError;
-    DirectoryEntry entry;
-    ASSERT_TRUE(decodeSearchResponse(response, &id, &code, &entry));
-    EXPECT_EQ(id, 7u);
-    EXPECT_EQ(code, LdapCode::Success);
-    // The stored entry carries the normalized DN.
-    EXPECT_EQ(entry.dn, "uid=ada.lovelace.1,ou=people,dc=example,dc=com");
-    EXPECT_EQ(entry.attributes.size(), sampleEntry().attributes.size());
-}
-
-TEST_F(PipelineFixture, SearchMissReturnsNoSuchObject)
-{
-    const auto response = handleSearchRequest(
-        server, acl, encodeSearchRequest("uid=ghost,dc=example,dc=com", 8));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::Success;
-    ASSERT_TRUE(decodeSearchResponse(response, &id, &code, nullptr));
-    EXPECT_EQ(code, LdapCode::NoSuchObject);
-}
-
-TEST_F(PipelineFixture, SearchDeniedBySearchAcl)
-{
-    AccessControl strict;
-    strict.addRule(AclRule{"ou=secret,dc=example,dc=com", true, false});
-    strict.setDefault(true, true);
-    DirectoryEntry entry = sampleEntry();
-    entry.dn = "uid=spy,ou=secret,dc=example,dc=com";
-    handleAddRequest(server, strict, encodeAddRequest(entry, 1));
-    const auto response = handleSearchRequest(
-        server, strict, encodeSearchRequest(entry.dn, 9));
-    uint32_t id = 0;
-    LdapCode code = LdapCode::Success;
-    ASSERT_TRUE(decodeSearchResponse(response, &id, &code, nullptr));
-    EXPECT_EQ(code, LdapCode::InsufficientAccessRights);
-}
-
-TEST(Ber, SearchRequestRoundTrip)
-{
-    const auto bytes = encodeSearchRequest("uid=q,dc=example", 14);
-    uint32_t id = 0;
-    std::string dn;
-    ASSERT_TRUE(decodeSearchRequest(bytes, &id, &dn));
-    EXPECT_EQ(id, 14u);
-    EXPECT_EQ(dn, "uid=q,dc=example");
-}
-
-TEST(Ber, SearchResponseWithoutEntry)
-{
-    const auto bytes =
-        encodeSearchResponse(15, LdapCode::NoSuchObject, nullptr);
-    uint32_t id = 0;
-    LdapCode code = LdapCode::Success;
-    DirectoryEntry entry;
-    ASSERT_TRUE(decodeSearchResponse(bytes, &id, &code, &entry));
-    EXPECT_EQ(code, LdapCode::NoSuchObject);
-    EXPECT_TRUE(entry.attributes.empty());
+    // Only the AddRequest tag decodes as an AddRequest: the same body
+    // under any other op tag (LDAP's Del, Modify and Search request
+    // tags, or the AddResponse) is rejected.
+    const auto bytes = encodeAddRequest(sampleEntry(), 13);
+    const size_t op_tag = opTagOffset(bytes);
+    ASSERT_EQ(bytes[op_tag], static_cast<uint8_t>(LdapOp::AddRequest));
+    for (uint8_t other : {0x4a, 0x66, 0x63, 0x69}) {
+        auto retagged = bytes;
+        retagged[op_tag] = other;
+        uint32_t id = 0;
+        DirectoryEntry entry;
+        EXPECT_FALSE(decodeAddRequest(retagged, &id, &entry))
+            << "tag " << int(other);
+    }
 }
 
 TEST(LdapCodeMapping, CoversDirectoryResults)
@@ -465,8 +376,6 @@ TEST(LdapCodeMapping, CoversDirectoryResults)
     EXPECT_EQ(toLdapCode(DirectoryResult::Success), LdapCode::Success);
     EXPECT_EQ(toLdapCode(DirectoryResult::EntryAlreadyExists),
               LdapCode::EntryAlreadyExists);
-    EXPECT_EQ(toLdapCode(DirectoryResult::NoSuchObject),
-              LdapCode::NoSuchObject);
     EXPECT_EQ(toLdapCode(DirectoryResult::UndefinedAttributeType),
               LdapCode::UndefinedAttributeType);
     EXPECT_EQ(toLdapCode(DirectoryResult::InvalidSyntax),

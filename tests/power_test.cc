@@ -95,16 +95,6 @@ TEST(Ultracap, RechargeFullyCountsCycle)
     EXPECT_DOUBLE_EQ(cap.voltage(), 12.0);
 }
 
-TEST(Ultracap, GradualRechargeRestoresVoltage)
-{
-    Ultracapacitor cap(smallCap());
-    cap.discharge(20.0, fromSeconds(5.0));
-    const double v_low = cap.voltage();
-    cap.recharge(10.0, fromSeconds(5.0));
-    EXPECT_GT(cap.voltage(), v_low);
-    EXPECT_LE(cap.voltage(), 12.0);
-}
-
 TEST(UltracapAging, CurvesMatchFigure1)
 {
     // Fig. 1: ultracap retains ~90%+ of capacitance at 100k cycles.

@@ -271,6 +271,28 @@ TEST_F(TraceTest, TwoLiveMachinesKeepTheirOwnClocks)
     EXPECT_NE(c.queue().machineId(), id_b);
 }
 
+TEST_F(TraceTest, BootingOneMachineKeepsAnotherMachinesStats)
+{
+    // Statistics are process totals: machine B booting from an image
+    // while machine A is alive must not zero what A's failure
+    // counted.
+    auto &registry = StatRegistry::instance();
+    const Counter &saves_started = registry.counter("core.saves_started");
+    const Counter &input_failures =
+        registry.counter("power.input_failures");
+    WspSystem a{SystemConfig{}};
+    a.start();
+    a.powerFailAndRestore(fromMillis(1.0), fromMillis(500.0));
+    ASSERT_EQ(saves_started.value(), 1u);
+    ASSERT_EQ(input_failures.value(), 1u);
+
+    const WspSystem donor{SystemConfig{}};
+    WspSystem b{SystemConfig{}};
+    b.bootFromImage(donor.captureNvramImage());
+    EXPECT_EQ(saves_started.value(), 1u);
+    EXPECT_EQ(input_failures.value(), 1u);
+}
+
 TEST_F(TraceTest, NoRingWhileEveryCategoryIsOff)
 {
     // The ring costs capacity x 80 bytes: nothing may allocate it
@@ -570,34 +592,6 @@ TEST_F(TraceTest, HistogramPercentile)
     EXPECT_EQ(h.percentile(95), 95.0);
     EXPECT_EQ(h.percentile(99), 99.0);
     EXPECT_DOUBLE_EQ(h.percentile(50), h.quantile(0.5));
-}
-
-TEST_F(TraceTest, RunningStatMergeEmptyCases)
-{
-    RunningStat filled;
-    filled.add(1.0);
-    filled.add(3.0);
-
-    // Empty other: no change.
-    RunningStat a = filled;
-    a.merge(RunningStat{});
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 3.0);
-
-    // Empty self: adopt other wholesale.
-    RunningStat b;
-    b.merge(filled);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(b.stddev(), filled.stddev());
-
-    // Both empty: still empty, and safe to query.
-    RunningStat c;
-    c.merge(RunningStat{});
-    EXPECT_EQ(c.count(), 0u);
-    EXPECT_DOUBLE_EQ(c.mean(), 0.0);
 }
 
 // Environment configuration ------------------------------------------

@@ -182,46 +182,6 @@ TEST(RunningStat, KnownMoments)
     EXPECT_EQ(stat.max(), 9.0);
 }
 
-TEST(RunningStat, MergeMatchesCombined)
-{
-    Rng rng(41);
-    RunningStat all;
-    RunningStat left;
-    RunningStat right;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.gaussian(3.0, 1.5);
-        all.add(v);
-        (i % 2 ? left : right).add(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-    EXPECT_EQ(left.min(), all.min());
-    EXPECT_EQ(left.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmpty)
-{
-    RunningStat a;
-    a.add(1.0);
-    RunningStat b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_EQ(b.mean(), 1.0);
-}
-
-TEST(RunningStat, ResetClears)
-{
-    RunningStat stat;
-    stat.add(5.0);
-    stat.reset();
-    EXPECT_EQ(stat.count(), 0u);
-    EXPECT_EQ(stat.sum(), 0.0);
-}
-
 // Histogram -----------------------------------------------------------
 
 TEST(Histogram, BucketsAndOverflow)
@@ -435,31 +395,6 @@ TEST(Series, MinMax)
     EXPECT_EQ(s.minY(), -2.0);
 }
 
-TEST(Series, CrossoverFound)
-{
-    Series a{"a", {}, {}};
-    Series b{"b", {}, {}};
-    for (int i = 0; i <= 4; ++i) {
-        a.add(i, static_cast<double>(i));        // 0,1,2,3,4
-        b.add(i, 2.0);                           // flat 2
-    }
-    double x = 0.0;
-    ASSERT_TRUE(findCrossover(a, b, &x));
-    EXPECT_NEAR(x, 2.0, 1e-9);
-}
-
-TEST(Series, CrossoverAbsent)
-{
-    Series a{"a", {}, {}};
-    Series b{"b", {}, {}};
-    for (int i = 0; i <= 4; ++i) {
-        a.add(i, 1.0);
-        b.add(i, 2.0);
-    }
-    double x = 0.0;
-    EXPECT_FALSE(findCrossover(a, b, &x));
-}
-
 // Units ---------------------------------------------------------------
 
 TEST(Units, RoundTripSeconds)
@@ -497,14 +432,6 @@ TEST(Table, RenderContainsHeaderAndRows)
     EXPECT_NE(out.find("Configuration"), std::string::npos);
     EXPECT_NE(out.find("Mnemosyne"), std::string::npos);
     EXPECT_NE(out.find("5274"), std::string::npos);
-}
-
-TEST(Table, CsvRoundTrip)
-{
-    Table table("t");
-    table.setHeader({"a", "b"});
-    table.addRow({"1", "2"});
-    EXPECT_EQ(table.renderCsv(), "a,b\n1,2\n");
 }
 
 // ShapeCheck ----------------------------------------------------------

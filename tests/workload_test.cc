@@ -231,10 +231,11 @@ TEST(FailureInjectorTest, OutageTrainAllRecover)
     config.wsp.firmwareBootLatency = fromMillis(50.0);
     WspSystem system(config);
     system.start();
-    FailureInjector injector(system);
-    EXPECT_EQ(injector.outageTrain(3, fromMillis(10.0),
-                                   fromSeconds(5.0)).wspRecoveries(),
-              3);
+    for (int cycle = 0; cycle < 3; ++cycle) {
+        const PowerFailureOutcome outcome =
+            system.powerFailAndRestore(fromMillis(10.0), fromSeconds(5.0));
+        EXPECT_TRUE(outcome.restore.usedWsp) << "cycle " << cycle;
+    }
 }
 
 TEST(FailureInjectorTest, DrainedUltracapFailsNextSave)
