@@ -99,10 +99,13 @@ class LoopbackTransport
     int fds_[2];
 };
 
-/** One closed-loop run; returns updates/second. */
+/**
+ * One closed-loop run; returns updates/second and adds the updates
+ * not answered Success with their own message id to @p broken.
+ */
 template <typename Policy>
 double
-runOnce(bool durable_logs, uint64_t entries, uint64_t seed)
+runOnce(bool durable_logs, uint64_t entries, uint64_t seed, uint64_t *broken)
 {
     PHeapConfig config;
     config.regionSize = 512ull * 1024 * 1024;
@@ -150,6 +153,7 @@ runOnce(bool durable_logs, uint64_t entries, uint64_t seed)
         std::fprintf(stderr, "unexpected failures: %llu of %llu ok\n",
                      (unsigned long long)ok, (unsigned long long)entries);
     }
+    *broken += entries - ok;
     return static_cast<double>(entries) / elapsed;
 }
 
@@ -167,9 +171,12 @@ main(int argc, char **argv)
 
     RunningStat mnemosyne;
     RunningStat wsp_stat;
+    uint64_t broken = 0;
     for (int run = 0; run < runs; ++run) {
-        mnemosyne.add(runOnce<pmem::StmPolicy>(true, entries, 100 + run));
-        wsp_stat.add(runOnce<pmem::RawPolicy>(false, entries, 100 + run));
+        mnemosyne.add(
+            runOnce<pmem::StmPolicy>(true, entries, 100 + run, &broken));
+        wsp_stat.add(
+            runOnce<pmem::RawPolicy>(false, entries, 100 + run, &broken));
     }
 
     Table table("Table 1. Update throughput for OpenLDAP");
@@ -204,5 +211,15 @@ main(int argc, char **argv)
     check.expectTrue("run-to-run variance small (stddev < 15% of mean)",
                      mnemosyne.stddev() < 0.15 * mnemosyne.mean() &&
                          wsp_stat.stddev() < 0.15 * wsp_stat.mean());
-    return bench::finish(check);
+    const int status = bench::finish(check);
+    // A throughput over broken responses measures nothing: any update
+    // not answered Success with its own message id fails the bench.
+    if (broken > 0) {
+        std::fprintf(stderr,
+                     "%llu updates were not answered Success with their "
+                     "own message id\n",
+                     (unsigned long long)broken);
+        return 1;
+    }
+    return status;
 }

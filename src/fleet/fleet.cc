@@ -14,41 +14,6 @@ namespace {
 /** Bytes one streamed (key, value) pair stands for on the wire. */
 constexpr uint64_t kPairBytes = 16;
 
-/**
- * Order-independent digest of a shard's pairs over one key subset —
- * the anti-entropy exchange unit. Two nodes digesting the same logical
- * key subset agree iff their surviving contents agree; the commutative
- * mix makes scan order (which differs between a node that wrote keys
- * in one order and a peer that replayed them in another) irrelevant.
- */
-class ShardDigest
-{
-  public:
-    void add(uint64_t key, uint64_t value)
-    {
-        uint64_t h = key * 0x9e3779b97f4a7c15ull ^ value;
-        h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 33;
-        sum_ += h;
-        ++count_;
-    }
-
-    uint64_t value() const { return sum_ ^ (count_ * 0xc4ceb9fe1a85ec53ull); }
-
-  private:
-    uint64_t sum_ = 0;
-    uint64_t count_ = 0;
-};
-
-/** One pair of the repair target's shard, with its replica mask. */
-struct HeldPair
-{
-    uint64_t key;
-    uint64_t value;
-    uint64_t owners;
-};
-
 } // namespace
 
 Fleet::Fleet(FleetConfig config)
@@ -85,6 +50,8 @@ Fleet::Fleet(FleetConfig config)
         latency_.emplace_back();
         epoch_.push_back(0);
     }
+    masksOf_.resize(config_.nodes);
+    digests_.resize(config_.shardsPerNode);
     recordCapacity();
 }
 
@@ -94,8 +61,47 @@ uint64_t
 Fleet::placementOf(uint64_t key) const
 {
     const auto it = touched_.find(key);
-    return it != touched_.end() ? it->second
+    return it != touched_.end() ? masks_[it->second]
                                 : ring_.replicaMask(key, effectiveR_);
+}
+
+uint32_t
+Fleet::placementIdOf(uint64_t key)
+{
+    const auto it = touched_.find(key);
+    return it != touched_.end()
+               ? it->second
+               : internMask(ring_.replicaMask(key, effectiveR_));
+}
+
+template <typename Fn>
+void
+Fleet::forEachAcked(Fn &&fn) const
+{
+    // touched_ holds every model_ key in the same order, so it walks
+    // alongside with the masks.
+    auto placed = touched_.begin();
+    for (const auto &[key, value] : model_) {
+        while (placed != touched_.end() && placed->first < key)
+            ++placed;
+        WSP_CHECK(placed != touched_.end() && placed->first == key);
+        fn(key, value, placed->second);
+    }
+}
+
+uint32_t
+Fleet::internMask(uint64_t mask)
+{
+    const auto [it, added] =
+        maskIds_.try_emplace(mask, static_cast<uint32_t>(masks_.size()));
+    if (!added)
+        return it->second;
+    masks_.push_back(mask);
+    for (uint64_t owners = mask; owners != 0; owners &= owners - 1)
+        masksOf_[std::countr_zero(owners)].push_back(it->second);
+    for (std::vector<Digest> &digests : digests_)
+        digests.resize(masks_.size() * owners());
+    return it->second;
 }
 
 Tick
@@ -174,24 +180,34 @@ Fleet::applyWrite(uint64_t key, uint64_t value, bool is_erase)
                 if (nodes_[id]->up())
                     round = std::max(round, serviceDraw());
             latency += round;
+            const auto [placed, first] = touched_.try_emplace(key, 0);
+            if (first)
+                placed->second =
+                    internMask(ring_.replicaMask(key, effectiveR_));
+            const uint32_t mask_id = placed->second;
             // Apply to *every* live replica (catching-up and degraded
             // nodes included) so live replicas never diverge and
             // repair only has to cover each node's dark window.
             for (uint32_t id : replicas) {
                 if (!nodes_[id]->live() || !nodes_[id]->serving())
                     continue;
-                if (is_erase)
-                    nodes_[id]->erase(key);
-                else
-                    nodes_[id]->put(key, value);
+                writeReplica(*nodes_[id], key, value, is_erase, mask_id);
             }
-            if (is_erase)
-                model_.erase(key);
-            else
-                model_[key] = value;
-            const auto [placed, first] = touched_.try_emplace(key, 0);
-            if (first)
-                placed->second = ring_.replicaMask(key, effectiveR_);
+            Digest &acked = digestOf(ackedOwner(), shardOf(key), mask_id);
+            if (is_erase) {
+                const auto it = model_.find(key);
+                if (it != model_.end()) {
+                    acked.remove(key, it->second);
+                    model_.erase(it);
+                }
+            } else {
+                const auto [it, inserted] = model_.try_emplace(key, value);
+                if (!inserted) {
+                    acked.remove(key, it->second);
+                    it->second = value;
+                }
+                acked.add(key, value);
+            }
             ++stats_.succeeded;
             ++stats_.ackedWrites;
             recordLatency(replicas, latency);
@@ -493,12 +509,13 @@ Fleet::processEvent(Tick when, const Event &event)
             return;
         // The node rejoins the replication stream now; anti-entropy
         // covers the window it was dark.
-        const RepairResult repair = repairNode(node);
+        const RepairResult repair = repairNode(node, /*rescan=*/true);
         storm_.digests += repair.digests;
         storm_.streamed += repair.streamed;
         storm_.shardsRepaired += repair.shards;
         stats.counter("fleet.repair_streamed_bytes")
             .add(repair.streamed);
+        stats.counter("fleet.repair_shard_reads").add(repair.shardReads);
 
         Tick duration =
             fromSeconds(static_cast<double>(repair.streamed) /
@@ -527,10 +544,11 @@ Fleet::processEvent(Tick when, const Event &event)
             return;
         // Certification pass: the node took live writes while it
         // caught up, so this final delta is normally empty.
-        const RepairResult repair = repairNode(node);
+        const RepairResult repair = repairNode(node, /*rescan=*/false);
         storm_.digests += repair.digests;
         storm_.streamed += repair.streamed;
         storm_.shardsRepaired += repair.shards;
+        stats.counter("fleet.repair_shard_reads").add(repair.shardReads);
         node.setState(NodeState::Up);
         recordCapacity();
         if (storm_.remaining > 0)
@@ -593,8 +611,61 @@ Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
 
 // Anti-entropy -------------------------------------------------------
 
+void
+Fleet::writeReplica(FleetNode &node, uint64_t key, uint64_t value,
+                    bool is_erase, uint32_t mask_id)
+{
+    uint64_t replaced = 0;
+    const bool held = node.get(key, &replaced);
+    Digest &digest = digestOf(node.id(), shardOf(key), mask_id);
+    if (is_erase) {
+        if (held && node.erase(key))
+            digest.remove(key, replaced);
+        return;
+    }
+    if (!node.put(key, value))
+        return; // shard full: nothing changed
+    if (held)
+        digest.remove(key, replaced);
+    digest.add(key, value);
+}
+
+void
+Fleet::readShard(const FleetNode &node, unsigned shard,
+                 std::vector<Pair> *held, bool recount)
+{
+    const uint64_t node_bit = 1ull << node.id();
+    if (recount)
+        for (uint32_t mask_id : masksOf_[node.id()])
+            digestOf(node.id(), shard, mask_id) = Digest{};
+    node.shardStore(shard).forEach([&](uint64_t key, uint64_t value) {
+        const uint32_t mask_id = placementIdOf(key);
+        if (!(masks_[mask_id] & node_bit))
+            return;
+        if (held != nullptr)
+            held->emplace_back(key, value);
+        if (recount)
+            digestOf(node.id(), shard, mask_id).add(key, value);
+    });
+}
+
+void
+Fleet::recountDigests()
+{
+    for (const auto &node : nodes_)
+        if (node->serving())
+            for (unsigned shard = 0; shard < node->shards(); ++shard)
+                readShard(*node, shard, nullptr, true);
+    for (unsigned shard = 0; shard < digests_.size(); ++shard)
+        for (uint32_t mask_id = 0; mask_id < masks_.size(); ++mask_id)
+            digestOf(ackedOwner(), shard, mask_id) = Digest{};
+    forEachAcked([&](uint64_t key, uint64_t value, uint32_t mask_id) {
+        digestOf(ackedOwner(), shardOf(key), mask_id).add(key, value);
+    });
+}
+
 Fleet::RepairResult
-Fleet::repairNode(FleetNode &target)
+Fleet::repairNode(FleetNode &target, bool rescan)
 {
     RepairResult result;
     if (!target.serving())
@@ -602,80 +673,81 @@ Fleet::repairNode(FleetNode &target)
     const uint32_t target_id = target.id();
     const uint64_t target_bit = 1ull << target_id;
 
-    std::vector<const FleetNode *> peers;
+    std::vector<uint32_t> peers;
     for (const auto &peer : nodes_)
         if (peer->id() != target_id && peer->up() && peer->serving())
-            peers.push_back(peer.get());
+            peers.push_back(peer->id());
 
-    // Authority for the target's keys, split by shard in one pass:
-    // the acked values (the backend log), ascending by key. Up peers
-    // carry exactly the acked history for their keys (live replicas
-    // never diverge), so peer coverage only decides who the bytes
-    // stream from, not what they are. touched_ holds every model_
-    // key in the same order, so it walks alongside with the masks.
-    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> authority(
-        target.shards());
-    auto placed = touched_.begin();
-    for (const auto &[key, value] : model_) {
-        while (placed != touched_.end() && placed->first < key)
-            ++placed;
-        WSP_CHECK(placed != touched_.end() && placed->first == key);
-        if (placed->second & target_bit)
-            authority[target.shardOf(key)].emplace_back(key, value);
-    }
-
-    std::vector<HeldPair> held;
-    for (unsigned shard = 0; shard < target.shards(); ++shard) {
-        // One read of the target's shard: the pairs it is assigned.
-        held.clear();
-        target.shardStore(shard).forEach([&](uint64_t key, uint64_t value) {
-            const uint64_t owners = placementOf(key);
-            if (owners & target_bit)
-                held.push_back({key, value, owners});
+    // Authority for the target's keys, split by shard in one pass and
+    // built only when a shard disagrees: the acked values (the backend
+    // log), ascending by key. Up peers carry exactly the acked history
+    // for their keys (live replicas never diverge), so peer coverage
+    // only decides who the bytes stream from, not what they are.
+    std::vector<std::vector<Pair>> authority;
+    const auto buildAuthority = [&]() {
+        authority.resize(target.shards());
+        forEachAcked([&](uint64_t key, uint64_t value, uint32_t mask_id) {
+            if (masks_[mask_id] & target_bit)
+                authority[shardOf(key)].emplace_back(key, value);
         });
+    };
+
+    std::vector<Pair> held;
+    std::vector<Digest> mine(nodes_.size());
+    std::vector<Digest> theirs(nodes_.size());
+    for (unsigned shard = 0; shard < target.shards(); ++shard) {
+        held.clear();
+        if (rescan) {
+            readShard(target, shard, &held, true);
+            ++result.shardReads;
+        }
 
         // Digest exchange: compare the target against every Up peer
-        // over the key subset both are assigned, reading each peer's
-        // shard once; if every pairwise digest matches (and the
-        // backend agrees for keys with no Up peer), the shard streams
-        // nothing.
-        bool divergent = false;
-        for (const FleetNode *peer : peers) {
-            const uint64_t shared = target_bit | (1ull << peer->id());
-            ShardDigest mine;
-            for (const HeldPair &pair : held)
-                if ((pair.owners & shared) == shared)
-                    mine.add(pair.key, pair.value);
-            ShardDigest theirs;
-            peer->shardStore(shard).forEach(
-                [&](uint64_t key, uint64_t value) {
-                    if ((placementOf(key) & shared) == shared)
-                        theirs.add(key, value);
-                });
-            ++result.digests;
-            if (mine.value() != theirs.value())
-                divergent = true;
+        // over the masks both are on, and against the acked history
+        // over the target's masks. Every side is maintained, so no
+        // shard is read here; if all agree, the shard streams nothing.
+        std::fill(mine.begin(), mine.end(), Digest{});
+        std::fill(theirs.begin(), theirs.end(), Digest{});
+        Digest own;
+        Digest acked;
+        for (uint32_t mask_id : masksOf_[target_id]) {
+            // Every owner's digest of this mask, side by side.
+            const Digest *row = &digestOf(0, shard, mask_id);
+            own += row[target_id];
+            acked += row[ackedOwner()];
+            for (uint64_t others = masks_[mask_id] & ~target_bit;
+                 others != 0; others &= others - 1) {
+                const unsigned peer = std::countr_zero(others);
+                mine[peer] += row[target_id];
+                theirs[peer] += row[peer];
+            }
         }
+        bool agree = own == acked;
+        for (uint32_t peer : peers) {
+            ++result.digests;
+            agree = agree && mine[peer] == theirs[peer];
+        }
+        if (agree)
+            continue; // peers matched and so did the backend
 
         // The target's current pairs by key; a key found twice keeps
         // its first slot in scan order.
+        if (!rescan) {
+            readShard(target, shard, &held, false);
+            ++result.shardReads;
+        }
+        if (authority.empty())
+            buildAuthority();
         std::stable_sort(held.begin(), held.end(),
-                         [](const HeldPair &a, const HeldPair &b) {
-                             return a.key < b.key;
+                         [](const Pair &a, const Pair &b) {
+                             return a.first < b.first;
                          });
         held.erase(std::unique(held.begin(), held.end(),
-                               [](const HeldPair &a, const HeldPair &b) {
-                                   return a.key == b.key;
+                               [](const Pair &a, const Pair &b) {
+                                   return a.first == b.first;
                                }),
                    held.end());
         const auto &want = authority[shard];
-        const auto same = [](const HeldPair &have,
-                             const std::pair<uint64_t, uint64_t> &pair) {
-            return have.key == pair.first && have.value == pair.second;
-        };
-        if (!divergent && std::equal(held.begin(), held.end(), want.begin(),
-                                     want.end(), same))
-            continue; // peers matched and so did the backend
 
         // Stream only this shard's missed updates: puts in ascending
         // key order, then erases in ascending key order (slot
@@ -683,20 +755,20 @@ Fleet::repairNode(FleetNode &target)
         uint64_t shard_streamed = 0;
         auto have = held.begin();
         for (const auto &[key, value] : want) {
-            while (have != held.end() && have->key < key)
+            while (have != held.end() && have->first < key)
                 ++have;
-            if (have == held.end() || have->key != key ||
-                have->value != value) {
-                target.put(key, value);
+            if (have == held.end() || have->first != key ||
+                have->second != value) {
+                writeReplica(target, key, value, false, placementIdOf(key));
                 shard_streamed += kPairBytes;
             }
         }
-        auto acked = want.begin();
-        for (const HeldPair &pair : held) {
-            while (acked != want.end() && acked->first < pair.key)
-                ++acked;
-            if (acked == want.end() || acked->first != pair.key) {
-                target.erase(pair.key);
+        auto acked_pair = want.begin();
+        for (const auto &[key, value] : held) {
+            while (acked_pair != want.end() && acked_pair->first < key)
+                ++acked_pair;
+            if (acked_pair == want.end() || acked_pair->first != key) {
+                writeReplica(target, key, 0, true, placementIdOf(key));
                 shard_streamed += kPairBytes;
             }
         }
@@ -733,9 +805,10 @@ Fleet::decommission(uint32_t id)
     // a (single) new replica; every other set is untouched. touched_
     // still holds the old sets; each key's new one replaces it here.
     const uint64_t lost = 1ull << id;
-    for (auto &[key, owners] : touched_) {
-        const uint64_t old_owners = owners;
-        owners = ring_.replicaMask(key, effectiveR_);
+    for (auto &[key, placement] : touched_) {
+        const uint64_t old_owners = masks_[placement];
+        const uint64_t owners = ring_.replicaMask(key, effectiveR_);
+        placement = internMask(owners);
         if (!(old_owners & lost))
             continue;
         const auto acked = model_.find(key);
@@ -745,10 +818,12 @@ Fleet::decommission(uint32_t id)
              gained &= gained - 1) {
             FleetNode &node = *nodes_[std::countr_zero(gained)];
             if (node.live() && node.serving())
-                node.put(key, acked->second);
+                writeReplica(node, key, acked->second, false, placement);
             ++report.keysMoved;
         }
     }
+    // Keys changed masks, so every maintained digest is recounted.
+    recountDigests();
     report.bytesMoved = report.keysMoved * kPairBytes;
     report.duration = fromSeconds(static_cast<double>(report.bytesMoved) /
                                   config_.antiEntropyBandwidth);
@@ -787,6 +862,58 @@ Fleet::checkReplicaConvergence() const
             }
         }
     }
+    return violations;
+}
+
+std::vector<std::string>
+Fleet::checkDigests() const
+{
+    std::vector<std::string> violations;
+    // Compared mask by mask (by value, not id): every nonzero
+    // maintained digest must equal the rescan's, and the rescan must
+    // hold no other mask.
+    const auto compare = [&](uint32_t owner, unsigned shard,
+                             std::map<uint64_t, Digest> rescan,
+                             const std::string &where) {
+        bool same = true;
+        for (uint32_t id = 0; id < masks_.size() && same; ++id) {
+            const Digest &kept = digestOf(owner, shard, id);
+            if (kept == Digest{})
+                continue;
+            const auto it = rescan.find(masks_[id]);
+            same = it != rescan.end() && it->second == kept;
+            if (same)
+                rescan.erase(it);
+        }
+        if (!same || !rescan.empty())
+            violations.push_back(where +
+                                 ": maintained digests differ from a rescan");
+    };
+
+    for (const auto &node : nodes_) {
+        if (!node->live() || !node->serving())
+            continue;
+        const uint64_t node_bit = 1ull << node->id();
+        for (unsigned shard = 0; shard < node->shards(); ++shard) {
+            std::map<uint64_t, Digest> rescan;
+            node->shardStore(shard).forEach(
+                [&](uint64_t key, uint64_t value) {
+                    const uint64_t mask = placementOf(key);
+                    if (mask & node_bit)
+                        rescan[mask].add(key, value);
+                });
+            compare(node->id(), shard, std::move(rescan),
+                    "node " + std::to_string(node->id()) + " shard " +
+                        std::to_string(shard));
+        }
+    }
+
+    std::vector<std::map<uint64_t, Digest>> rescan(digests_.size());
+    for (const auto &[key, value] : model_)
+        rescan[shardOf(key)][placementOf(key)].add(key, value);
+    for (unsigned shard = 0; shard < digests_.size(); ++shard)
+        compare(ackedOwner(), shard, std::move(rescan[shard]),
+                "acked history shard " + std::to_string(shard));
     return violations;
 }
 

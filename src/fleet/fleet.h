@@ -4,17 +4,16 @@
  * placement with replication factor R, a quorum client driver, a
  * correlated-failure fault plane, and anti-entropy repair.
  *
- * This is ROADMAP item 1 made executable: the paper's Facebook-2010
- * motivation (hundreds of main-memory servers refilling terabytes
- * from a shared backend for hours, vs WSP nodes recovering locally in
- * parallel) as a simulated fleet instead of the closed-form
- * apps::correlatedOutage estimate. The fleet keeps both honest — its
- * modelled recovery timeline uses the exact same formulas, so the
- * differential test can hold simulator and closed form against each
- * other — while replica *contents* are fully real: every node is a
- * WspSystem whose store lives behind a write-back cache, kills are
- * genuine mid-save power losses, and recovery replays the whole
- * image-capture / chassis-swap / salvage machinery.
+ * The paper's Facebook-2010 motivation (hundreds of main-memory
+ * servers refilling terabytes from a shared backend for hours, vs WSP
+ * nodes recovering locally in parallel) as a simulated fleet instead
+ * of the closed-form apps::correlatedOutage estimate. The fleet keeps
+ * both honest — its modelled recovery timeline uses the exact same
+ * formulas, so the differential test can hold simulator and closed
+ * form against each other — while replica *contents* are fully real:
+ * every node is a WspSystem whose store lives behind a write-back
+ * cache, kills are genuine mid-save power losses, and recovery replays
+ * the whole image-capture / chassis-swap / salvage machinery.
  *
  * Consistency contract (what NoReplicaDivergence asserts):
  *
@@ -31,6 +30,18 @@
  *    divergent shards, backend as the authority of last resort when
  *    no Up peer shares a key) certifies convergence before the node
  *    re-enters Up.
+ *
+ * Maintained digests (incremental anti-entropy, as in Dynamo): the
+ * fleet keeps, for every node, shard and replica mask that contains
+ * the node, an additive digest (a hash sum plus a count) of the pairs
+ * of that shard placed on that mask, and the same per shard and mask
+ * for the acked history (model_). Every store write the fleet makes
+ * goes through one helper that moves the digest by the difference, so
+ * a live node's digests always equal a rescan of its store; rendezvous
+ * placement fixes each key's mask until the ring changes, and
+ * decommission rebuilds them all. Repair therefore reads no peer's
+ * shard, and certifies a shard without reading it when the digests
+ * agree. checkDigests() holds the invariant against a rescan.
  */
 
 #pragma once
@@ -38,6 +49,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "apps/backend_store.h"
@@ -156,7 +169,7 @@ class Fleet
     /** Up replicas a write needs: a majority of replication(). */
     unsigned writeQuorum() const { return writeQuorum_; }
 
-    FleetNode &node(uint32_t id) { return *nodes_.at(id); }
+    /** Read-only: only the fleet writes a member node's store. */
     const FleetNode &node(uint32_t id) const { return *nodes_.at(id); }
     unsigned nodeCount() const
     {
@@ -225,6 +238,14 @@ class Fleet
      */
     std::vector<std::string> checkReplicaConvergence() const;
 
+    /**
+     * Rescan every live node's shards and the acked history, and
+     * report each (node, shard) or authority shard whose maintained
+     * per-mask digests differ from the rescan. Empty = the digests
+     * repair trusts are exact.
+     */
+    std::vector<std::string> checkDigests() const;
+
     const RequestStats &stats() const { return stats_; }
     uint64_t ackedWrites() const { return stats_.ackedWrites; }
 
@@ -267,11 +288,81 @@ class Fleet
         uint64_t streamed = 0;
         unsigned shards = 0;
         uint64_t digests = 0;
+        unsigned shardReads = 0; ///< shard scans of the target
     };
+
+    /**
+     * Order-independent digest of a set of (key, value) pairs — the
+     * anti-entropy exchange unit: a sum of per-pair hashes plus a
+     * count. Scan order (which differs between a node that wrote keys
+     * in one order and a peer that replayed them in another) does not
+     * matter, a write moves it by the difference, and digests of
+     * disjoint sets add.
+     */
+    struct Digest
+    {
+        uint64_t sum = 0;
+        uint64_t count = 0;
+
+        static uint64_t hash(uint64_t key, uint64_t value)
+        {
+            uint64_t h = key * 0x9e3779b97f4a7c15ull ^ value;
+            h ^= h >> 33;
+            h *= 0xff51afd7ed558ccdull;
+            h ^= h >> 33;
+            return h;
+        }
+        void add(uint64_t key, uint64_t value)
+        {
+            sum += hash(key, value);
+            ++count;
+        }
+        void remove(uint64_t key, uint64_t value)
+        {
+            sum -= hash(key, value);
+            --count;
+        }
+        Digest &operator+=(const Digest &other)
+        {
+            sum += other.sum;
+            count += other.count;
+            return *this;
+        }
+        bool operator==(const Digest &) const = default;
+    };
+    using Pair = std::pair<uint64_t, uint64_t>;
 
     /** Replica set of @p key as a node mask (bit i = node i): the
      *  cached entry for a touched key, computed for any other. */
     uint64_t placementOf(uint64_t key) const;
+    /** The id of @p key's replica mask (placementOf, interned). */
+    uint32_t placementIdOf(uint64_t key);
+    /** The id of @p mask, assigned (with zeroed digests) when new. */
+    uint32_t internMask(uint64_t mask);
+    /** Shard of @p key; the same on every node. */
+    unsigned shardOf(uint64_t key) const
+    {
+        return nodes_.front()->shardOf(key);
+    }
+
+    /** Call @p fn(key, value, mask id) for every acked pair,
+     *  ascending by key. */
+    template <typename Fn>
+    void forEachAcked(Fn &&fn) const;
+
+    /** Digest owners: every node, then the acked history (model_). */
+    uint32_t owners() const { return config_.nodes + 1; }
+    uint32_t ackedOwner() const { return config_.nodes; }
+    /** @p owner's digest of @p shard's pairs placed on mask @p mask_id. */
+    Digest &digestOf(uint32_t owner, unsigned shard, uint32_t mask_id)
+    {
+        return digests_[shard][mask_id * owners() + owner];
+    }
+    const Digest &digestOf(uint32_t owner, unsigned shard,
+                           uint32_t mask_id) const
+    {
+        return digests_[shard][mask_id * owners() + owner];
+    }
     Tick serviceDraw();
     Tick backoff(unsigned attempt);
     void recordLatency(const std::vector<uint32_t> &replicas, Tick latency);
@@ -280,7 +371,36 @@ class Fleet
     void trafficUntil(Tick t, double put_fraction);
     void oneRequest(double put_fraction);
     bool applyWrite(uint64_t key, uint64_t value, bool is_erase);
-    RepairResult repairNode(FleetNode &node);
+
+    /**
+     * The one way the fleet changes a member's store: put (or erase)
+     * @p key on @p node and move the node's digest of the key's shard
+     * and mask (@p mask_id) by the difference. The replaced value is
+     * read with FleetNode::get first.
+     */
+    void writeReplica(FleetNode &node, uint64_t key, uint64_t value,
+                      bool is_erase, uint32_t mask_id);
+
+    /**
+     * Read @p node's shard @p shard once: append the pairs placed on
+     * the node to @p held (when given) and, with @p recount, rebuild
+     * the node's digests of the shard from them.
+     */
+    void readShard(const FleetNode &node, unsigned shard,
+                   std::vector<Pair> *held, bool recount);
+
+    /** Rebuild every serving node's digests and the acked history's. */
+    void recountDigests();
+
+    /**
+     * Anti-entropy for @p node. With @p rescan (at RestoreDone) the
+     * node's digests are first rebuilt from one read of each shard;
+     * otherwise they are taken as maintained. A shard whose digests
+     * agree with every Up peer's and with the acked history is
+     * certified without a further read; any other is diffed against
+     * the acked values and streamed.
+     */
+    RepairResult repairNode(FleetNode &node, bool rescan);
     Tick modeledBootAndRestore() const;
     Tick modeledStaleFetch(unsigned concurrent) const;
 
@@ -296,12 +416,28 @@ class Fleet
     std::map<uint64_t, uint64_t> model_;
 
     /**
-     * Every key an acked write or erase ever touched, with its replica
-     * mask under the current ring — computed once per key, and again
-     * for every key when the ring changes (decommission). A superset
-     * of model_'s keys.
+     * Every key an acked write or erase ever touched, with the id of
+     * its replica mask under the current ring — computed once per key,
+     * and again for every key when the ring changes (decommission). A
+     * superset of model_'s keys.
      */
-    std::map<uint64_t, uint64_t> touched_;
+    std::map<uint64_t, uint32_t> touched_;
+
+    /** Every replica mask placement has produced, by id. */
+    std::vector<uint64_t> masks_;
+    std::unordered_map<uint64_t, uint32_t> maskIds_;
+    /** masksOf_[node]: ids of the masks that contain the node. */
+    std::vector<std::vector<uint32_t>> masksOf_;
+
+    /**
+     * Maintained digests, one table per shard with every owner's
+     * digests of one mask side by side (digestOf): a node's entry
+     * covers the pairs of its shard whose replica mask is the id's
+     * (only masks that contain the node are ever filled), and the
+     * acked history's the same for model_. Valid for every live node
+     * and for model_ (checkDigests).
+     */
+    std::vector<std::vector<Digest>> digests_;
 
     Tick now_ = 0;
     std::multimap<Tick, Event> agenda_;

@@ -48,6 +48,8 @@ std::vector<std::string>
 noReplicaDivergence(const Fleet &fleet)
 {
     std::vector<std::string> violations = fleet.checkReplicaConvergence();
+    for (std::string &violation : fleet.checkDigests())
+        violations.push_back(std::move(violation));
     if (fleet.recoveryPending())
         violations.push_back("recovery events still pending at check");
     for (uint32_t id = 0; id < fleet.nodeCount(); ++id) {

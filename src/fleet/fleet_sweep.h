@@ -33,7 +33,8 @@ namespace wsp::fleet {
 /**
  * The NoReplicaDivergence checker: convergence of Up replica sets
  * with the acked-write history, plus whole-fleet health (every
- * commissioned node certified Up, no recovery left pending).
+ * commissioned node certified Up, no recovery left pending) and the
+ * maintained repair digests against a rescan (Fleet::checkDigests).
  * Empty result = held.
  */
 std::vector<std::string> noReplicaDivergence(const Fleet &fleet);

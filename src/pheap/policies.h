@@ -24,7 +24,6 @@
 
 #pragma once
 
-#include <type_traits>
 #include <utility>
 
 #include "pheap/heap.h"
@@ -175,19 +174,5 @@ struct StmPolicy
         });
     }
 };
-
-/** Human-readable name of a (policy, heap-durability) combination. */
-template <typename Policy>
-const char *
-configName(const PHeap &heap)
-{
-    const bool foc = heap.durableLogs();
-    if constexpr (std::is_same_v<Policy, RawPolicy>)
-        return foc ? "FoC (raw?)" : "FoF";
-    else if constexpr (std::is_same_v<Policy, UndoPolicy>)
-        return foc ? "FoC + UL" : "FoF + UL";
-    else
-        return foc ? "FoC + STM" : "FoF + STM";
-}
 
 } // namespace wsp::pmem

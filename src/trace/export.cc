@@ -306,8 +306,12 @@ appendBenchRecord(const std::string &path, const std::string &bench,
     line += ",\"seed\":" + std::to_string(seed);
     // Extra top-level fields (fleet_storm: nodes/replication). Emitted
     // as integers for the same reason as the seed.
-    for (const auto &[name, value] : fields)
-        line += "," + jsonQuote(name) + ":" + std::to_string(value);
+    for (const auto &[name, value] : fields) {
+        line += ',';
+        line += jsonQuote(name);
+        line += ':';
+        line += std::to_string(value);
+    }
     line += ",\"counters\":{";
     bool first = true;
     for (const auto &sample : StatRegistry::instance().snapshot()) {

@@ -118,20 +118,6 @@ class Rng
     /** Bernoulli draw with probability @p p of returning true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Normal draw via Box-Muller (the full pair is not cached). */
-    double
-    gaussian(double mean, double stddev)
-    {
-        // Reject u1 == 0 so log() stays finite.
-        double u1 = uniform();
-        while (u1 <= 0.0)
-            u1 = uniform();
-        const double u2 = uniform();
-        const double radius = std::sqrt(-2.0 * std::log(u1));
-        const double theta = 2.0 * 3.14159265358979323846 * u2;
-        return mean + stddev * radius * std::cos(theta);
-    }
-
     /** Exponential draw with the given mean (mean > 0). */
     double
     exponential(double mean)

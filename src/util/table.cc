@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "util/logging.h"
@@ -91,11 +90,6 @@ AsciiChart::render(size_t width, size_t height) const
             y_max = std::max(y_max, y);
         }
     }
-    if (logY_) {
-        WSP_CHECK(y_min > 0.0);
-        y_min = std::log10(y_min);
-        y_max = std::log10(y_max);
-    }
     if (x_max == x_min)
         x_max = x_min + 1.0;
     if (y_max == y_min)
@@ -108,11 +102,8 @@ AsciiChart::render(size_t width, size_t height) const
         const auto &s = series_[si];
         const char glyph = kGlyphs[si % (sizeof(kGlyphs) - 1)];
         for (size_t i = 0; i < s.xs.size(); ++i) {
-            double y = s.ys[i];
-            if (logY_)
-                y = std::log10(std::max(y, 1e-300));
             const double xf = (s.xs[i] - x_min) / (x_max - x_min);
-            const double yf = (y - y_min) / (y_max - y_min);
+            const double yf = (s.ys[i] - y_min) / (y_max - y_min);
             auto col = static_cast<size_t>(
                 xf * static_cast<double>(width - 1) + 0.5);
             auto row = static_cast<size_t>(
@@ -123,10 +114,8 @@ AsciiChart::render(size_t width, size_t height) const
 
     char buf[128];
     std::string out = "== " + title_ + " ==\n";
-    const double y_top = logY_ ? std::pow(10.0, y_max) : y_max;
-    const double y_bot = logY_ ? std::pow(10.0, y_min) : y_min;
-    std::snprintf(buf, sizeof(buf), "%s (top=%.4g bottom=%.4g%s)\n",
-                  yLabel_.c_str(), y_top, y_bot, logY_ ? ", log scale" : "");
+    std::snprintf(buf, sizeof(buf), "%s (top=%.4g bottom=%.4g)\n",
+                  yLabel_.c_str(), y_max, y_min);
     out += buf;
     for (const auto &row : grid)
         out += "  |" + row + "\n";

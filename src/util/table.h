@@ -56,9 +56,6 @@ class AsciiChart
 
     void addSeries(const Series &series);
 
-    /** Use a log10 y-axis (series must be strictly positive). */
-    void setLogY(bool log_y) { logY_ = log_y; }
-
     /** Render to a character grid of the given size. */
     std::string render(size_t width = 72, size_t height = 20) const;
 
@@ -69,7 +66,6 @@ class AsciiChart
     std::string title_;
     std::string xLabel_;
     std::string yLabel_;
-    bool logY_ = false;
     std::vector<Series> series_;
 };
 

@@ -20,6 +20,7 @@
 #include "fleet/fleet_sweep.h"
 #include "fleet/rendezvous.h"
 #include "test_seed.h"
+#include "trace/stat_registry.h"
 
 using namespace wsp;
 using namespace wsp::fleet;
@@ -746,6 +747,194 @@ TEST(FleetPinned, StormAfterDecommission)
               "timeouts=918 degraded=0 rejected=140 acked=214 | "
               "98:8662eee6e5d3800d 94:2a5b2a3c7f511306 - "
               "142:c23914277c978d91 131:895154ccc9e63578");
+    EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+}
+
+// Maintained digests -------------------------------------------------
+//
+// Repair compares each live node's per-mask shard digests, and the
+// acked history's, without reading the shards they summarize. Each test
+// steps storms with advanceBy, serving sampled traffic between steps,
+// and holds checkDigests() (a rescan of every live shard and of the
+// acked history) empty after every step.
+
+namespace {
+
+void
+expectDigestsExact(const Fleet &fleet, const char *what)
+{
+    for (const std::string &violation : fleet.checkDigests())
+        ADD_FAILURE() << what << " at t=" << toSeconds(fleet.now())
+                      << " s: " << violation;
+}
+
+/** Serve @p requests sampled requests, advance @p step, check. */
+void
+stepChecked(Fleet &fleet, Tick step, unsigned requests, const char *what)
+{
+    fleet.runTraffic(requests, 0.6);
+    fleet.advanceBy(step);
+    expectDigestsExact(fleet, what);
+}
+
+/** Step until no recovery event is pending. */
+void
+stepUntilSettled(Fleet &fleet, Tick step, unsigned requests,
+                 const char *what)
+{
+    for (unsigned guard = 0; fleet.recoveryPending() && guard < 2000;
+         ++guard)
+        stepChecked(fleet, step, requests, what);
+    EXPECT_FALSE(fleet.recoveryPending()) << what;
+}
+
+/** Step until node @p id reaches @p state (or give up). */
+void
+stepUntilState(Fleet &fleet, uint32_t id, NodeState state, Tick step,
+               const char *what)
+{
+    for (unsigned guard = 0;
+         fleet.node(id).state() != state && guard < 2000; ++guard)
+        stepChecked(fleet, step, 1, what);
+}
+
+uint64_t
+repairShardReads()
+{
+    return trace::StatRegistry::instance()
+        .counter("fleet.repair_shard_reads")
+        .value();
+}
+
+} // namespace
+
+TEST(FleetDigests, WspLocalStormsHoldAtEveryStep)
+{
+    FleetConfig config;
+    config.nodes = 5;
+    config.replication = 3;
+    config.seed = testSeed(0xd16e01);
+    Fleet fleet(config);
+    expectDigestsExact(fleet, "fresh fleet");
+    fleet.runTraffic(60, 0.7);
+    expectDigestsExact(fleet, "before the storms");
+
+    // Partial kills keep a write quorum up, so the victims miss acked
+    // writes while dark and repair streams them; the 2 ms window tears
+    // the save, so those victims come back by salvage or a cold boot.
+    struct Storm
+    {
+        uint64_t mask;
+        Tick window;
+    };
+    for (const Storm storm : {Storm{0b00110, fromMillis(80.0)},
+                              Storm{0b11001, fromMillis(80.0)},
+                              Storm{0b01010, fromMillis(2.0)},
+                              Storm{0, fromMillis(80.0)}}) {
+        const uint64_t reads_before = repairShardReads();
+        const unsigned victims =
+            fleet.killSubset(storm.mask, fromSeconds(2.0), storm.window);
+        stepUntilSettled(fleet, fromMillis(250.0), 3, "wsp-local");
+        // Each victim reads each of its shards once, when its restore
+        // is done; the certification pass reads none of them.
+        EXPECT_EQ(repairShardReads() - reads_before,
+                  uint64_t{victims} * config.shardsPerNode);
+        EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+    }
+}
+
+TEST(FleetDigests, DegradedTierHoldsAtEveryStep)
+{
+    FleetConfig config;
+    config.nodes = 4;
+    config.replication = 3;
+    config.policy = RecoveryPolicy::DegradedTier;
+    config.seed = testSeed(0xd16e02);
+    // Big modelled state stretches the stale fetch, so steps land while
+    // the victims serve from the read-only tier.
+    config.memoryPerServer = 256ull * kGiB;
+    Fleet fleet(config);
+    fleet.runTraffic(60, 0.7);
+
+    fleet.killSubset(0b0011, fromSeconds(2.0), fromMillis(80.0));
+    stepUntilState(fleet, 0, NodeState::DegradedReadOnly, fromMillis(100.0),
+                   "degraded-tier");
+    ASSERT_EQ(fleet.node(0).state(), NodeState::DegradedReadOnly);
+    stepUntilSettled(fleet, fromMillis(100.0), 2, "degraded-tier");
+    EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+}
+
+TEST(FleetDigests, BackendRefillHoldsAtEveryStep)
+{
+    FleetConfig config;
+    config.nodes = 4;
+    config.replication = 3;
+    config.policy = RecoveryPolicy::BackendRefill;
+    config.seed = testSeed(0xd16e03);
+    Fleet fleet(config);
+    fleet.runTraffic(60, 0.7);
+
+    for (const uint64_t mask : {0b0101ull, 0ull}) {
+        fleet.killSubset(mask, fromSeconds(2.0), fromMillis(80.0));
+        stepUntilSettled(fleet, fromMillis(250.0), 3, "backend-refill");
+        EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+    }
+}
+
+TEST(FleetDigests, ReKilledCatchingUpVictimHolds)
+{
+    FleetConfig config;
+    config.nodes = 5;
+    config.replication = 3;
+    config.seed = testSeed(0xd16e04);
+    // A long stale fetch keeps the victim catching up for ~0.5 s.
+    config.memoryPerServer = 256ull * kGiB;
+    Fleet fleet(config);
+    fleet.runTraffic(60, 0.7);
+
+    fleet.killSubset(0b00001, fromSeconds(2.0), fromMillis(80.0));
+    stepUntilState(fleet, 0, NodeState::CatchingUp, fromMillis(50.0),
+                   "first recovery");
+    ASSERT_EQ(fleet.node(0).state(), NodeState::CatchingUp);
+    // Killed while catching up: its digests are stale from here on
+    // and must be rebuilt before its next repair trusts them.
+    EXPECT_EQ(fleet.killSubset(0b00001, fromSeconds(2.0), fromMillis(80.0)),
+              1u);
+    expectDigestsExact(fleet, "after the re-kill");
+    stepUntilSettled(fleet, fromMillis(250.0), 3, "second recovery");
+    EXPECT_TRUE(fleet.node(0).up());
+    EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+}
+
+TEST(FleetDigests, DecommissionMidRunHolds)
+{
+    FleetConfig config;
+    config.nodes = 6;
+    config.replication = 3;
+    config.seed = testSeed(0xd16e05);
+    config.memoryPerServer = 256ull * kGiB;
+    Fleet fleet(config);
+    fleet.runTraffic(80, 0.7);
+
+    fleet.killSubset(0b000111, fromSeconds(2.0), fromMillis(80.0));
+    stepChecked(fleet, fromMillis(500.0), 2, "victims dark");
+    // A dark victim is lost for good...
+    ASSERT_EQ(fleet.node(2).state(), NodeState::Dark);
+    fleet.decommission(2);
+    expectDigestsExact(fleet, "after losing a dark victim");
+    // ...and then an Up node while the other victims catch up: its keys
+    // move onto new masks, some of them onto the catching-up nodes.
+    stepUntilState(fleet, 0, NodeState::CatchingUp, fromMillis(50.0),
+                   "victims recovering");
+    ASSERT_EQ(fleet.node(0).state(), NodeState::CatchingUp);
+    EXPECT_GT(fleet.decommission(5).keysMoved, 0u);
+    expectDigestsExact(fleet, "after losing an up node");
+    stepUntilSettled(fleet, fromMillis(250.0), 3, "after the rebalances");
+    EXPECT_TRUE(noReplicaDivergence(fleet).empty());
+
+    // A later storm on the shrunk ring repairs against the new masks.
+    fleet.killSubset(0b011000, fromSeconds(2.0), fromMillis(80.0));
+    stepUntilSettled(fleet, fromMillis(250.0), 3, "storm after");
     EXPECT_TRUE(noReplicaDivergence(fleet).empty());
 }
 

@@ -210,8 +210,9 @@ TEST(NvramSweep, ManySmallModulesBehaveLikeOneBig)
     NvdimmController controller(queue);
     NvramSpace space;
     for (int i = 0; i < 8; ++i) {
-        dimms.push_back(std::make_unique<NvdimmModule>(
-            queue, "d" + std::to_string(i), config));
+        std::string name = "d";
+        name += std::to_string(i);
+        dimms.push_back(std::make_unique<NvdimmModule>(queue, name, config));
         controller.attach(*dimms.back());
         space.addModule(*dimms.back());
     }

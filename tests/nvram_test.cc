@@ -281,7 +281,9 @@ TEST(Nvdimm, SaveTimeUnderTenSecondsUpTo8GiB)
     for (uint64_t gib : {1, 2, 4, 8}) {
         NvdimmConfig config;
         config.capacityBytes = gib * kGiB;
-        NvdimmModule dimm(queue, "d" + std::to_string(gib), config);
+        std::string name = "d";
+        name += std::to_string(gib);
+        NvdimmModule dimm(queue, name, config);
         EXPECT_LT(toSeconds(dimm.saveDuration()), 10.0) << gib << " GiB";
     }
 }
@@ -524,8 +526,10 @@ TEST(NvdimmController, SaveAllRunsInParallel)
     NvdimmController controller(queue);
     std::vector<std::unique_ptr<NvdimmModule>> dimms;
     for (int i = 0; i < 4; ++i) {
-        dimms.push_back(std::make_unique<NvdimmModule>(
-            queue, "d" + std::to_string(i), smallDimm()));
+        std::string name = "d";
+        name += std::to_string(i);
+        dimms.push_back(
+            std::make_unique<NvdimmModule>(queue, name, smallDimm()));
         controller.attach(*dimms.back());
     }
     controller.saveAll();

@@ -607,22 +607,6 @@ TEST(Policies, FocUndoFlushesOnCommit)
     EXPECT_GT(ntStoreCount(), 0u);
 }
 
-TEST(Policies, ConfigNames)
-{
-    PHeapConfig durable;
-    durable.durableLogs = true;
-    PHeap foc(durable);
-    EXPECT_STREQ(configName<UndoPolicy>(foc), "FoC + UL");
-    EXPECT_STREQ(configName<StmPolicy>(foc), "FoC + STM");
-
-    PHeapConfig incache;
-    incache.durableLogs = false;
-    PHeap fof(incache);
-    EXPECT_STREQ(configName<RawPolicy>(fof), "FoF");
-    EXPECT_STREQ(configName<UndoPolicy>(fof), "FoF + UL");
-    EXPECT_STREQ(configName<StmPolicy>(fof), "FoF + STM");
-}
-
 TEST(Policies, RootObjectRoundTrip)
 {
     PHeapConfig config;

@@ -85,9 +85,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.05, 1.0, 2.0, 3.0, 4.0, 10.0,
                                          33.0)),
     [](const auto &info) {
-        return "p" + std::to_string(std::get<0>(info.param)) + "_us" +
-               std::to_string(
-                   static_cast<int>(std::get<1>(info.param) * 1000));
+        std::string name = "p";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_us";
+        name += std::to_string(
+            static_cast<int>(std::get<1>(info.param) * 1000));
+        return name;
     });
 
 TEST(PlatformWindowSweepCoverage, BothRegimesOccur)
