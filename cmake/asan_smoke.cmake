@@ -36,7 +36,7 @@ endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} --build ${OUT_DIR}
         --target test_salvage test_sim_property test_conditions test_fleet
-                 test_machine_property test_apps test_util
+                 test_machine_property test_apps test_util test_nvram
     RESULT_VARIABLE build_rc
     OUTPUT_VARIABLE build_out
     ERROR_VARIABLE build_out
@@ -132,6 +132,21 @@ if(NOT scan_rc EQUAL 0)
     message(FATAL_ERROR
         "asan_smoke: KvStore scan ASan/UBSan run failed (rc=${scan_rc}):\n${scan_out}")
 endif()
+# rangeEquals compares pages in place: memcmp of two held pages, a
+# one-sided page against the other side's fill, and whole absent
+# chunks skipped. The SparseMemory suite's differential drives every
+# case across page and chunk boundaries and into the partial last
+# page, exactly where an out-of-bounds read would hide.
+execute_process(
+    COMMAND ${OUT_DIR}/tests/test_nvram --gtest_filter=SparseMemory.*
+    RESULT_VARIABLE sparse_rc
+    OUTPUT_VARIABLE sparse_out
+    ERROR_VARIABLE sparse_out
+)
+if(NOT sparse_rc EQUAL 0)
+    message(FATAL_ERROR
+        "asan_smoke: SparseMemory ASan/UBSan run failed (rc=${sparse_rc}):\n${sparse_out}")
+endif()
 # The latency histogram indexes its buckets from a sample's top bits
 # and grows its storage to the highest bucket recorded; a sample at
 # UINT64_MAX lands in the very last bucket, exactly where an
@@ -147,4 +162,4 @@ if(NOT hist_rc EQUAL 0)
         "asan_smoke: histogram ASan/UBSan run failed (rc=${hist_rc}):\n${hist_out}")
 endif()
 message(STATUS
-    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + histogram suites clean under ASan + UBSan")
+    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + sparse memory + histogram suites clean under ASan + UBSan")

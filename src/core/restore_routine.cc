@@ -1,7 +1,6 @@
 #include "core/restore_routine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <span>
 #include <vector>
 
@@ -57,20 +56,21 @@ RestoreRoutine::record(const char *step, Tick start, Tick end)
         manager.emitAt(trace::Category::Core, trace::Phase::End, step,
                        queue_.machineId(), end);
     }
-    char name[48];
-    std::snprintf(name, sizeof(name), "core.restore.step%zu_ns",
-                  report_.steps.size());
-    trace::StatRegistry::instance().gauge(name).set(
-        static_cast<double>(end - start));
+    // Named by step, as the save's gauges are: the whole-resume,
+    // salvage and cold-boot paths run different steps, so a name by
+    // position would bind a different step on each path.
+    static trace::GaugeFamily gauges("core.restore.step.", "_ns");
+    gauges[step].set(static_cast<double>(end - start));
 }
 
 void
 RestoreRoutine::run(std::function<void()> backend_recovery,
-                    std::function<void(RestoreReport)> done)
+                    std::function<void(const RestoreReport &)> done)
 {
     backendRecovery_ = std::move(backend_recovery);
     done_ = std::move(done);
     report_ = RestoreReport{};
+    report_.steps.reserve(8); // the longest boot path records 7 steps
     report_.started = queue_.now();
     TRACE_SIM_INSTANT(queue_, Core, "RestoreRoutine start");
     // Restore-path records stage in the recorder until the backing
@@ -221,6 +221,7 @@ RestoreRoutine::stepVerifyRegions(const MarkerState &state)
         // Whole-resume still re-verifies every region: a flash media
         // fault under an intact marker quarantines just that region
         // while the rest of the machine resumes.
+        report_.regions.reserve(image.entries.size());
         for (const SalvageDirectoryEntry &entry : image.entries)
             processRegion(entry);
         record("verify salvage regions", start, queue_.now());
@@ -247,11 +248,12 @@ RestoreRoutine::processRegion(const SalvageDirectoryEntry &entry)
                  SalvageDirectory::regionCrc(machine_.memory(), entry.base,
                                              entry.size) == entry.crc;
     }
-    auto &registry = trace::StatRegistry::instance();
     if (intact) {
+        static trace::Counter &salvaged =
+            trace::StatRegistry::instance().counter("core.regions_salvaged");
         outcome.salvaged = true;
         ++report_.regionsSalvaged;
-        registry.counter("core.regions_salvaged").add();
+        salvaged.add();
         trace::frEmit(recorder_, trace::FrEvent::RegionSalvaged,
                       trace::Category::Core, static_cast<uint64_t>(entry.tier),
                       entry.base);
@@ -270,8 +272,11 @@ RestoreRoutine::processRegion(const SalvageDirectoryEntry &entry)
             offset += n;
         }
         outcome.quarantined = true;
+        static trace::Counter &quarantined =
+            trace::StatRegistry::instance().counter(
+                "core.regions_quarantined");
         ++report_.regionsQuarantined;
-        registry.counter("core.regions_quarantined").add();
+        quarantined.add();
         trace::frEmit(recorder_, trace::FrEvent::RegionQuarantined,
                       trace::Category::Core, static_cast<uint64_t>(entry.tier),
                       entry.base);
@@ -281,8 +286,11 @@ RestoreRoutine::processRegion(const SalvageDirectoryEntry &entry)
         if (regionRecovery_) {
             regionRecovery_(outcome);
             outcome.recovered = true;
+            static trace::Counter &recovered =
+                trace::StatRegistry::instance().counter(
+                    "core.regions_recovered");
             ++report_.regionsRecovered;
-            registry.counter("core.regions_recovered").add();
+            recovered.add();
             trace::frEmit(recorder_, trace::FrEvent::RegionRecovered,
                           trace::Category::Core,
                           static_cast<uint64_t>(entry.tier), entry.base);
@@ -378,7 +386,9 @@ RestoreRoutine::trySalvageColdBoot(const char *reason)
 
     inform("restore: salvage cold boot (%s), %zu regions in directory",
            reason, image->entries.size());
-    trace::StatRegistry::instance().counter("core.salvage_boots").add();
+    static trace::Counter &salvage_boots =
+        trace::StatRegistry::instance().counter("core.salvage_boots");
+    salvage_boots.add();
     TRACE_SIM_INSTANT(queue_, Core, "salvage cold boot");
     report_.salvageMode = true;
     report_.imageTierCut = image->tierCut;
@@ -398,6 +408,7 @@ RestoreRoutine::trySalvageColdBoot(const char *reason)
     queue_.scheduleAfter(cost, [this, start, image = std::move(*image)] {
         if (!machine_.powerOn())
             return;
+        report_.regions.reserve(image.entries.size());
         for (const SalvageDirectoryEntry &entry : image.entries)
             processRegion(entry);
         trace::frEmit(recorder_, trace::FrEvent::SalvageColdBoot,
@@ -424,7 +435,9 @@ void
 RestoreRoutine::fallbackColdBoot(const char *reason)
 {
     inform("restore: falling back to cold boot (%s)", reason);
-    trace::StatRegistry::instance().counter("core.cold_boots").add();
+    static trace::Counter &cold_boots =
+        trace::StatRegistry::instance().counter("core.cold_boots");
+    cold_boots.add();
     trace::frEmit(recorder_, trace::FrEvent::FallbackColdBoot,
                   trace::Category::Core, 0, 0);
     TRACE_SIM_INSTANT(queue_, Core, "fallback to cold boot");
@@ -454,10 +467,12 @@ RestoreRoutine::finish(bool used_wsp)
     trace::frEmit(recorder_, trace::FrEvent::RestoreDone,
                   trace::Category::Core, used_wsp ? 1 : 0,
                   report_.salvageMode ? 1 : 0);
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("core.restores_completed").add();
-    registry.gauge("core.restore.total_ns")
-        .set(static_cast<double>(report_.finished - report_.started));
+    static trace::Counter &restores_completed =
+        trace::StatRegistry::instance().counter("core.restores_completed");
+    static trace::Gauge &total_ns =
+        trace::StatRegistry::instance().gauge("core.restore.total_ns");
+    restores_completed.add();
+    total_ns.set(static_cast<double>(report_.finished - report_.started));
     if (done_)
         done_(report_);
 }

@@ -54,7 +54,7 @@ class RestoreRoutine
      * storage back end; @p done receives the final report either way.
      */
     void run(std::function<void()> backend_recovery,
-             std::function<void(RestoreReport)> done);
+             std::function<void(const RestoreReport &)> done);
 
     /**
      * Hook invoked once per quarantined region (after its scrub), so
@@ -90,7 +90,7 @@ class RestoreRoutine
     EventQueue &queue_;
     std::function<void()> backendRecovery_;
     std::function<void(const RegionOutcome &)> regionRecovery_;
-    std::function<void(RestoreReport)> done_;
+    std::function<void(const RestoreReport &)> done_;
     RestoreReport report_;
 };
 

@@ -1,8 +1,8 @@
 #include "core/resume_block.h"
 
-#include <vector>
+#include <array>
 
-#include "util/checksum.h"
+#include "core/salvage_directory.h"
 #include "util/logging.h"
 
 namespace wsp {
@@ -43,7 +43,7 @@ ResumeBlock::slotAddr(unsigned core) const
 Tick
 ResumeBlock::saveContext(unsigned core, const CpuContext &context)
 {
-    std::vector<uint8_t> image(CpuContext::serializedSize());
+    std::array<uint8_t, CpuContext::serializedSize()> image;
     context.serialize(image);
     const uint64_t addr = slotAddr(core);
     cache_.write(addr, image);
@@ -66,15 +66,13 @@ ResumeBlock::writeHeader(uint64_t boot_sequence)
 uint64_t
 ResumeBlock::checksum(const NvramSpace &memory) const
 {
-    std::vector<uint8_t> bytes(sizeFor(cores_));
-    memory.read(base_, bytes);
-    return crc64(bytes);
+    return SalvageDirectory::regionCrc(memory, base_, sizeFor(cores_));
 }
 
 CpuContext
 ResumeBlock::loadContext(const NvramSpace &memory, unsigned core) const
 {
-    std::vector<uint8_t> image(CpuContext::serializedSize());
+    std::array<uint8_t, CpuContext::serializedSize()> image;
     memory.read(slotAddr(core), image);
     return CpuContext::deserialize(image);
 }

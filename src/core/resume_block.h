@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "machine/cache.h"
 #include "machine/machine.h"

@@ -147,7 +147,7 @@ SalvageDirectory::persist(const NvramSpace &memory, uint64_t generation,
     for (size_t i = 0; i < regions_.size(); ++i) {
         const SalvageRegionSpec &region = regions_[i];
         const bool saved = region.tier <= cut;
-        std::vector<uint8_t> entry(kEntryBytes, 0);
+        std::array<uint8_t, kEntryBytes> entry{};
         std::memcpy(entry.data() + kOffName, region.name.data(),
                     region.name.size());
         writeField(entry, kOffBase, region.base);
@@ -164,7 +164,7 @@ SalvageDirectory::persist(const NvramSpace &memory, uint64_t generation,
         cache_.write(base_ + kHeaderBytes + i * kEntryBytes, entry);
     }
 
-    std::vector<uint8_t> header(kHeaderBytes, 0);
+    std::array<uint8_t, kHeaderBytes> header{};
     writeField(header, kOffMagic, kMagic);
     writeField(header, kOffGeneration, generation);
     writeField(header, kOffCount, regions_.size());
@@ -185,7 +185,7 @@ SalvageDirectory::persist(const NvramSpace &memory, uint64_t generation,
 std::optional<SalvageDirectoryImage>
 SalvageDirectory::read(const NvramSpace &memory, uint64_t base)
 {
-    std::vector<uint8_t> header(kHeaderBytes);
+    std::array<uint8_t, kHeaderBytes> header;
     memory.read(base, header);
     if (readField(header, kOffMagic) != kMagic)
         return std::nullopt;
@@ -204,8 +204,9 @@ SalvageDirectory::read(const NvramSpace &memory, uint64_t base)
         return std::nullopt;
 
     uint64_t entries_checksum = fnv1aU64(count);
+    image.entries.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
-        std::vector<uint8_t> entry(kEntryBytes);
+        std::array<uint8_t, kEntryBytes> entry;
         memory.read(base + kHeaderBytes + i * kEntryBytes, entry);
         const uint64_t entry_crc = readField(entry, kOffEntryCrc);
         if (entry_crc !=

@@ -77,49 +77,45 @@ SaveRoutine::flushCost(unsigned socket) const
 }
 
 void
-SaveRoutine::record(const std::string &step, Tick start, Tick end)
+SaveRoutine::record(const char *step, Tick start, Tick end)
 {
     report_.steps.push_back(StepTiming{step, start, end});
     // Steps complete inside event callbacks with explicit (start, end)
     // ticks, so emit the span retroactively rather than via RAII.
     if (trace::enabled(trace::Category::Core)) {
         auto &manager = trace::TraceManager::instance();
-        manager.emitAt(trace::Category::Core, trace::Phase::Begin,
-                       step.c_str(), queue_.machineId(), start);
-        manager.emitAt(trace::Category::Core, trace::Phase::End,
-                       step.c_str(), queue_.machineId(), end);
+        manager.emitAt(trace::Category::Core, trace::Phase::Begin, step,
+                       queue_.machineId(), start);
+        manager.emitAt(trace::Category::Core, trace::Phase::End, step,
+                       queue_.machineId(), end);
     }
     // Gauge names derive from the step name, not its position in the
     // report: under the parallel flush the per-core steps land in
     // completion order, so a positional name would bind a different
     // step from run to run.
-    std::string name = "core.save.step.";
-    for (char c : step) {
-        const bool word = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                          (c >= '0' && c <= '9');
-        name += word ? c : '_';
-    }
-    name += "_ns";
-    trace::StatRegistry::instance().gauge(name).set(
-        static_cast<double>(end - start));
+    static trace::GaugeFamily gauges("core.save.step.", "_ns");
+    gauges[step].set(static_cast<double>(end - start));
 }
 
 void
 SaveRoutine::run(uint64_t boot_sequence,
-                 std::function<void(SaveReport)> done)
+                 std::function<void(const SaveReport &)> done)
 {
     run(boot_sequence, false, std::move(done));
 }
 
 void
 SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
-                 std::function<void(SaveReport)> done)
+                 std::function<void(const SaveReport &)> done)
 {
     bootSequence_ = boot_sequence;
     done_ = std::move(done);
     report_ = SaveReport{};
+    report_.steps.reserve(16); // every step but the per-core flushes
     report_.started = queue_.now();
-    trace::StatRegistry::instance().counter("core.saves_started").add();
+    static trace::Counter &saves_started =
+        trace::StatRegistry::instance().counter("core.saves_started");
+    saves_started.add();
     TRACE_SIM_INSTANT(queue_, Core, "SaveRoutine start");
     report_.dirtyBytesFlushed = machine_.totalDirtyBytes();
 
@@ -136,7 +132,9 @@ SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
         }
     }
     if (degraded_) {
-        trace::StatRegistry::instance().counter("core.saves_degraded").add();
+        static trace::Counter &saves_degraded =
+            trace::StatRegistry::instance().counter("core.saves_degraded");
+        saves_degraded.add();
         warn("save routine: DEGRADED save, tier cut '%s', %u regions "
              "dropped",
              saveTierName(tierCut_).c_str(), report_.regionsDropped);
@@ -489,8 +487,10 @@ SaveRoutine::stepInitiateNvdimmSave()
                         nvdimms_->totalSavesCompleted() == saves_before) {
                         const Tick retry_start = queue_.now();
                         ++report_.saveCommandRetries;
-                        trace::StatRegistry::instance()
-                            .counter("core.save_command_retries").add();
+                        static trace::Counter &retries =
+                            trace::StatRegistry::instance().counter(
+                                "core.save_command_retries");
+                        retries.add();
                         trace::frEmit(recorder_,
                                       trace::FrEvent::SaveCommandRetry,
                                       trace::Category::Nvram,
@@ -517,10 +517,12 @@ SaveRoutine::stepHalt()
     record("halt control processor", queue_.now(), queue_.now());
     report_.halted = queue_.now();
     report_.completed = true;
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("core.saves_completed").add();
-    registry.gauge("core.save.total_ns")
-        .set(static_cast<double>(report_.halted - report_.started));
+    static trace::Counter &saves_completed =
+        trace::StatRegistry::instance().counter("core.saves_completed");
+    static trace::Gauge &total_ns =
+        trace::StatRegistry::instance().gauge("core.save.total_ns");
+    saves_completed.add();
+    total_ns.set(static_cast<double>(report_.halted - report_.started));
     if (done_)
         done_(report_);
 }

@@ -53,7 +53,8 @@ class SaveRoutine
      * with the completed report; it never fires if power is lost
      * first (the event simply never dispatches).
      */
-    void run(uint64_t boot_sequence, std::function<void(SaveReport)> done);
+    void run(uint64_t boot_sequence,
+             std::function<void(const SaveReport &)> done);
 
     /**
      * Run the save with a degraded-mode hint from the platform (the
@@ -64,7 +65,7 @@ class SaveRoutine
      * tiers land within the residual energy actually available.
      */
     void run(uint64_t boot_sequence, bool degraded_hint,
-             std::function<void(SaveReport)> done);
+             std::function<void(const SaveReport &)> done);
 
     /**
      * Predicted save duration for the current machine state, without
@@ -113,7 +114,7 @@ class SaveRoutine
      * time, never by position. Also safe after a power loss cut the
      * routine short: whatever was recorded stays readable.
      */
-    void record(const std::string &step, Tick start, Tick end);
+    void record(const char *step, Tick start, Tick end);
 
     MachineModel &machine_;
     PowerMonitor &monitor_;
@@ -129,7 +130,7 @@ class SaveRoutine
     uint64_t bootSequence_ = 0;
     bool degraded_ = false;
     SaveTier tierCut_ = SaveTier::Bulk;
-    std::function<void(SaveReport)> done_;
+    std::function<void(const SaveReport &)> done_;
     SaveReport report_;
 };
 

@@ -71,7 +71,7 @@ WspSystem::bootFromImage(const NvramImage &image,
     adoptNvramImage(image);
     bool boot_done = false;
     RestoreReport report;
-    wsp_->boot(std::move(backend_recovery), [&](RestoreReport r) {
+    wsp_->boot(std::move(backend_recovery), [&](const RestoreReport &r) {
         report = r;
         boot_done = true;
     });
@@ -97,7 +97,7 @@ WspSystem::powerFailAndRestore(Tick fail_delay, Tick outage,
 
     bool boot_done = false;
     wsp_->boot(std::move(backend_recovery),
-               [&](RestoreReport report) {
+               [&](const RestoreReport &report) {
         outcome.restore = report;
         boot_done = true;
     });

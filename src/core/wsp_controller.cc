@@ -155,9 +155,10 @@ WspController::onPowerFailInterrupt()
             // A residual window shorter than the monitor's notify
             // latency: the hard loss already darkened the machine, as
             // expected for such windows.
-            trace::StatRegistry::instance()
-                .counter("core.power_fail_irq_after_loss")
-                .add();
+            static trace::Counter &irq_after_loss =
+                trace::StatRegistry::instance().counter(
+                    "core.power_fail_irq_after_loss");
+            irq_after_loss.add();
             return;
         }
         warn("power-fail interrupt while not running; ignored");
@@ -166,15 +167,15 @@ WspController::onPowerFailInterrupt()
     running_ = false;
     if (health_)
         health_->stop();
-    save_.run(bootSequence_, degraded_, [this](SaveReport report) {
+    save_.run(bootSequence_, degraded_, [this](const SaveReport &report) {
         lastSave_ = report;
         if (pwrOkDroppedAt_ && psu_.residualWindow() > 0) {
             windowFractionUsed_ =
                 static_cast<double>(report.halted - *pwrOkDroppedAt_) /
                 static_cast<double>(psu_.residualWindow());
         }
-        debugLog("save completed in %s",
-                 formatTime(report.duration()).c_str());
+        WSP_DEBUG_LOG("save completed in %s",
+                      formatTime(report.duration()).c_str());
     });
 }
 
@@ -218,7 +219,7 @@ WspController::windowFractionUsed() const
 
 void
 WspController::boot(std::function<void()> backend_recovery,
-                    std::function<void(RestoreReport)> done)
+                    std::function<void(const RestoreReport &)> done)
 {
     // Power has returned: the PSU regulates again, the NVDIMM banks
     // recharge, devices are cold.
@@ -230,7 +231,7 @@ WspController::boot(std::function<void()> backend_recovery,
     restoring_ = true;
 
     restore_.run(std::move(backend_recovery),
-                 [this, done = std::move(done)](RestoreReport report) {
+                 [this, done = std::move(done)](const RestoreReport &report) {
         lastRestore_ = report;
         running_ = true;
         restoring_ = false;

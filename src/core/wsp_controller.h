@@ -115,7 +115,7 @@ class WspController : public SimObject
      * @p done receives the restore report.
      */
     void boot(std::function<void()> backend_recovery = nullptr,
-              std::function<void(RestoreReport)> done = nullptr);
+              std::function<void(const RestoreReport &)> done = nullptr);
 
     /** True once boot() completed and the machine is running. */
     bool running() const { return running_; }

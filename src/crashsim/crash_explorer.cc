@@ -178,14 +178,20 @@ CrashExplorer::runSchedule(const CrashSchedule &schedule,
     }
 
     auto &stats = trace::StatRegistry::instance();
-    stats.counter("crashsim.points_explored").add();
-    if (result.restore.usedWsp)
-        stats.counter("crashsim.wsp_recoveries").add();
-    else
-        stats.counter("crashsim.fallbacks").add();
+    static trace::Counter &points = stats.counter("crashsim.points_explored");
+    points.add();
+    if (result.restore.usedWsp) {
+        static trace::Counter &recoveries =
+            stats.counter("crashsim.wsp_recoveries");
+        recoveries.add();
+    } else {
+        static trace::Counter &fallbacks = stats.counter("crashsim.fallbacks");
+        fallbacks.add();
+    }
     if (!result.held()) {
-        stats.counter("crashsim.violations")
-            .add(result.violations.size());
+        static trace::Counter &violations =
+            stats.counter("crashsim.violations");
+        violations.add(result.violations.size());
         TRACE_INSTANT(Crashsim, "invariant VIOLATED");
     }
     return result;

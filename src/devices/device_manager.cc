@@ -23,6 +23,15 @@ traceDeviceEdge(const Device &device, const char *what,
                    span);
 }
 
+/** Devices brought back by a resume or a restart. */
+trace::Counter &
+restartsCounter()
+{
+    static trace::Counter &counter =
+        trace::StatRegistry::instance().counter("devices.restarts");
+    return counter;
+}
+
 } // namespace
 
 std::string
@@ -88,7 +97,9 @@ DeviceManager::suspendNext(size_t index, Tick started,
     devices_[index]->suspend([this, index, started,
                               done = std::move(done)](Tick) mutable {
         traceDeviceEdge(*devices_[index], "suspend", trace::Phase::End);
-        trace::StatRegistry::instance().counter("devices.suspends").add();
+        static trace::Counter &suspends =
+            trace::StatRegistry::instance().counter("devices.suspends");
+        suspends.add();
         suspendNext(index + 1, started, std::move(done));
     });
 }
@@ -143,7 +154,7 @@ DeviceManager::resumeChain(size_t index, Tick started,
                              done = std::move(done)](Tick) mutable {
         traceDeviceEdge(*devices_[index], "resume", trace::Phase::End);
         ++report.devicesRestarted;
-        trace::StatRegistry::instance().counter("devices.restarts").add();
+        restartsCounter().add();
         resumeChain(index + 1, started, report, std::move(done));
     });
 }
@@ -175,12 +186,14 @@ DeviceManager::restartNext(size_t index, DevicePolicy policy, Tick started,
                     dev = &device, done = std::move(done)](Tick) mutable {
         traceDeviceEdge(*dev, "restart", trace::Phase::End);
         ++report.devicesRestarted;
-        auto &registry = trace::StatRegistry::instance();
-        registry.counter("devices.restarts").add();
+        restartsCounter().add();
         if (policy == DevicePolicy::VirtualizedReplay) {
             const size_t replayed = dev->replayLostOps();
             report.opsReplayed += replayed;
-            registry.counter("devices.ops_replayed").add(replayed);
+            static trace::Counter &ops_replayed =
+                trace::StatRegistry::instance().counter(
+                    "devices.ops_replayed");
+            ops_replayed.add(replayed);
         }
         restartNext(index + 1, policy, started, report, std::move(done));
     });

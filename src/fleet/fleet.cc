@@ -14,6 +14,15 @@ namespace {
 /** Bytes one streamed (key, value) pair stands for on the wire. */
 constexpr uint64_t kPairBytes = 16;
 
+/** Live shards a repair pass had to read. */
+trace::Counter &
+repairShardReadsCounter()
+{
+    static trace::Counter &counter =
+        trace::StatRegistry::instance().counter("fleet.repair_shard_reads");
+    return counter;
+}
+
 } // namespace
 
 Fleet::Fleet(FleetConfig config)
@@ -458,7 +467,6 @@ Fleet::processEvent(Tick when, const Event &event)
     FleetNode &node = *nodes_[event.node];
     if (event.epoch != epoch_[event.node])
         return; // the node was re-killed; this timeline is dead
-    auto &stats = trace::StatRegistry::instance();
 
     switch (event.kind) {
       case EventKind::PowerRestored: {
@@ -513,9 +521,11 @@ Fleet::processEvent(Tick when, const Event &event)
         storm_.digests += repair.digests;
         storm_.streamed += repair.streamed;
         storm_.shardsRepaired += repair.shards;
-        stats.counter("fleet.repair_streamed_bytes")
-            .add(repair.streamed);
-        stats.counter("fleet.repair_shard_reads").add(repair.shardReads);
+        static trace::Counter &streamed_bytes =
+            trace::StatRegistry::instance().counter(
+                "fleet.repair_streamed_bytes");
+        streamed_bytes.add(repair.streamed);
+        repairShardReadsCounter().add(repair.shardReads);
 
         Tick duration =
             fromSeconds(static_cast<double>(repair.streamed) /
@@ -528,7 +538,10 @@ Fleet::processEvent(Tick when, const Event &event)
 
         if (config_.policy == RecoveryPolicy::DegradedTier && wsp_path) {
             node.setState(NodeState::DegradedReadOnly);
-            stats.counter("fleet.degraded_entries").add();
+            static trace::Counter &degraded_entries =
+                trace::StatRegistry::instance().counter(
+                    "fleet.degraded_entries");
+            degraded_entries.add();
         } else {
             node.setState(NodeState::CatchingUp);
         }
@@ -548,13 +561,16 @@ Fleet::processEvent(Tick when, const Event &event)
         storm_.digests += repair.digests;
         storm_.streamed += repair.streamed;
         storm_.shardsRepaired += repair.shards;
-        stats.counter("fleet.repair_shard_reads").add(repair.shardReads);
+        repairShardReadsCounter().add(repair.shardReads);
         node.setState(NodeState::Up);
         recordCapacity();
         if (storm_.remaining > 0)
             --storm_.remaining;
         storm_.lastReady = std::max(storm_.lastReady, when);
-        stats.counter("fleet.repairs_certified").add();
+        static trace::Counter &certified =
+            trace::StatRegistry::instance().counter(
+                "fleet.repairs_certified");
+        certified.add();
         break;
       }
     }
@@ -841,7 +857,11 @@ Fleet::checkReplicaConvergence() const
         const uint64_t key = entry.first;
         const auto expected = model_.find(key);
         const bool should_exist = expected != model_.end();
-        for (uint32_t id : ring_.replicaSet(key, effectiveR_)) {
+        // The replica set comes from the ring again, not from the mask
+        // id touched_ keeps for the key, so a wrong id cannot hide.
+        for (uint64_t owners = ring_.replicaMask(key, effectiveR_);
+             owners != 0; owners &= owners - 1) {
+            const auto id = static_cast<uint32_t>(std::countr_zero(owners));
             const FleetNode &node = *nodes_[id];
             if (!node.up() || !node.serving())
                 continue;
@@ -869,51 +889,56 @@ std::vector<std::string>
 Fleet::checkDigests() const
 {
     std::vector<std::string> violations;
-    // Compared mask by mask (by value, not id): every nonzero
-    // maintained digest must equal the rescan's, and the rescan must
-    // hold no other mask.
-    const auto compare = [&](uint32_t owner, unsigned shard,
-                             std::map<uint64_t, Digest> rescan,
-                             const std::string &where) {
-        bool same = true;
-        for (uint32_t id = 0; id < masks_.size() && same; ++id) {
-            const Digest &kept = digestOf(owner, shard, id);
-            if (kept == Digest{})
-                continue;
-            const auto it = rescan.find(masks_[id]);
-            same = it != rescan.end() && it->second == kept;
-            if (same)
-                rescan.erase(it);
-        }
-        if (!same || !rescan.empty())
-            violations.push_back(where +
-                                 ": maintained digests differ from a rescan");
+    // The rescan tallies pairs by the id of their placement mask, in
+    // flat tables indexed like the maintained ones. The extra last
+    // slot collects pairs whose placement no interned mask names: no
+    // maintained digest can hold those.
+    const auto unnamed = static_cast<uint32_t>(masks_.size());
+    const auto tallyInto = [&](Digest *tally, uint64_t key, uint64_t value,
+                               uint64_t owner_bit) {
+        const uint64_t mask = placementOf(key);
+        if (!(mask & owner_bit))
+            return;
+        const auto known = maskIds_.find(mask);
+        const uint32_t id = known != maskIds_.end() ? known->second : unnamed;
+        tally[id].add(key, value);
+    };
+    // Every maintained digest must equal the rescan's, mask by mask.
+    const auto matches = [&](const Digest *tally, uint32_t owner,
+                             unsigned shard) {
+        for (uint32_t id = 0; id < unnamed; ++id)
+            if (tally[id] != digestOf(owner, shard, id))
+                return false;
+        return tally[unnamed] == Digest{};
     };
 
+    std::vector<Digest> tally(unnamed + 1);
     for (const auto &node : nodes_) {
         if (!node->live() || !node->serving())
             continue;
         const uint64_t node_bit = 1ull << node->id();
         for (unsigned shard = 0; shard < node->shards(); ++shard) {
-            std::map<uint64_t, Digest> rescan;
+            std::fill(tally.begin(), tally.end(), Digest{});
             node->shardStore(shard).forEach(
                 [&](uint64_t key, uint64_t value) {
-                    const uint64_t mask = placementOf(key);
-                    if (mask & node_bit)
-                        rescan[mask].add(key, value);
+                    tallyInto(tally.data(), key, value, node_bit);
                 });
-            compare(node->id(), shard, std::move(rescan),
+            if (!matches(tally.data(), node->id(), shard))
+                violations.push_back(
                     "node " + std::to_string(node->id()) + " shard " +
-                        std::to_string(shard));
+                    std::to_string(shard) +
+                    ": maintained digests differ from a rescan");
         }
     }
 
-    std::vector<std::map<uint64_t, Digest>> rescan(digests_.size());
+    std::vector<Digest> acked(digests_.size() * (unnamed + 1));
     for (const auto &[key, value] : model_)
-        rescan[shardOf(key)][placementOf(key)].add(key, value);
+        tallyInto(&acked[shardOf(key) * (unnamed + 1)], key, value, ~0ull);
     for (unsigned shard = 0; shard < digests_.size(); ++shard)
-        compare(ackedOwner(), shard, std::move(rescan[shard]),
-                "acked history shard " + std::to_string(shard));
+        if (!matches(&acked[shard * (unnamed + 1)], ackedOwner(), shard))
+            violations.push_back("acked history shard " +
+                                 std::to_string(shard) +
+                                 ": maintained digests differ from a rescan");
     return violations;
 }
 

@@ -14,6 +14,15 @@ namespace {
 /** NVRAM base of the node's store (below everything reserved). */
 constexpr uint64_t kStoreBase = 0;
 
+/** Boots whose store came back from the refill source. */
+trace::Counter &
+backendRefillCounter()
+{
+    static trace::Counter &counter =
+        trace::StatRegistry::instance().counter("fleet.backend_refills");
+    return counter;
+}
+
 } // namespace
 
 const char *
@@ -156,7 +165,9 @@ FleetNode::crash(Tick window)
     store_.reset();
     system_.reset();
     state_ = NodeState::Dark;
-    trace::StatRegistry::instance().counter("fleet.kills").add();
+    static trace::Counter &kills =
+        trace::StatRegistry::instance().counter("fleet.kills");
+    kills.add();
 }
 
 void
@@ -193,7 +204,7 @@ FleetNode::attachOrRefill(bool force_refill)
             store_->put(key, value);
 }
 
-RestoreReport
+const RestoreReport &
 FleetNode::reboot()
 {
     WSP_CHECKF(system_ == nullptr && imageValid_,
@@ -218,16 +229,19 @@ FleetNode::reboot()
     attachOrRefill(backend_ran);
     registerRegions(); // the fresh controller must save them next time
 
-    auto &stats = trace::StatRegistry::instance();
     if (lastRestore_.usedWsp) {
+        static trace::Counter &wsp_recoveries =
+            trace::StatRegistry::instance().counter("fleet.wsp_recoveries");
         ++wspRecoveries_;
-        stats.counter("fleet.wsp_recoveries").add();
+        wsp_recoveries.add();
     } else if (lastRestore_.salvageMode) {
+        static trace::Counter &salvage_boots =
+            trace::StatRegistry::instance().counter("fleet.salvage_boots");
         ++salvageBoots_;
-        stats.counter("fleet.salvage_boots").add();
+        salvage_boots.add();
     } else {
         ++backendRefills_;
-        stats.counter("fleet.backend_refills").add();
+        backendRefillCounter().add();
     }
     state_ = NodeState::Restoring;
     return lastRestore_;
@@ -245,7 +259,7 @@ FleetNode::rebootColdRefill()
     attachOrRefill(true);
     registerRegions();
     ++backendRefills_;
-    trace::StatRegistry::instance().counter("fleet.backend_refills").add();
+    backendRefillCounter().add();
     state_ = NodeState::Restoring;
 }
 

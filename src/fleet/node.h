@@ -142,7 +142,7 @@ class FleetNode
      * salvage recovery both rebuild from the refill source. Returns
      * the restore report; the caller moves the FSM onward.
      */
-    RestoreReport reboot();
+    const RestoreReport &reboot();
 
     /**
      * Boot a fresh chassis with *blank* DIMMs and rebuild everything

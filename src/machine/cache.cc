@@ -318,9 +318,12 @@ Tick
 CacheModel::wbinvd()
 {
     const Tick cost = wbinvdCost();
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("machine.wbinvd_count").add();
-    registry.counter("machine.wbinvd_dirty_bytes").add(dirtyBytes());
+    static trace::Counter &wbinvd_count =
+        trace::StatRegistry::instance().counter("machine.wbinvd_count");
+    static trace::Counter &wbinvd_dirty_bytes =
+        trace::StatRegistry::instance().counter("machine.wbinvd_dirty_bytes");
+    wbinvd_count.add();
+    wbinvd_dirty_bytes.add(dirtyBytes());
     // Write back everything, least recently written first. The order
     // is irrelevant to the memory image, but it is what the write-back
     // observer sees.
@@ -368,9 +371,13 @@ CacheModel::flushPartition(unsigned worker, unsigned workers)
     // flatWriteBack unlinks the head as it drains the bucket.
     while (flatDirHeads_[worker] != kNoSlot)
         flatWriteBack(flatDirHeads_[worker]);
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("machine.partition_flushes").add();
-    registry.counter("machine.partition_flush_lines").add(flushed);
+    static trace::Counter &partition_flushes =
+        trace::StatRegistry::instance().counter("machine.partition_flushes");
+    static trace::Counter &partition_flush_lines =
+        trace::StatRegistry::instance().counter(
+            "machine.partition_flush_lines");
+    partition_flushes.add();
+    partition_flush_lines.add(flushed);
 }
 
 Tick

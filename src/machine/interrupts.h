@@ -38,8 +38,9 @@ class InterruptController : public SimObject
     sendIpi(unsigned cpu, Handler handler)
     {
         ++ipisSent_;
-        trace::StatRegistry::instance()
-            .counter("machine.ipis_sent").add();
+        static trace::Counter &ipis_sent =
+            trace::StatRegistry::instance().counter("machine.ipis_sent");
+        ipis_sent.add();
         TRACE_SIM_INSTANT(queue_, Machine, "IPI");
         queue_.scheduleAfter(ipiLatency_,
                              [cpu, handler = std::move(handler)] {

@@ -30,6 +30,16 @@ moduleOrdinal(const std::string &name)
     return value;
 }
 
+/** Completed or failed saves whose flash differs from DRAM. */
+trace::Counter &
+verifyMismatchCounter()
+{
+    static trace::Counter &counter =
+        trace::StatRegistry::instance().counter(
+            "nvram.save_verify_mismatches");
+    return counter;
+}
+
 /** Emit a per-module span edge ("nvdimm0 save" B/E) on its track. */
 void
 traceModuleEdge(const SimObject &module, const char *what,
@@ -258,7 +268,9 @@ NvdimmModule::injectFlashFault(MediaFaultKind kind, uint64_t addr)
     // on top of it would persist the corruption, so the next save
     // falls back to full.
     flashTainted_ = true;
-    trace::StatRegistry::instance().counter("nvram.media_faults").add();
+    static trace::Counter &media_faults =
+        trace::StatRegistry::instance().counter("nvram.media_faults");
+    media_faults.add();
     trace::frEmit(recorder_, trace::FrEvent::MediaFault,
                   trace::Category::Nvram, moduleOrdinal(name()), addr);
     warn("%s: injected %s flash fault at 0x%llx (silent)",
@@ -335,12 +347,15 @@ NvdimmModule::startSave()
     }
     flashValid_ = false;
     flashGeneration_ = epoch_;
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("nvram.saves_started").add();
-    registry.gauge("nvram.dirty_pages")
-        .set(static_cast<double>(dram_.dirtyPageCount()));
-    registry.gauge("nvram.pending_save_bytes")
-        .set(static_cast<double>(savePendingBytes_));
+    static trace::Counter &saves_started =
+        trace::StatRegistry::instance().counter("nvram.saves_started");
+    static trace::Gauge &dirty_pages =
+        trace::StatRegistry::instance().gauge("nvram.dirty_pages");
+    static trace::Gauge &pending_save_bytes =
+        trace::StatRegistry::instance().gauge("nvram.pending_save_bytes");
+    saves_started.add();
+    dirty_pages.set(static_cast<double>(dram_.dirtyPageCount()));
+    pending_save_bytes.set(static_cast<double>(savePendingBytes_));
     // The module is Saving now, so this record stages in the recorder
     // until the ring's backing module is writable again — exactly the
     // black-box semantics wanted: the epoch choice survives the crash
@@ -349,12 +364,12 @@ NvdimmModule::startSave()
                   trace::Category::Nvram, saveIncremental_ ? 1 : 0,
                   savePendingBytes_);
     traceModuleEdge(*this, "save", trace::Phase::Begin);
-    debugLog("%s: %s save started, %llu bytes, duration %s, "
-             "energy %.1f J",
-             name().c_str(), saveIncremental_ ? "incremental" : "full",
-             static_cast<unsigned long long>(savePendingBytes_),
-             formatTime(saveTotalDuration_).c_str(),
-             savePowerWatts() * toSeconds(saveTotalDuration_));
+    WSP_DEBUG_LOG("%s: %s save started, %llu bytes, duration %s, "
+                  "energy %.1f J",
+                  name().c_str(), saveIncremental_ ? "incremental" : "full",
+                  static_cast<unsigned long long>(savePendingBytes_),
+                  formatTime(saveTotalDuration_).c_str(),
+                  savePowerWatts() * toSeconds(saveTotalDuration_));
     queue_.scheduleAfter(std::min(kSaveStep, saveTotalDuration_),
                          [this] { saveStep(); });
 }
@@ -467,27 +482,32 @@ NvdimmModule::finishSave()
         // A completed save — delta or full — must leave flash
         // byte-identical to DRAM; anything else is an engine bug.
         ++saveMismatches_;
-        trace::StatRegistry::instance()
-            .counter("nvram.save_verify_mismatches")
-            .add();
+        verifyMismatchCounter().add();
         warn("%s: save verify MISMATCH (%s save, %llu bytes "
              "programmed)",
              name().c_str(), saveIncremental_ ? "incremental" : "full",
              static_cast<unsigned long long>(saveProgrammedBytes_));
     }
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("nvram.saves_completed").add();
-    registry.counter("nvram.bytes_saved").add(saveProgrammedBytes_);
-    if (saveIncremental_)
-        registry.counter("nvram.incremental_saves").add();
+    static trace::Counter &saves_completed =
+        trace::StatRegistry::instance().counter("nvram.saves_completed");
+    static trace::Counter &bytes_saved =
+        trace::StatRegistry::instance().counter("nvram.bytes_saved");
+    saves_completed.add();
+    bytes_saved.add(saveProgrammedBytes_);
+    if (saveIncremental_) {
+        static trace::Counter &incremental_saves =
+            trace::StatRegistry::instance().counter(
+                "nvram.incremental_saves");
+        incremental_saves.add();
+    }
     trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveDone,
                   trace::Category::Nvram, saveProgrammedBytes_,
                   saveIncremental_ ? 1 : 0);
     traceModuleEdge(*this, "save", trace::Phase::End);
-    debugLog("%s: %s save completed at %s (%llu bytes programmed)",
-             name().c_str(), saveIncremental_ ? "incremental" : "full",
-             formatTime(now()).c_str(),
-             static_cast<unsigned long long>(saveProgrammedBytes_));
+    WSP_DEBUG_LOG("%s: %s save completed at %s (%llu bytes programmed)",
+                  name().c_str(), saveIncremental_ ? "incremental" : "full",
+                  formatTime(now()).c_str(),
+                  static_cast<unsigned long long>(saveProgrammedBytes_));
     if (!hostPower_) {
         // With the image safely in flash the module powers down; the
         // DRAM side is no longer maintained.
@@ -509,9 +529,7 @@ NvdimmModule::failSave(const char *reason)
         const uint64_t base = config_.capacityBytes - flashSavedBytes_;
         if (!flash_.rangeEquals(dram_, base, flashSavedBytes_)) {
             ++saveMismatches_;
-            trace::StatRegistry::instance()
-                .counter("nvram.save_verify_mismatches")
-                .add();
+            verifyMismatchCounter().add();
             warn("%s: failed-save suffix verify MISMATCH "
                  "(%llu bytes claimed)",
                  name().c_str(),
@@ -520,7 +538,9 @@ NvdimmModule::failSave(const char *reason)
     }
     flashValid_ = false;
     state_ = NvdimmState::SaveFailed;
-    trace::StatRegistry::instance().counter("nvram.save_failures").add();
+    static trace::Counter &save_failures =
+        trace::StatRegistry::instance().counter("nvram.save_failures");
+    save_failures.add();
     trace::frEmit(recorder_, trace::FrEvent::NvdimmSaveFailed,
                   trace::Category::Nvram, saveProgrammedBytes_, 0);
     traceModuleEdge(*this, "save", trace::Phase::End);
@@ -563,18 +583,23 @@ NvdimmModule::finishRestore()
     ++restoresCompleted_;
     if (config_.lazyRestore)
         ++lazyRestoresCompleted_;
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("nvram.restores_completed").add();
-    registry.counter("nvram.bytes_restored").add(config_.capacityBytes);
+    static trace::Counter &restores_completed =
+        trace::StatRegistry::instance().counter("nvram.restores_completed");
+    static trace::Counter &bytes_restored =
+        trace::StatRegistry::instance().counter("nvram.bytes_restored");
+    restores_completed.add();
+    bytes_restored.add(config_.capacityBytes);
     if (config_.lazyRestore) {
-        registry.counter("nvram.lazy_restores").add();
+        static trace::Counter &lazy_restores =
+            trace::StatRegistry::instance().counter("nvram.lazy_restores");
+        lazy_restores.add();
         trace::frEmit(recorder_, trace::FrEvent::LazyPageIn,
                       trace::Category::Nvram, moduleOrdinal(name()),
                       config_.capacityBytes / SparseMemory::kPageSize);
     }
     traceModuleEdge(*this, "restore", trace::Phase::End);
-    debugLog("%s: restore completed at %s", name().c_str(),
-             formatTime(now()).c_str());
+    WSP_DEBUG_LOG("%s: restore completed at %s", name().c_str(),
+                  formatTime(now()).c_str());
 }
 
 void

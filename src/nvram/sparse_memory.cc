@@ -290,6 +290,20 @@ SparseMemory::contentEquals(const SparseMemory &other) const
     return rangeEquals(other, 0, capacity_);
 }
 
+namespace {
+
+/** True when all @p n bytes at @p bytes equal @p fill. */
+bool
+allBytesAre(const uint8_t *bytes, size_t n, uint8_t fill)
+{
+    // Every byte equals the first exactly when the range equals itself
+    // shifted by one byte.
+    return n == 0 ||
+           (bytes[0] == fill && std::memcmp(bytes, bytes + 1, n - 1) == 0);
+}
+
+} // namespace
+
 bool
 SparseMemory::rangeEquals(const SparseMemory &other, uint64_t addr,
                           uint64_t len) const
@@ -298,29 +312,50 @@ SparseMemory::rangeEquals(const SparseMemory &other, uint64_t addr,
                "rangeEquals [%llu, %llu) beyond capacity",
                static_cast<unsigned long long>(addr),
                static_cast<unsigned long long>(addr + len));
-    // Stream both in page-sized chunks through read() so the poison
-    // and zero-fill rules apply uniformly; shared COW pages and
-    // matching gaps compare by pointer without touching the bytes.
-    std::vector<uint8_t> a(kPageSize);
-    std::vector<uint8_t> b(kPageSize);
-    while (len > 0) {
-        const uint64_t page_index = addr / kPageSize;
-        const uint64_t offset = addr % kPageSize;
-        const size_t chunk = static_cast<size_t>(
-            std::min<uint64_t>(kPageSize - offset, len));
-        const uint8_t *here = pageData(page_index);
-        const uint8_t *there = other.pageData(page_index);
+    // An absent page reads as its memory's fill byte (poison or zero),
+    // so a chunk neither side holds compares as the two fills alone.
+    // In a chunk either side holds, a shared page (or two gaps)
+    // compares by pointer, two held pages by memcmp, and a page held
+    // on one side only against the other side's fill.
+    const uint8_t fill_here = poisoned_ ? kPoisonByte : 0;
+    const uint8_t fill_there = other.poisoned_ ? kPoisonByte : 0;
+    constexpr uint64_t kChunkBytes = kPagesPerChunk * kPageSize;
+    const uint64_t end = addr + len;
+    while (addr < end) {
+        const uint64_t chunk_index = addr / kChunkBytes;
+        const uint64_t chunk_end =
+            std::min(end, (chunk_index + 1) * kChunkBytes);
+        const Chunk *here = chunks_[chunk_index].get();
+        const Chunk *there = other.chunks_[chunk_index].get();
         if (here == nullptr && there == nullptr) {
-            if (poisoned_ != other.poisoned_)
-                return false; // poison fill vs zero fill
-        } else if (here != there) {
-            read(addr, std::span<uint8_t>(a.data(), chunk));
-            other.read(addr, std::span<uint8_t>(b.data(), chunk));
-            if (std::memcmp(a.data(), b.data(), chunk) != 0)
+            if (fill_here != fill_there)
                 return false;
+            addr = chunk_end;
+            continue;
         }
-        addr += chunk;
-        len -= chunk;
+        while (addr < chunk_end) {
+            const uint64_t slot = addr / kPageSize % kPagesPerChunk;
+            const uint64_t offset = addr % kPageSize;
+            const size_t n = static_cast<size_t>(
+                std::min(kPageSize - offset, chunk_end - addr));
+            const uint8_t *a =
+                here != nullptr ? here->pages[slot].get() : nullptr;
+            const uint8_t *b =
+                there != nullptr ? there->pages[slot].get() : nullptr;
+            if (a == b) {
+                if (a == nullptr && fill_here != fill_there)
+                    return false;
+            } else if (a != nullptr && b != nullptr) {
+                if (std::memcmp(a + offset, b + offset, n) != 0)
+                    return false;
+            } else if (a != nullptr) {
+                if (!allBytesAre(a + offset, n, fill_there))
+                    return false;
+            } else if (!allBytesAre(b + offset, n, fill_here)) {
+                return false;
+            }
+            addr += n;
+        }
     }
     return true;
 }

@@ -109,7 +109,9 @@ class SparseMemory
 
     /**
      * Byte-wise equality of [addr, addr+len) against the same range
-     * of @p other (both capacities must cover the range).
+     * of @p other (both capacities must cover the range). Allocates
+     * nothing, and visits only the chunks either memory holds: over a
+     * chunk neither holds, only the two fill bytes compare.
      */
     bool rangeEquals(const SparseMemory &other, uint64_t addr,
                      uint64_t len) const;

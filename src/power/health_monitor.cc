@@ -24,6 +24,8 @@ EnergyHealthMonitor::addProbe(HealthProbe probe)
     WSP_CHECKF(probe.availableJoules && probe.requiredJoules,
                "health probe '%s' needs both energy callbacks",
                probe.name.c_str());
+    marginGauges_.push_back(&trace::StatRegistry::instance().gauge(
+        "power.health." + probe.name + ".margin_j"));
     probes_.push_back(std::move(probe));
 }
 
@@ -63,28 +65,36 @@ bool
 EnergyHealthMonitor::checkNow()
 {
     auto &stats = trace::StatRegistry::instance();
+    static trace::Counter &checks = stats.counter("power.health.checks");
+    static trace::Gauge &worst_margin =
+        stats.gauge("power.health.worst_margin_j");
+    static trace::Gauge &degraded_gauge =
+        stats.gauge("power.health.degraded");
     ++checksRun_;
-    stats.counter("power.health.checks").add();
+    checks.add();
 
     bool healthy = true;
     double worst = std::numeric_limits<double>::infinity();
-    for (const HealthProbe &probe : probes_) {
+    for (size_t i = 0; i < probes_.size(); ++i) {
+        const HealthProbe &probe = probes_[i];
         double available = probe.availableJoules();
         double needed = probe.requiredJoules() * (1.0 + config_.energyMargin);
         double margin = available - needed;
         worst = std::min(worst, margin);
-        stats.gauge("power.health." + probe.name + ".margin_j").set(margin);
+        marginGauges_[i]->set(margin);
         if (margin < 0.0)
             healthy = false;
     }
     worstMargin_ = probes_.empty() ? 0.0 : worst;
-    stats.gauge("power.health.worst_margin_j").set(worstMargin_);
-    stats.gauge("power.health.degraded").set(healthy ? 0.0 : 1.0);
+    worst_margin.set(worstMargin_);
+    degraded_gauge.set(healthy ? 0.0 : 1.0);
 
     if (healthy == degraded_) { // state flip
         degraded_ = !healthy;
         ++transitions_;
-        stats.counter("power.health.transitions").add();
+        static trace::Counter &transitions =
+            stats.counter("power.health.transitions");
+        transitions.add();
         if (degraded_) {
             TRACE_SIM_INSTANT(queue_, Power, "health: DEGRADED");
             warn("%s: energy self-test failed, worst margin %.3f J — "

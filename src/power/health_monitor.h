@@ -28,6 +28,10 @@
 #include "sim/sim_object.h"
 #include "util/units.h"
 
+namespace wsp::trace {
+class Gauge;
+} // namespace wsp::trace
+
 namespace wsp {
 
 /** One monitored backup-energy source. */
@@ -90,6 +94,7 @@ class EnergyHealthMonitor : public SimObject
 
     HealthMonitorConfig config_;
     std::vector<HealthProbe> probes_;
+    std::vector<trace::Gauge *> marginGauges_; ///< one per probe
     std::function<void(bool)> degradedHandler_;
     bool started_ = false;
     bool degraded_ = false;

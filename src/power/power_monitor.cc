@@ -35,8 +35,10 @@ PowerMonitor::onPwrOkDropped()
     }
     queue_.scheduleAfter(notifyLatency(), [this] {
         ++interruptsRaised_;
-        trace::StatRegistry::instance()
-            .counter("power.monitor_interrupts").add();
+        static trace::Counter &interrupts =
+            trace::StatRegistry::instance().counter(
+                "power.monitor_interrupts");
+        interrupts.add();
         TRACE_SIM_INSTANT(queue_, Power, "power-fail interrupt");
         powerFailHandler_();
     });
@@ -49,14 +51,18 @@ PowerMonitor::sendCommand(Command command)
                "power monitor has no NVDIMM command sink");
     if (dropCommands_ > 0) {
         --dropCommands_;
-        trace::StatRegistry::instance()
-            .counter("power.i2c_commands_dropped").add();
+        static trace::Counter &dropped =
+            trace::StatRegistry::instance().counter(
+                "power.i2c_commands_dropped");
+        dropped.add();
         TRACE_SIM_INSTANT(queue_, Power, "I2C command DROPPED");
         warn("%s: I2C command dropped (injected bus fault)",
              name().c_str());
         return;
     }
-    trace::StatRegistry::instance().counter("power.i2c_commands").add();
+    static trace::Counter &commands =
+        trace::StatRegistry::instance().counter("power.i2c_commands");
+    commands.add();
     TRACE_SIM_INSTANT(queue_, Power, "I2C command to NVDIMMs");
     queue_.scheduleAfter(config_.i2cCommandLatency,
                          [this, command] { commandSink_(command); });

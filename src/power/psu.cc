@@ -162,10 +162,12 @@ AtxPowerSupply::onInputFailed()
     pwrOkDropTick_ = now() + preset_.pwrOkDetectDelay;
     regulationEnd_ = pwrOkDropTick_ + residualWindow_;
 
-    auto &registry = trace::StatRegistry::instance();
-    registry.counter("power.input_failures").add();
-    registry.gauge("power.residual_window_ns")
-        .set(static_cast<double>(residualWindow_));
+    static trace::Counter &input_failures =
+        trace::StatRegistry::instance().counter("power.input_failures");
+    static trace::Gauge &residual_window_ns =
+        trace::StatRegistry::instance().gauge("power.residual_window_ns");
+    input_failures.add();
+    residual_window_ns.set(static_cast<double>(residualWindow_));
     TRACE_SIM_INSTANT(queue_, Power, "AC input failed");
 
     queue_.schedule(pwrOkDropTick_, [this] {

@@ -68,4 +68,27 @@ StatRegistry::resetForTest()
         gauge->set(0.0);
 }
 
+GaugeFamily::GaugeFamily(std::string prefix, std::string suffix)
+    : prefix_(std::move(prefix)), suffix_(std::move(suffix))
+{
+}
+
+Gauge &
+GaugeFamily::operator[](std::string_view key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto it = gauges_.find(key); it != gauges_.end())
+        return *it->second;
+    std::string name = prefix_;
+    for (char c : key) {
+        const bool word = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                          (c >= '0' && c <= '9');
+        name += word ? c : '_';
+    }
+    name += suffix_;
+    Gauge &gauge = StatRegistry::instance().gauge(name);
+    gauges_.emplace(key, &gauge);
+    return gauge;
+}
+
 } // namespace wsp::trace

@@ -2,15 +2,23 @@
  * @file
  * Registry of named monotonic counters, gauges, and probes.
  *
- * Modules register their statistics at construction under dotted
- * names ("pheap.clflush_count", "core.saves_completed", ...); the
- * exporters dump one flat snapshot. Three kinds:
+ * Modules register their statistics under dotted names
+ * ("pheap.clflush_count", "core.saves_completed", ...); the exporters
+ * dump one flat snapshot. Three kinds:
  *
- *  - Counter: monotonic relaxed-atomic count, bumped on the hot path
- *    through a cached handle (create-or-get is idempotent),
+ *  - Counter: monotonic relaxed-atomic count,
  *  - Gauge: last-written double (per-run timings, window sizes),
  *  - Probe: a callback polled only at snapshot time, for subsystems
  *    that already keep their own counters (zero added hot-path cost).
+ *
+ * Hot paths hold cached handles. A name lookup builds a std::string,
+ * takes the registry's mutex and walks a map, so it is for set-up and
+ * tests only. A path that updates a statistic per event resolves it
+ * once per process, in a function-local
+ * `static trace::Counter &c = StatRegistry::instance().counter(...)`;
+ * a family of gauges named from a run-time key (one per save step)
+ * resolves each distinct name once through GaugeFamily. Slots are
+ * never freed, so a cached reference stays valid for the process.
  *
  * The registry is process-wide, so every statistic is a process
  * total: all machines alive in the process (a crash sweep's reference
@@ -30,6 +38,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace wsp::trace {
@@ -101,6 +111,39 @@ class StatRegistry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::function<double()>> probes_;
+};
+
+/**
+ * Gauges named from a run-time key: `<prefix><key><suffix>`, with every
+ * key character outside [A-Za-z0-9] written as '_' ("core.save.step."
+ * + "mark image as valid" + "_ns" names
+ * core.save.step.mark_image_as_valid_ns). Each distinct key builds
+ * its name and looks it up in the registry once; later calls find
+ * the cached handle without allocating. Safe from any thread.
+ */
+class GaugeFamily
+{
+  public:
+    GaugeFamily(std::string prefix, std::string suffix);
+
+    /** The gauge of @p key, created on its first use. */
+    Gauge &operator[](std::string_view key);
+
+  private:
+    struct KeyHash
+    {
+        using is_transparent = void;
+        size_t operator()(std::string_view key) const
+        {
+            return std::hash<std::string_view>{}(key);
+        }
+    };
+
+    const std::string prefix_;
+    const std::string suffix_;
+    std::mutex mutex_;
+    std::unordered_map<std::string, Gauge *, KeyHash, std::equal_to<>>
+        gauges_;
 };
 
 } // namespace wsp::trace

@@ -81,6 +81,12 @@ warn(const char *fmt, ...)
     va_end(args);
 }
 
+bool
+debugLogEnabled()
+{
+    return globalLevel >= LogLevel::Debug || debugSink != nullptr;
+}
+
 void
 debugLog(const char *fmt, ...)
 {

@@ -55,6 +55,23 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
+ * True when a debugLog() line would be read: the level is Debug or a
+ * debug sink is installed.
+ */
+bool debugLogEnabled();
+
+/**
+ * debugLog() whose arguments are evaluated only when debugLogEnabled():
+ * a call that prints nothing and feeds no sink formats no argument
+ * strings (formatTime() and the like) on the simulator's hot paths.
+ */
+#define WSP_DEBUG_LOG(...)                                            \
+    do {                                                              \
+        if (::wsp::debugLogEnabled())                                 \
+            ::wsp::debugLog(__VA_ARGS__);                             \
+    } while (0)
+
+/**
  * Terminate with an error caused by the caller (bad configuration or
  * arguments). Exits with status 1; does not dump core.
  */

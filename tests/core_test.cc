@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/failure_injector.h"
@@ -219,6 +223,54 @@ TEST(WspCycle, CleanPowerFailureRecoversEverything)
     // Thread contexts restored exactly.
     EXPECT_EQ(system.machine().core(3).context, before_ctx);
     EXPECT_TRUE(system.wsp().running());
+}
+
+/** A statistic's value, or nullopt when the registry has no such name. */
+std::optional<double>
+statValue(const std::string &name)
+{
+    for (const auto &sample : trace::StatRegistry::instance().snapshot())
+        if (sample.name == name)
+            return sample.value;
+    return std::nullopt;
+}
+
+TEST(WspCycle, RestoreStepGaugesAreNamedByStepOnEveryBootPath)
+{
+    // A whole-system resume and a fallback cold boot run different
+    // steps, so a step's position names a different step on each path
+    // ("restore NVDIMM contents" on the one, "cold boot" on the
+    // other). Each gauge must read the duration of the step it names,
+    // from whichever boot ran that step last.
+    WspSystem resumed(testConfig());
+    resumed.start();
+    const PowerFailureOutcome resume =
+        resumed.powerFailAndRestore(fromMillis(5.0), fromSeconds(30.0));
+    ASSERT_TRUE(resume.restore.usedWsp);
+
+    WspSystem fallen(
+        FailureInjector::withExactWindow(testConfig(), fromMicros(1.0)));
+    fallen.start();
+    const PowerFailureOutcome fallback =
+        fallen.powerFailAndRestore(fromMillis(5.0), fromSeconds(1.0));
+    ASSERT_FALSE(fallback.restore.usedWsp);
+
+    std::map<std::string, Tick> latest;
+    for (const StepTiming &step : resume.restore.steps)
+        latest[step.step] = step.duration();
+    for (const StepTiming &step : fallback.restore.steps)
+        latest[step.step] = step.duration();
+    ASSERT_TRUE(latest.count("restore NVDIMM contents"));
+    ASSERT_TRUE(latest.count("cold boot"));
+    for (const auto &[step, duration] : latest) {
+        std::string name = "core.restore.step.";
+        for (char c : step)
+            name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
+        name += "_ns";
+        const std::optional<double> value = statValue(name);
+        ASSERT_TRUE(value.has_value()) << name;
+        EXPECT_EQ(*value, static_cast<double>(duration)) << name;
+    }
 }
 
 TEST(WspCycle, InterruptWhilePoweredButNotRunningStillWarns)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "nvram/nvdimm.h"
 #include "nvram/nvram_space.h"
 #include "nvram/sparse_memory.h"
+#include "test_seed.h"
+#include "util/rng.h"
 
 namespace wsp {
 namespace {
@@ -251,6 +254,131 @@ TEST(SparseMemory, CopyRangeFromMarksDestinationDirty)
     dst.resetDirty();
     dst.copyRangeFrom(src, 0, SparseMemory::kPageSize);
     EXPECT_EQ(dst.dirtyPageCount(), 1u);
+}
+
+// rangeEquals against a byte reference ------------------------------------
+
+/** Byte-by-byte reference: both ranges read through read(). */
+bool
+referenceRangeEquals(const SparseMemory &a, const SparseMemory &b,
+                     uint64_t addr, uint64_t len)
+{
+    std::vector<uint8_t> x(len);
+    std::vector<uint8_t> y(len);
+    a.read(addr, x);
+    b.read(addr, y);
+    return x == y;
+}
+
+/** Bytes that are mostly either side's fill, so ranges often agree. */
+std::vector<uint8_t>
+fillLikeBytes(Rng &rng, size_t n)
+{
+    std::vector<uint8_t> bytes(n);
+    const uint8_t base = rng.chance(0.5) ? 0 : SparseMemory::kPoisonByte;
+    for (auto &byte : bytes)
+        byte = rng.chance(0.9) ? base : static_cast<uint8_t>(rng());
+    return bytes;
+}
+
+TEST(SparseMemory, RangeEqualsMatchesAByteReferenceAcrossChunks)
+{
+    // Three 2 MiB chunks, the last one short, ending in a partial
+    // page: chunk skipping, fill comparison, pointer-shared pages,
+    // pages held on one side only and memcmp of distinct pages all
+    // meet ranges that start mid-page and cross chunk boundaries.
+    constexpr uint64_t kChunk =
+        SparseMemory::kPagesPerChunk * SparseMemory::kPageSize;
+    constexpr uint64_t kCap =
+        2 * kChunk + 5 * SparseMemory::kPageSize + 1234;
+    const uint64_t seed = testing::testSeed(0x5a11e7);
+    Rng rng(seed);
+    uint64_t queries = 0;
+    uint64_t equal = 0;
+    for (int round = 0; round < 60; ++round) {
+        SCOPED_TRACE(testing::seedTrace(0x5a11e7) + " round " +
+                     std::to_string(round));
+        // A random address, biased towards chunk and page edges.
+        const auto pick = [&]() -> uint64_t {
+            const uint64_t edge = (1 + rng.next(2)) * kChunk;
+            switch (rng.next(3)) {
+              case 0:
+                return edge -
+                       std::min(edge, rng.next(3 * SparseMemory::kPageSize));
+              case 1:
+                return rng.next(kCap / SparseMemory::kPageSize) *
+                       SparseMemory::kPageSize;
+              default:
+                return rng.next(kCap);
+            }
+        };
+        const auto scribble = [&](SparseMemory &mem, int writes) {
+            for (int i = 0; i < writes; ++i) {
+                const uint64_t addr = pick();
+                const uint64_t len = std::min<uint64_t>(
+                    kCap - addr, 1 + rng.next(2 * SparseMemory::kPageSize));
+                mem.write(addr, fillLikeBytes(rng, len));
+            }
+        };
+
+        SparseMemory a(kCap);
+        if (rng.chance(0.3))
+            a.poison();
+        scribble(a, 1 + static_cast<int>(rng.next(6)));
+
+        // b starts as a snapshot (shared pages), a sparse copy of some
+        // ranges (shared whole pages, copied partial ones) or a memory
+        // of its own; then either side may be scribbled on.
+        SparseMemory b(kCap);
+        switch (rng.next(3)) {
+          case 0:
+            b = a.snapshot();
+            break;
+          case 1:
+            for (int i = 0; i < 3; ++i) {
+                const uint64_t addr = pick();
+                b.copyRangeFrom(a, addr,
+                                std::min<uint64_t>(kCap - addr,
+                                                   rng.next(kChunk)));
+            }
+            break;
+          default:
+            if (rng.chance(0.3))
+                b.poison();
+            break;
+        }
+        if (rng.chance(0.5))
+            scribble(b, static_cast<int>(rng.next(3)));
+        if (rng.chance(0.3))
+            scribble(a, 1);
+
+        for (int q = 0; q < 40; ++q) {
+            const uint64_t addr = pick();
+            const uint64_t room = kCap - addr;
+            const uint64_t len =
+                rng.chance(0.1)
+                    ? room
+                    : std::min(room, rng.next(rng.chance(0.5)
+                                                  ? 4 * SparseMemory::kPageSize
+                                                  : kChunk + 1));
+            const bool expected = referenceRangeEquals(a, b, addr, len);
+            ASSERT_EQ(a.rangeEquals(b, addr, len), expected)
+                << "range [" << addr << ", " << addr + len << ")";
+            ASSERT_EQ(b.rangeEquals(a, addr, len), expected)
+                << "range [" << addr << ", " << addr + len << ")";
+            queries += 2;
+            equal += expected ? 2 : 0;
+        }
+        const bool same = referenceRangeEquals(a, b, 0, kCap);
+        ASSERT_EQ(a.contentEquals(b), same);
+        ASSERT_EQ(b.contentEquals(a), same);
+        queries += 2;
+        equal += same ? 2 : 0;
+    }
+    // Both verdicts must be well represented, or the differential
+    // proves little.
+    EXPECT_GT(equal, queries / 5);
+    EXPECT_LT(equal, queries * 4 / 5);
 }
 
 // NvdimmModule -----------------------------------------------------------
