@@ -6,7 +6,8 @@
  * rows/series, then a ShapeCheck verdict, and exits nonzero when the
  * measured shape drifts from the paper's. Set WSP_BENCH_FULL=1 to run
  * the paper-sized workloads (the default sizes are trimmed so the
- * whole bench suite finishes quickly).
+ * whole bench suite finishes quickly). The repository's own speed is
+ * measured by perfbench/, not here.
  *
  * Observability: call init("<bench>", argc, argv) first. It applies
  * WSP_LOG_LEVEL and WSP_TRACE from the environment and parses the
@@ -15,15 +16,10 @@
  *   --trace-out=<file>    write a Chrome trace-event JSON (Perfetto)
  *                         at exit; implies WSP_TRACE=all if no
  *                         category was enabled explicitly
- *   --metrics-out=<file>  write the flat metrics snapshot (JSON, or
- *                         CSV when the path ends in .csv) at exit,
- *                         and append one BENCH_<name>.json record
- *                         (bench id, host, wall time, seed,
- *                         counters) next to it for the perf
- *                         trajectory
+ *   --metrics-out=<file>  write the flat metrics snapshot as JSON at
+ *                         exit
  *   --seed=N              override the bench's base RNG seed; benches
- *                         obtain it via rngSeed(default) so the value
- *                         actually used lands in the bench record
+ *                         obtain it via rngSeed(default)
  *   --repeat=N            run each measured sample N times and report
  *                         the median; benches opt in by sampling
  *                         through medianOf(repeat(), fn)
@@ -92,11 +88,9 @@ struct BenchState
     std::string name = "bench";
     std::string traceOut;
     std::string metricsOut;
-    double startedAt = 0.0;
     uint64_t seed = 0;
     bool seedExplicit = false;
     unsigned repeat = 1;
-    trace::BenchRecordFields recordFields;
 };
 
 inline BenchState &
@@ -142,7 +136,6 @@ init(const char *name, int argc, char **argv)
 {
     auto &bench = detail::state();
     bench.name = name;
-    bench.startedAt = nowSeconds();
 
     configureLogLevelFromEnv();
     trace::TraceManager::instance().configureFromEnv();
@@ -182,35 +175,13 @@ init(const char *name, int argc, char **argv)
 
 /**
  * The base RNG seed for this run: @p fallback unless the user passed
- * --seed=N. Whatever value wins is recorded in the BENCH_<name>.json
- * line so any run can be reproduced exactly.
+ * --seed=N.
  */
 inline uint64_t
 rngSeed(uint64_t fallback)
 {
-    auto &bench = detail::state();
-    if (!bench.seedExplicit)
-        bench.seed = fallback;
-    return bench.seed;
-}
-
-/**
- * Attach an extra top-level integer field to this run's
- * BENCH_<name>.json record (e.g. fleet_storm's nodes/replication).
- * Repeated names overwrite the earlier value, so a bench can refine a
- * field after sizing its workload.
- */
-inline void
-recordField(const std::string &name, uint64_t value)
-{
-    auto &fields = detail::state().recordFields;
-    for (auto &field : fields) {
-        if (field.first == name) {
-            field.second = value;
-            return;
-        }
-    }
-    fields.emplace_back(name, value);
+    const auto &bench = detail::state();
+    return bench.seedExplicit ? bench.seed : fallback;
 }
 
 /** The sample count requested via --repeat=N (default 1). */
@@ -273,15 +244,6 @@ writeOutputs()
         if (trace::writeMetrics(bench.metricsOut))
             inform("%s: wrote metrics to %s", bench.name.c_str(),
                    bench.metricsOut.c_str());
-        // Perf-trajectory record: BENCH_<name>.json next to the
-        // metrics file, one JSON object appended per run.
-        std::string record = bench.metricsOut;
-        const size_t slash = record.find_last_of('/');
-        record.erase(slash == std::string::npos ? 0 : slash + 1);
-        record += "BENCH_" + bench.name + ".json";
-        trace::appendBenchRecord(record, bench.name,
-                                 nowSeconds() - bench.startedAt,
-                                 bench.seed, bench.recordFields);
     }
 }
 

@@ -21,8 +21,7 @@
  * Gates: WSP-local must reach full capacity at least 5x faster than
  * the refill storm, no acknowledged write may be client-visibly lost
  * under any policy, and the degraded tier must actually serve reads
- * during the storm. The BENCH_fleet_storm.json record carries the
- * fleet shape (nodes, replication) as first-class fields.
+ * during the storm.
  */
 
 #include "bench/bench_util.h"
@@ -88,9 +87,6 @@ main(int argc, char **argv)
     const unsigned pre_traffic = full ? 400 : 150;
     const uint64_t seed = bench::rngSeed(0x53544f524dull); // "STORM"
 
-    bench::recordField("nodes", nodes);
-    bench::recordField("replication", replication);
-
     Table table("Fleet storm: " + std::to_string(nodes) + " nodes, R=" +
                 std::to_string(replication) +
                 ", 256 GiB/node, correlated kill of every node");
@@ -122,14 +118,6 @@ main(int argc, char **argv)
     std::printf("WSP-local reaches full capacity %.1fx faster than the "
                 "backend-refill storm\n\n",
                 wsp_s > 0 ? refill_s / wsp_s : 0.0);
-
-    bench::recordField(
-        "wsp_full_capacity_ms",
-        static_cast<uint64_t>(toMillis(wsp_local.storm.timeToFullCapacity)));
-    bench::recordField(
-        "refill_full_capacity_ms",
-        static_cast<uint64_t>(toMillis(refill.storm.timeToFullCapacity)));
-    bench::recordField("degraded_reads", degraded.stats.degradedReads);
 
     ShapeCheck check("Fleet recovery storm");
     check.expectGreater("WSP-local >= 5x faster to full capacity",

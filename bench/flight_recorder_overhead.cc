@@ -12,10 +12,8 @@
  * all — recording charges host time, never the residual-energy
  * window.
  *
- * The overhead lands in the BENCH_flight_recorder_overhead.json
- * record (gauge bench.flight_recorder.overhead_pct), so
- * bench_summary --counter=bench.flight_recorder.overhead_pct tracks
- * the trajectory across commits.
+ * The overhead lands in the --metrics-out snapshot as the gauge
+ * bench.flight_recorder.overhead_pct.
  */
 
 #include <string>

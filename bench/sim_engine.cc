@@ -21,10 +21,10 @@
  *  - same-tick burst: hundreds of events on one tick, exercising the
  *    FIFO (seq-ordered) contract that seeded determinism rests on.
  *
- * The rates are printed and recorded (BENCH_sim_engine.json, for
- * tools/bench_summary trajectories) but not gated: one shot on a
- * shared host is too noisy for a floor. The gates are what the
- * engine guarantees on any host:
+ * The rates are printed and land in the --metrics-out snapshot, but
+ * are not gated: one shot on a shared host is too noisy for a floor.
+ * The gates are what the engine guarantees on any host and at any
+ * optimization level:
  *
  *  - no heap allocation inside the dispatch mix's timed window,
  *    counted by the replacement global operator new below — a

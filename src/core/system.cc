@@ -64,21 +64,26 @@ WspSystem::adoptNvramImage(const NvramImage &image)
     image.adoptInto(memory_);
 }
 
-RestoreReport
+const RestoreReport &
+WspSystem::bootToCompletion(std::function<void()> backend_recovery)
+{
+    bool boot_done = false;
+    wsp_->boot(std::move(backend_recovery),
+               [&boot_done](const RestoreReport &) { boot_done = true; });
+    // Drain until the boot callback fires (bounded by construction:
+    // firmware + NVDIMM restore + devices are all finite).
+    while (!boot_done && queue_.step()) {
+    }
+    WSP_CHECKF(boot_done, "boot never completed");
+    return *wsp_->lastRestore();
+}
+
+const RestoreReport &
 WspSystem::bootFromImage(const NvramImage &image,
                          std::function<void()> backend_recovery)
 {
     adoptNvramImage(image);
-    bool boot_done = false;
-    RestoreReport report;
-    wsp_->boot(std::move(backend_recovery), [&](const RestoreReport &r) {
-        report = r;
-        boot_done = true;
-    });
-    while (!boot_done && queue_.step()) {
-    }
-    WSP_CHECKF(boot_done, "boot from image never completed");
-    return report;
+    return bootToCompletion(std::move(backend_recovery));
 }
 
 PowerFailureOutcome
@@ -95,17 +100,7 @@ WspSystem::powerFailAndRestore(Tick fail_delay, Tick outage,
     // time all play out.
     queue_.runUntil(outcome.bootStart);
 
-    bool boot_done = false;
-    wsp_->boot(std::move(backend_recovery),
-               [&](const RestoreReport &report) {
-        outcome.restore = report;
-        boot_done = true;
-    });
-    // Drain until the boot callback fires (bounded by construction:
-    // firmware + NVDIMM restore + devices are all finite).
-    while (!boot_done && queue_.step()) {
-    }
-    WSP_CHECKF(boot_done, "boot never completed");
+    outcome.restore = bootToCompletion(std::move(backend_recovery));
     outcome.save = wsp_->lastSave();
     return outcome;
 }

@@ -133,13 +133,19 @@ class WspSystem
      * Adopt @p image and run the full boot path to completion, as a
      * replacement chassis would: firmware, NVDIMM restore, marker
      * check, devices, context restore — or back-end recovery when the
-     * image is unusable. Returns the restore report.
+     * image is unusable. Returns the controller's restore report,
+     * valid until the next boot or the destruction of this system.
      */
-    RestoreReport
+    const RestoreReport &
     bootFromImage(const NvramImage &image,
                   std::function<void()> backend_recovery = nullptr);
 
   private:
+    /** Run WspController::boot until its restore completes; returns
+     *  the controller's report of it (WspController::lastRestore). */
+    const RestoreReport &
+    bootToCompletion(std::function<void()> backend_recovery);
+
     SystemConfig config_;
     Rng rng_;
     EventQueue queue_;

@@ -33,8 +33,8 @@
  *    worker records into its own Histogram and the plane merges them
  *    (Histogram::merge) at the end.
  *
- * runSequential() replays the same streams on one thread; tests and
- * bench/kv_throughput hold every threaded run to it exactly.
+ * runSequential() replays the same streams on one thread; the tests
+ * hold every threaded run to it exactly.
  */
 
 #pragma once

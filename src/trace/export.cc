@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <set>
-#include <unistd.h>
 
 #include "trace/stat_registry.h"
 #include "trace/trace.h"
@@ -56,15 +54,6 @@ jsonNumber(double value)
     }
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::string
-hostName()
-{
-    char buf[256] = {};
-    if (gethostname(buf, sizeof(buf) - 1) != 0)
-        return "unknown";
     return buf;
 }
 
@@ -244,18 +233,6 @@ metricsJson()
     return out;
 }
 
-std::string
-metricsCsv()
-{
-    const auto samples = StatRegistry::instance().snapshot();
-    std::string out = "name,value\n";
-    for (const auto &sample : samples) {
-        // Stat names are dotted identifiers: no quoting needed.
-        out += sample.name + "," + jsonNumber(sample.value) + "\n";
-    }
-    return out;
-}
-
 bool
 writeChromeTrace(const std::string &path)
 {
@@ -265,65 +242,7 @@ writeChromeTrace(const std::string &path)
 bool
 writeMetrics(const std::string &path)
 {
-    const bool csv = path.size() >= 4 &&
-                     path.compare(path.size() - 4, 4, ".csv") == 0;
-    return writeFile(path, csv ? metricsCsv() : metricsJson(),
-                     "metrics");
-}
-
-bool
-appendBenchRecord(const std::string &path, const std::string &bench,
-                  double wall_seconds, uint64_t seed)
-{
-    return appendBenchRecord(path, bench, wall_seconds, seed,
-                             BenchRecordFields{});
-}
-
-bool
-appendBenchRecord(const std::string &path, const std::string &bench,
-                  double wall_seconds, uint64_t seed,
-                  const BenchRecordFields &fields)
-{
-    std::ofstream out(path, std::ios::app);
-    if (!out) {
-        warn("cannot open bench-record file '%s'", path.c_str());
-        return false;
-    }
-
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    if (gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-
-    std::string line = "{\"bench\":" + jsonQuote(bench);
-    line += ",\"host\":" + jsonQuote(hostName());
-    line += ",\"utc\":" + jsonQuote(stamp);
-    line += ",\"wall_seconds\":" + jsonNumber(wall_seconds);
-    // to_string, not jsonNumber: seeds are full 64-bit values and
-    // must not round-trip through a double.
-    line += ",\"seed\":" + std::to_string(seed);
-    // Extra top-level fields (fleet_storm: nodes/replication). Emitted
-    // as integers for the same reason as the seed.
-    for (const auto &[name, value] : fields) {
-        line += ',';
-        line += jsonQuote(name);
-        line += ':';
-        line += std::to_string(value);
-    }
-    line += ",\"counters\":{";
-    bool first = true;
-    for (const auto &sample : StatRegistry::instance().snapshot()) {
-        if (!first)
-            line += ",";
-        first = false;
-        line += jsonQuote(sample.name) + ":" + jsonNumber(sample.value);
-    }
-    line += "}}\n";
-    out << line;
-    out.close();
-    return static_cast<bool>(out);
+    return writeFile(path, metricsJson(), "metrics");
 }
 
 } // namespace wsp::trace

@@ -27,10 +27,10 @@
 #include <vector>
 
 #include "apps/kv_store.h"
-#include "apps/shard_environment.h"
 #include "crashsim/crash_explorer.h"
 #include "crashsim/invariants.h"
 #include "load/traffic_plane.h"
+#include "shard_rig.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -39,12 +39,14 @@ namespace {
 
 using apps::KvStore;
 using apps::ShardedKvStore;
+using wsp::testing::ShardEnvironment;
+using wsp::testing::ShardedRig;
 
 // ShardedKvStore basics ------------------------------------------------
 
 TEST(ShardedKvStore, RoutesStoresAndAttaches)
 {
-    apps::ShardEnvironment environment("sharded-basics", 4 * kMiB);
+    ShardEnvironment environment("sharded-basics", 4 * kMiB);
     std::vector<CacheModel *> caches(4, &environment.cache);
     const std::span<CacheModel *const> span(caches);
 
@@ -77,8 +79,8 @@ TEST(ShardedKvStore, RoutesStoresAndAttaches)
 
 TEST(ShardedKvStore, ChecksumMatchesSingleStoreOverSamePairs)
 {
-    apps::ShardEnvironment sharded_env("checksum-sharded", 4 * kMiB);
-    apps::ShardEnvironment single_env("checksum-single", 4 * kMiB);
+    ShardEnvironment sharded_env("checksum-sharded", 4 * kMiB);
+    ShardEnvironment single_env("checksum-single", 4 * kMiB);
     std::vector<CacheModel *> caches(8, &sharded_env.cache);
     ShardedKvStore sharded(std::span<CacheModel *const>(caches), 0, 64);
     KvStore single(single_env.cache, 0, 512);
@@ -172,8 +174,8 @@ expectSameResult(const apps::KvBatchResult &batched,
 
 TEST(KvBatch, ApplyBatchMatchesPerOpSequence)
 {
-    apps::ShardEnvironment batch_env("batch-single", 4 * kMiB);
-    apps::ShardEnvironment scalar_env("scalar-single", 4 * kMiB);
+    ShardEnvironment batch_env("batch-single", 4 * kMiB);
+    ShardEnvironment scalar_env("scalar-single", 4 * kMiB);
     // Tight capacity so the mix drives the store full and a slice of
     // the puts take the rejection path.
     KvStore batched(batch_env.cache, 0, 64);
@@ -191,8 +193,8 @@ TEST(KvBatch, ApplyBatchMatchesPerOpSequence)
 
 TEST(KvBatch, ShardedApplyBatchMatchesPerOpSequence)
 {
-    apps::ShardEnvironment batch_env("batch-sharded", 4 * kMiB);
-    apps::ShardEnvironment scalar_env("scalar-sharded", 4 * kMiB);
+    ShardEnvironment batch_env("batch-sharded", 4 * kMiB);
+    ShardEnvironment scalar_env("scalar-sharded", 4 * kMiB);
     std::vector<CacheModel *> batch_caches(4, &batch_env.cache);
     std::vector<CacheModel *> scalar_caches(4, &scalar_env.cache);
     ShardedKvStore batched(
@@ -216,7 +218,7 @@ TEST(KvBatch, ShardedApplyBatchMatchesPerOpSequence)
 
 TEST(KvBatch, EmptyBatchIsANoOp)
 {
-    apps::ShardEnvironment environment("batch-empty", 4 * kMiB);
+    ShardEnvironment environment("batch-empty", 4 * kMiB);
     KvStore store(environment.cache, 0, 64);
     ASSERT_TRUE(store.put(1, 5));
     const uint64_t checksum = store.checksum();
@@ -229,7 +231,7 @@ TEST(KvBatch, EmptyBatchIsANoOp)
 
 TEST(ShardedKvStore, AttachRejectsGarbageAndMismatchedShards)
 {
-    apps::ShardEnvironment environment("attach-reject", 4 * kMiB);
+    ShardEnvironment environment("attach-reject", 4 * kMiB);
     std::vector<CacheModel *> caches(2, &environment.cache);
     const std::span<CacheModel *const> span(caches);
     // Nothing was ever created here.
@@ -243,31 +245,6 @@ TEST(ShardedKvStore, AttachRejectsGarbageAndMismatchedShards)
 }
 
 // Observational equivalence --------------------------------------------
-
-/**
- * A @p shards-way ShardedKvStore over private shard environments, as
- * concurrent serving runs it. Every module spans the whole striped
- * region: each shard addresses its slice inside its own space.
- */
-struct ShardedRig
-{
-    ShardedRig(const std::string &tag, unsigned shards, uint64_t per_shard)
-    {
-        const uint64_t region =
-            ShardedKvStore::regionBytes(shards, per_shard);
-        std::vector<CacheModel *> caches;
-        for (unsigned i = 0; i < shards; ++i) {
-            envs.push_back(std::make_unique<apps::ShardEnvironment>(
-                tag + std::to_string(i), region));
-            caches.push_back(&envs.back()->cache);
-        }
-        store = std::make_unique<ShardedKvStore>(
-            std::span<CacheModel *const>(caches), 0, per_shard);
-    }
-
-    std::vector<std::unique_ptr<apps::ShardEnvironment>> envs;
-    std::unique_ptr<ShardedKvStore> store;
-};
 
 /**
  * Run @p config through the traffic plane into @p shards shards of

@@ -1006,9 +1006,12 @@ TEST(ConditionSchedule, ParseRefusesCountsThatDoNotFitTheirField)
         return text.substr(0, from) + value +
                text.substr(text.find('\n', from));
     };
-    // Each of these used to wrap into range: 1 op, 2 shards (a power
-    // of two), 1 fleet node, 0 media faults, and so on.
-    const std::pair<const char *, const char *> wrapping[] = {
+    // Each of the first eight used to wrap into range: 1 op, 2 shards
+    // (a power of two), 1 fleet node, 0 media faults, and so on. The
+    // next five used to be read as a prefix (33 ns, 64 ops, module 1,
+    // 4.5 V) or wrapped (seed 2^64 - 1), and the last two, misspelled,
+    // as the default: no salvage, and the correct marker order.
+    const std::pair<const char *, const char *> refused[] = {
         {"ops", "4294967297"},
         {"shards", "4294967298"},
         {"fleet_nodes", "4294967297"},
@@ -1017,8 +1020,15 @@ TEST(ConditionSchedule, ParseRefusesCountsThatDoNotFitTheirField)
         {"drop_save_cmds", "4294967296"},
         {"fleet_replication", "4294967299"},
         {"ops", "-1"},
+        {"window_ns", "33ms"},
+        {"ops", "64x"},
+        {"drain_module", "1x"},
+        {"drain_voltage", "4.5V"},
+        {"seed", "-1"},
+        {"salvage", "yes"},
+        {"save_order", "marker-before-flsuh"},
     };
-    for (const auto &[key, value] : wrapping)
+    for (const auto &[key, value] : refused)
         EXPECT_FALSE(CrashSchedule::parse(with(key, value)).has_value())
             << key << "=" << value;
     const auto widest = CrashSchedule::parse(with("ops", "4294967295"));

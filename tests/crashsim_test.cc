@@ -53,6 +53,14 @@ TEST(CrashSchedule, SerializationRoundTrips)
     const auto parsed = CrashSchedule::parse(schedule.serialize());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_TRUE(*parsed == schedule);
+
+    // fuzz() draws the drain voltage uniformly from [4, 9) V, so a
+    // fuzzed schedule's voltage needs up to 17 significant digits.
+    schedule.drainVoltage = 5.123456789012345;
+    const auto fuzzed = CrashSchedule::parse(schedule.serialize());
+    ASSERT_TRUE(fuzzed.has_value());
+    EXPECT_EQ(fuzzed->drainVoltage, schedule.drainVoltage);
+    EXPECT_TRUE(*fuzzed == schedule);
 }
 
 TEST(CrashSchedule, ParseRejectsMalformedInput)

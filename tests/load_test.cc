@@ -2,8 +2,9 @@
  * @file
  * Traffic-plane battery: the SPSC submission ring, the deterministic
  * op streams (including the quantized Zipf table against the exact
- * YCSB sampler), exact threaded-vs-sequential equivalence of the
- * rings plane, back-pressure under deliberately tiny rings, open-loop
+ * YCSB sampler), exact threaded-vs-sequential equivalence and
+ * same-seed determinism of the rings plane at 1, 2, 4 and 8 workers,
+ * back-pressure under deliberately tiny rings, open-loop
  * pacing, and the cache region view backing the zero-allocation hot
  * path. The whole suite also runs under TSan via
  * cmake/tsan_smoke.cmake — the equivalence tests pass through every
@@ -17,12 +18,12 @@
 #include <utility>
 #include <vector>
 
-#include "apps/shard_environment.h"
 #include "apps/workload.h"
 #include "load/op_stream.h"
 #include "load/spsc_ring.h"
 #include "load/traffic_plane.h"
 #include "machine/cache.h"
+#include "shard_rig.h"
 #include "test_seed.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -31,8 +32,8 @@
 using namespace wsp;
 using namespace wsp::load;
 using apps::KvOp;
-using apps::ShardEnvironment;
 using apps::ShardedKvStore;
+using wsp::testing::ShardedRig;
 using wsp::testing::testSeed;
 
 namespace {
@@ -273,24 +274,12 @@ TEST(HistogramWeighted, AddCountMatchesRepeatedAdd)
 constexpr unsigned kShards = 8;
 constexpr uint64_t kPerShardCapacity = 4096;
 
-/** A fresh sharded store plus the shard environments backing it. */
-struct Rig
+/** A fresh 8-shard store of 4096 slots per shard. */
+struct Rig : ShardedRig
 {
-    std::vector<std::unique_ptr<ShardEnvironment>> envs;
-    std::unique_ptr<ShardedKvStore> store;
-
     explicit Rig(const char *tag)
+        : ShardedRig(std::string("load_") + tag, kShards, kPerShardCapacity)
     {
-        const uint64_t region =
-            ShardedKvStore::regionBytes(kShards, kPerShardCapacity);
-        std::vector<CacheModel *> caches;
-        for (unsigned i = 0; i < kShards; ++i) {
-            envs.push_back(std::make_unique<ShardEnvironment>(
-                std::string("load_") + tag + std::to_string(i), region));
-            caches.push_back(&envs.back()->cache);
-        }
-        store = std::make_unique<ShardedKvStore>(
-            std::span<CacheModel *const>(caches), 0, kPerShardCapacity);
     }
 };
 
@@ -308,29 +297,39 @@ TEST(TrafficPlane, ThreadedMatchesSequentialReplayAcrossSeeds)
     // Disjoint key ranges make per-key op order the worker's own
     // stream order, so the rings plane must match the sequential
     // replay *exactly* — counters, store size, and content checksum —
-    // for every seed, not statistically.
-    ThreadPool pool(4);
-    for (uint64_t trial = 0; trial < 10; ++trial) {
-        TrafficPlaneConfig config;
-        config.workers = 4;
-        config.opsPerWorker = 5000;
-        config.keysPerWorker = 512;
-        config.seed = testSeed(0x10ad10 + trial);
+    // for every seed and worker count, not statistically. A second
+    // same-seed run into a fresh store must reproduce the batch
+    // result.
+    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+        ThreadPool pool(workers);
+        for (uint64_t trial = 0; trial < 10; ++trial) {
+            SCOPED_TRACE(::testing::Message() << workers << " workers, "
+                                              << "seed trial " << trial);
+            TrafficPlaneConfig config;
+            config.workers = workers;
+            config.opsPerWorker = 5000;
+            config.keysPerWorker = 512;
+            config.seed = testSeed(0x10ad10 + trial);
 
-        Rig threaded("t");
-        TrafficPlane plane(*threaded.store, config);
-        const TrafficPlaneReport run = plane.run(pool);
-        EXPECT_EQ(run.ops(), 4u * 5000u);
-        EXPECT_EQ(run.latencyNs.total(), run.ops());
+            Rig threaded("t");
+            TrafficPlane plane(*threaded.store, config);
+            const TrafficPlaneReport run = plane.run(pool);
+            EXPECT_EQ(run.ops(), workers * 5000u);
+            EXPECT_EQ(run.latencyNs.total(), run.ops());
 
-        Rig sequential("s");
-        const apps::KvBatchResult reference =
-            plane.runSequential(*sequential.store);
-        EXPECT_TRUE(sameResult(run.result, reference)) << "seed trial "
-                                                       << trial;
-        EXPECT_EQ(threaded.store->size(), sequential.store->size());
-        EXPECT_EQ(threaded.store->checksum(),
-                  sequential.store->checksum());
+            Rig sequential("s");
+            const apps::KvBatchResult reference =
+                plane.runSequential(*sequential.store);
+            EXPECT_TRUE(sameResult(run.result, reference));
+            EXPECT_EQ(threaded.store->size(), sequential.store->size());
+            EXPECT_EQ(threaded.store->checksum(),
+                      sequential.store->checksum());
+
+            Rig again("r");
+            TrafficPlane replay(*again.store, config);
+            EXPECT_TRUE(sameResult(replay.run(pool).result, run.result));
+            EXPECT_EQ(again.store->checksum(), threaded.store->checksum());
+        }
     }
 }
 

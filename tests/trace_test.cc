@@ -488,15 +488,6 @@ TEST_F(TraceTest, MetricsJsonRoundTrips)
     EXPECT_DOUBLE_EQ(gauge->number, 1.5);
 }
 
-TEST_F(TraceTest, MetricsCsvHasHeaderAndRows)
-{
-    auto &registry = StatRegistry::instance();
-    registry.counter("test.csv.counter").add(3);
-    const std::string csv = metricsCsv();
-    EXPECT_EQ(csv.rfind("name,value\n", 0), 0u);
-    EXPECT_NE(csv.find("test.csv.counter,3\n"), std::string::npos);
-}
-
 TEST_F(TraceTest, JsonQuoteEscapesControlCharacters)
 {
     EXPECT_EQ(jsonQuote("plain"), "\"plain\"");
