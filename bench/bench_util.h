@@ -25,7 +25,8 @@
  *                         through medianOf(repeat(), fn)
  *
  * A --seed or --repeat value that does not fit (a sign, an overflow,
- * trailing garbage, or --repeat=0) prints the usage and exits 1.
+ * trailing garbage, or --repeat=0), or a flag that is none of these,
+ * prints the usage and exits 1.
  *
  * finish(check) writes the requested files before returning the exit
  * code, so benches need no extra code beyond init()/finish().
@@ -127,9 +128,9 @@ badValue(const char *name, const char *flag, const char *value)
 
 /**
  * Standard bench prologue: apply WSP_LOG_LEVEL / WSP_TRACE and parse
- * the --trace-out= / --metrics-out= / --seed= / --repeat= flags.
- * Unknown flags warn and are ignored so figure-specific options can be
- * added later.
+ * the --trace-out= / --metrics-out= / --seed= / --repeat= flags. Any
+ * other flag prints the usage and exits 1, so a misspelled one cannot
+ * run the default silently.
  */
 inline void
 init(const char *name, int argc, char **argv)
@@ -163,7 +164,9 @@ init(const char *name, int argc, char **argv)
             detail::usage(stdout, name);
             std::exit(0);
         } else {
-            warn("%s: ignoring unknown argument '%s'", name, arg);
+            std::fprintf(stderr, "%s: unknown argument '%s'\n", name, arg);
+            detail::usage(stderr, name);
+            std::exit(1);
         }
     }
 

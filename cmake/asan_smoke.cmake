@@ -88,17 +88,19 @@ if(NOT cond_rc EQUAL 0)
     message(FATAL_ERROR
         "asan_smoke: conditions ASan/UBSan run failed (rc=${cond_rc}):\n${cond_out}")
 endif()
-# The fleet battery churns whole WspSystems (kill, image capture,
-# chassis swap) and walks raw store shards during anti-entropy — a
-# use-after-free in the node teardown/reboot cycle would hide exactly
-# there. Run the placement, lifecycle and mid-save-kill suites, the
-# decommission-while-dark storm, the re-kill of a recovering victim,
-# the missed-erase repair, the pinned repair scenarios (every repair
-# streaming path) and the whole-fleet storm whose latency histograms
-# merge across nodes.
+# The fleet battery power-cycles each node's one WspSystem in place
+# (kill, dark chassis, reboot) while the chassis keeps hooks into its
+# node, drops and re-attaches store views, and walks raw store shards
+# during anti-entropy — a use-after-free in the kill/reboot cycle would
+# hide exactly there. Run the placement, lifecycle and mid-save-kill
+# suites (FleetNode.* includes every boot path cycled on one chassis),
+# back-to-back whole-fleet storms, the decommission-while-dark storm,
+# the re-kill of a recovering victim, the missed-erase repair, the
+# pinned repair scenarios (every repair streaming path) and the
+# whole-fleet storm whose latency histograms merge across nodes.
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_fleet
-        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.ReKillingARecoveringVictimLetsTheStormEnd:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:Fleet.LatencyCountsEveryRequestWithoutClamping:FleetPinned.*
+        --gtest_filter=Rendezvous.*:FleetNode.*:Fleet.BackToBackStormsEachReportTheirOwnCounts:Fleet.QuorumWritesReadsAndConvergence:Fleet.MidSaveKillSubsetStaysConvergent:Fleet.DecommissioningADarkVictimRetiresItFromTheStorm:Fleet.ReKillingARecoveringVictimLetsTheStormEnd:Fleet.RepairRemovesAnAckedEraseADarkReplicaMissed:Fleet.LatencyCountsEveryRequestWithoutClamping:FleetPinned.*
     RESULT_VARIABLE fleet_rc
     OUTPUT_VARIABLE fleet_out
     ERROR_VARIABLE fleet_out

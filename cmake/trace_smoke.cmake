@@ -7,11 +7,13 @@
 # flags, then validates the emitted trace/metrics files with
 # trace_check. Fails the test when the bench exits nonzero, a file is
 # missing, or the JSON shape is wrong. Also checks that the standard
-# --seed/--repeat flags refuse values that do not fit: the bench must
-# print its usage and exit 1 instead of running a wrapped, saturated
-# or truncated value. Then traces the fleet storm bench (6 nodes):
-# each node is its own machine on its own clock, so its trace must
-# hold at least one simulated-time process per node.
+# --seed/--repeat flags refuse values that do not fit, and that a flag
+# the bench does not know is refused: the bench must print its usage
+# and exit 1 instead of running a wrapped, saturated or truncated
+# value, or the default in place of a misspelled flag. Then traces the
+# fleet storm bench (6 nodes): each node keeps one machine on one
+# clock for its whole life, so its trace must hold at least one
+# simulated-time process per node.
 
 if(NOT BENCH OR NOT FLEET_BENCH OR NOT CHECKER OR NOT OUT_DIR)
     message(FATAL_ERROR
@@ -20,7 +22,8 @@ endif()
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-foreach(bad_flag --repeat=-1 --repeat=4294967297 --seed=-1 --seed=12abc)
+foreach(bad_flag --repeat=-1 --repeat=4294967297 --seed=-1 --seed=12abc
+                 --metric-out=x --full)
     execute_process(
         COMMAND ${BENCH} ${bad_flag}
         RESULT_VARIABLE bad_rc

@@ -58,12 +58,6 @@ WspSystem::captureNvramImage() const
     return NvramImage::capture(memory_);
 }
 
-void
-WspSystem::adoptNvramImage(const NvramImage &image)
-{
-    image.adoptInto(memory_);
-}
-
 const RestoreReport &
 WspSystem::bootToCompletion(std::function<void()> backend_recovery)
 {
@@ -82,7 +76,7 @@ const RestoreReport &
 WspSystem::bootFromImage(const NvramImage &image,
                          std::function<void()> backend_recovery)
 {
-    adoptNvramImage(image);
+    image.adoptInto(memory_);
     return bootToCompletion(std::move(backend_recovery));
 }
 

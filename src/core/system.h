@@ -103,9 +103,22 @@ class WspSystem
     void start();
 
     /**
+     * Power returns to this chassis: run the full boot path to
+     * completion — firmware, NVDIMM restore, marker check, devices,
+     * context restore — or back-end recovery (@p backend_recovery)
+     * when the image is unusable. The DIMMs are whatever this chassis
+     * holds: the ones its own last power loss saved, or an image
+     * socketed by bootFromImage. Returns the controller's restore
+     * report, valid until the next boot or the destruction of this
+     * system.
+     */
+    const RestoreReport &
+    bootToCompletion(std::function<void()> backend_recovery = nullptr);
+
+    /**
      * Run the full scenario: AC fails at @p fail_delay from now, the
-     * outage lasts @p outage, then power returns and the system
-     * boots. Returns after the boot completes.
+     * outage lasts @p outage, then power returns and the same chassis
+     * boots (bootToCompletion). Returns after the boot completes.
      *
      * @p backend_recovery runs if WSP recovery is impossible.
      */
@@ -126,26 +139,17 @@ class WspSystem
      */
     NvramImage captureNvramImage() const;
 
-    /** Socket a captured image into this (fresh, un-started) system. */
-    void adoptNvramImage(const NvramImage &image);
-
     /**
-     * Adopt @p image and run the full boot path to completion, as a
-     * replacement chassis would: firmware, NVDIMM restore, marker
-     * check, devices, context restore — or back-end recovery when the
-     * image is unusable. Returns the controller's restore report,
-     * valid until the next boot or the destruction of this system.
+     * Socket @p image into this fresh, un-started system and boot it
+     * to completion (bootToCompletion), as a replacement chassis
+     * would: nothing volatile of the machine the image came from can
+     * reach the verdict.
      */
     const RestoreReport &
     bootFromImage(const NvramImage &image,
                   std::function<void()> backend_recovery = nullptr);
 
   private:
-    /** Run WspController::boot until its restore completes; returns
-     *  the controller's report of it (WspController::lastRestore). */
-    const RestoreReport &
-    bootToCompletion(std::function<void()> backend_recovery);
-
     SystemConfig config_;
     Rng rng_;
     EventQueue queue_;

@@ -12,8 +12,9 @@
  * formulas, so the differential test can hold simulator and closed
  * form against each other — while replica *contents* are fully real:
  * every node is a WspSystem whose store lives behind a write-back
- * cache, kills are genuine mid-save power losses, and recovery replays
- * the whole image-capture / chassis-swap / salvage machinery.
+ * cache, kills are genuine mid-save power losses that leave the node's
+ * chassis dark, and recovery boots that same chassis through the whole
+ * restore / salvage / cold-boot machinery.
  *
  * Consistency contract (what NoReplicaDivergence asserts):
  *

@@ -4,6 +4,7 @@
 
 #include "core/failure_injector.h"
 #include "core/salvage_directory.h"
+#include "nvram/sparse_memory.h"
 #include "trace/stat_registry.h"
 #include "util/logging.h"
 
@@ -133,6 +134,14 @@ void
 FleetNode::bootFresh()
 {
     system_ = std::make_unique<WspSystem>(systemConfig());
+    // Region salvage: a quarantined shard is rebuilt from the refill
+    // source while intact siblings keep their surviving bytes.
+    system_->setRegionRecovery([this](const RegionOutcome &region) {
+        unsigned shard = 0;
+        if (std::sscanf(region.name.c_str(), "kv%u.", &shard) == 1 &&
+            shard < config_.shards)
+            rebuildShard(shard);
+    });
     system_->start();
     createStore();
     registerRegions();
@@ -153,17 +162,14 @@ FleetNode::crash(Tick window)
     system_->psu().failInputNow();
     system_->runFor(window + fromMillis(10.0));
     // A module still mid-save runs on its own ultracapacitor; let it
-    // conclude (finish or exhaust) before pulling the DIMMs.
+    // conclude (finish or exhaust) before the chassis sits dark.
     unsigned guard = 0;
     while (!system_->nvdimms().allIdle() && guard++ < 1000)
         system_->runFor(fromMillis(10.0));
     WSP_CHECKF(system_->nvdimms().allIdle(),
                "node %u NVDIMMs never settled after the kill",
                config_.id);
-    image_ = system_->captureNvramImage();
-    imageValid_ = true;
     store_.reset();
-    system_.reset();
     state_ = NodeState::Dark;
     static trace::Counter &kills =
         trace::StatRegistry::instance().counter("fleet.kills");
@@ -207,19 +213,10 @@ FleetNode::attachOrRefill(bool force_refill)
 const RestoreReport &
 FleetNode::reboot()
 {
-    WSP_CHECKF(system_ == nullptr && imageValid_,
-               "node %u reboot needs a captured image", config_.id);
-    system_ = std::make_unique<WspSystem>(systemConfig());
+    WSP_CHECKF(system_ != nullptr && !serving(),
+               "node %u reboot needs a dark chassis", config_.id);
     bool backend_ran = false;
-    // Region salvage: a quarantined shard is rebuilt from the refill
-    // source while intact siblings keep their surviving bytes.
-    system_->setRegionRecovery([this](const RegionOutcome &region) {
-        unsigned shard = 0;
-        if (std::sscanf(region.name.c_str(), "kv%u.", &shard) == 1 &&
-            shard < config_.shards)
-            rebuildShard(shard);
-    });
-    lastRestore_ = system_->bootFromImage(image_, [&backend_ran]() {
+    lastRestore_ = system_->bootToCompletion([&backend_ran]() {
         backend_ran = true;
     });
     // Cold boot: nothing usable survived, so the whole store comes
@@ -227,7 +224,6 @@ FleetNode::reboot()
     // end"). Salvage boots re-attach — the region hooks already
     // rebuilt the casualties.
     attachOrRefill(backend_ran);
-    registerRegions(); // the fresh controller must save them next time
 
     if (lastRestore_.usedWsp) {
         static trace::Counter &wsp_recoveries =
@@ -250,14 +246,17 @@ FleetNode::reboot()
 void
 FleetNode::rebootColdRefill()
 {
-    WSP_CHECKF(system_ == nullptr, "node %u still has a chassis",
-               config_.id);
-    imageValid_ = false; // the image is deliberately discarded
-    system_ = std::make_unique<WspSystem>(systemConfig());
-    system_->start();
-    lastRestore_ = RestoreReport{};
+    WSP_CHECKF(system_ != nullptr && !serving(),
+               "node %u refill needs a dark chassis", config_.id);
+    // The image is discarded on purpose: blank DIMMs hold no valid
+    // flash image, so the boot takes the restore routine's cold boot
+    // and the store comes back from the refill source alone.
+    NvramSpace &memory = system_->memory();
+    const SparseMemory blank(memory.module(0).config().capacityBytes);
+    for (size_t i = 0; i < memory.moduleCount(); ++i)
+        memory.module(i).adoptFlashImage(blank, /*valid=*/false);
+    lastRestore_ = system_->bootToCompletion();
     attachOrRefill(true);
-    registerRegions();
     ++backendRefills_;
     backendRefillCounter().add();
     state_ = NodeState::Restoring;
@@ -268,7 +267,6 @@ FleetNode::decommission()
 {
     store_.reset();
     system_.reset();
-    imageValid_ = false;
     state_ = NodeState::Decommissioned;
 }
 

@@ -1,17 +1,18 @@
 /**
  * @file
  * One node of the replicated fleet: a real WspSystem + sharded KV
- * store, a lifecycle FSM, and mid-save kill / chassis-swap reboot
+ * store, a lifecycle FSM, and mid-save kill / in-place power-cycle
  * machinery.
  *
  * The fleet runs two planes over each node:
  *
  *  - The *correctness plane* is fully simulated: a crashsim-sized
  *    WspSystem (2 x 4 MiB NVDIMMs, exact residual windows) holds a
- *    real ShardedKvStore behind the write-back cache. A kill is a
- *    genuine AC failure mid-save; the flash image is captured, the
- *    DIMMs are socketed into a fresh chassis, and the boot path
- *    decides whole resume / salvage / cold boot exactly as the
+ *    real ShardedKvStore behind the write-back cache. A node keeps
+ *    that one chassis for its whole life, as a real server does. A
+ *    kill is a genuine AC failure mid-save that leaves the chassis
+ *    dark; when power returns the same chassis boots, and the boot
+ *    path decides whole resume / salvage / cold boot exactly as the
  *    single-machine crash harness does. Replica agreement is checked
  *    against these real surviving bytes.
  *
@@ -42,7 +43,6 @@
 
 #include "apps/kv_store.h"
 #include "core/system.h"
-#include "nvram/nvram_image.h"
 
 namespace wsp::fleet {
 
@@ -109,17 +109,20 @@ class FleetNode
     unsigned shardOf(uint64_t key) const;
 
     /**
-     * Cold-start the node: fresh chassis, fresh (empty) store,
-     * salvage regions registered. State becomes Up.
+     * Commission the node: build its chassis (the only one it will
+     * have), cold-start it with a fresh (empty) store, and register
+     * the salvage regions and the region-recovery hook, which the
+     * controller keeps across every later power cycle. State becomes
+     * Up.
      */
     void bootFresh();
 
     /**
      * Kill the node mid-save: recalibrate the PSU to an exact
-     * @p window residual window, fail the AC input, let any module
-     * still saving conclude on its ultracapacitor, and pull the
-     * DIMMs. The captured image is kept for the next reboot; the
-     * chassis is gone. State becomes Dark.
+     * @p window residual window, fail the AC input, and let any
+     * module still saving conclude on its ultracapacitor. The store
+     * view is dropped; the chassis stays, dark, with whatever its
+     * DIMMs saved. State becomes Dark.
      */
     void crash(Tick window);
 
@@ -137,18 +140,19 @@ class FleetNode
     }
 
     /**
-     * Socket the captured DIMMs into a fresh chassis and run the full
-     * boot path. Backend recovery (image unusable) and per-region
-     * salvage recovery both rebuild from the refill source. Returns
-     * the restore report; the caller moves the FSM onward.
+     * Power returns: boot the dark chassis through the full boot path
+     * (WspSystem::bootToCompletion). Backend recovery (image unusable)
+     * and per-region salvage recovery both rebuild from the refill
+     * source. Returns the restore report; the caller moves the FSM
+     * onward.
      */
     const RestoreReport &reboot();
 
     /**
-     * Boot a fresh chassis with *blank* DIMMs and rebuild everything
-     * from the refill source — the re-instantiation arm of the
-     * paper's replica tradeoff (BackendRefill policy discards the
-     * NVRAM image on purpose).
+     * Socket *blank* DIMMs into the dark chassis, cold-boot it and
+     * rebuild everything from the refill source — the
+     * re-instantiation arm of the paper's replica tradeoff
+     * (BackendRefill policy discards the NVRAM image on purpose).
      */
     void rebootColdRefill();
 
@@ -167,7 +171,7 @@ class FleetNode
     /**
      * Read-only view of shard @p shard's store, which anti-entropy
      * scans for digests and repair. Mutations still go through
-     * put()/erase(); the view dies with the chassis.
+     * put()/erase(); the view dies at the next kill.
      */
     const apps::KvStore &shardStore(unsigned shard) const;
 
@@ -190,8 +194,6 @@ class FleetNode
     NodeState state_ = NodeState::Dark;
     std::unique_ptr<WspSystem> system_;
     std::optional<apps::ShardedKvStore> store_;
-    NvramImage image_;
-    bool imageValid_ = false;
     ShardSource refill_;
     RestoreReport lastRestore_;
     unsigned wspRecoveries_ = 0;

@@ -266,8 +266,10 @@ class NvdimmModule : public SimObject
      * Replace the flash content and validity, as if this module had
      * been pulled from a crashed machine and socketed here: the DRAM
      * side is poisoned (it was unpowered in transit). Only legal in
-     * Active state, i.e. on a freshly built system. The persistent
-     * metadata (epoch, generation, saved bytes) travels with the DIMM.
+     * Active state: on a freshly built system, or on a dark one whose
+     * save completed (a blank, invalid image then discards what the
+     * module saved). The persistent metadata (epoch, generation, saved
+     * bytes) travels with the DIMM.
      */
     void adoptFlashImage(const SparseMemory &flash, bool valid,
                          uint64_t flash_generation = 0,

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -419,6 +420,139 @@ TEST(WspCycle, OutageShorterThanSaveStillRecovers)
     EXPECT_TRUE(checkPattern(system, 0, 128, 9));
     // The boot really did have to wait out the in-flight save.
     EXPECT_GT(outcome.restore.duration(), fromSeconds(2.0));
+}
+
+// In-place power cycles ---------------------------------------------------
+//
+// A fleet node power-cycles the chassis it has instead of socketing its
+// DIMMs into a fresh one, so nothing volatile may outlive a cut on the
+// same machine: not a dirty cache line the flush never wrote back, not
+// a core's registers, not a device's queue. Only what the NVDIMMs saved
+// may come back.
+
+/** The sentinel value: no model writes a value near it by itself. */
+constexpr uint64_t kSentinel = 0x5e471e1000000000ull;
+constexpr uint64_t kSentinelLines = 64;
+constexpr uint64_t kSentinelBase = 256 * kKiB;
+constexpr unsigned kSentinelOpsPerDevice = 4;
+
+/**
+ * Plant volatile sentinels: dirty lines at kSentinelBase holding
+ * kSentinel + i, every field of every core's context set to
+ * kSentinel, and each device's queue filled with operations that are
+ * still in flight when the cut lands.
+ */
+void
+plantVolatileSentinels(WspSystem &system)
+{
+    for (uint64_t i = 0; i < kSentinelLines; ++i)
+        system.cache().writeU64(kSentinelBase + i * CacheModel::kLineSize,
+                                kSentinel + i);
+    for (unsigned c = 0; c < system.machine().coreCount(); ++c) {
+        CpuContext &context = system.machine().core(c).context;
+        context.gpr.fill(kSentinel);
+        context.rip = context.rflags = context.cr0 = context.cr3 =
+            context.cr4 = context.fsBase = context.gsBase =
+                context.apicId = kSentinel;
+    }
+    for (const auto &device : system.devices().devices())
+        for (unsigned i = 0; i < kSentinelOpsPerDevice; ++i)
+            device->submitIo(fromSeconds(60.0));
+}
+
+/** No sentinel is readable through the cache, a context or a device. */
+void
+expectNoVolatileSentinel(WspSystem &system)
+{
+    for (uint64_t i = 0; i < kSentinelLines; ++i) {
+        const uint64_t addr = kSentinelBase + i * CacheModel::kLineSize;
+        EXPECT_NE(system.cache().readU64(addr), kSentinel + i)
+            << "line " << i << " outlived the cut";
+    }
+    for (unsigned c = 0; c < system.machine().coreCount(); ++c) {
+        std::vector<uint8_t> bytes(CpuContext::serializedSize());
+        system.machine().core(c).context.serialize(bytes);
+        for (size_t at = 0; at < bytes.size(); at += 8) {
+            uint64_t word = 0;
+            std::memcpy(&word, bytes.data() + at, sizeof(word));
+            EXPECT_NE(word, kSentinel)
+                << "core " << c << " register word " << at / 8;
+        }
+    }
+    for (const auto &device : system.devices().devices()) {
+        EXPECT_EQ(device->inflight(), 0u) << device->config().name;
+        EXPECT_TRUE(device->lostOps().empty()) << device->config().name;
+    }
+}
+
+/** Operations every device lost to power failures so far. */
+uint64_t
+opsLostTotal(WspSystem &system)
+{
+    uint64_t total = 0;
+    for (const auto &device : system.devices().devices())
+        total += device->opsLostTotal();
+    return total;
+}
+
+TEST(WspCycle, CutMidFlushLeavesNoVolatileStateOnTheSameChassis)
+{
+    // The flush takes ~2.7 ms from the interrupt at 0.31 ms; a 1.5 ms
+    // window ends it midway, before any line is written back, so the
+    // sentinel lines were never saved. The durable pattern was written
+    // back before the cut: the armed modules save it on their own and
+    // the cold boot restores it.
+    WspSystem system(FailureInjector::withExactWindow(
+        testConfig(/*with_devices=*/true), fromMillis(1.5)));
+    system.start();
+    writePattern(system, 0, 512, 61);
+    system.cache().wbinvd();
+    plantVolatileSentinels(system);
+    const uint64_t lost_before = opsLostTotal(system);
+
+    bool backend_ran = false;
+    const PowerFailureOutcome outcome = system.powerFailAndRestore(
+        fromMillis(1.0), fromSeconds(30.0), [&] { backend_ran = true; });
+
+    ASSERT_FALSE(outcome.save.has_value()); // the flush never finished
+    EXPECT_FALSE(outcome.restore.usedWsp);
+    EXPECT_TRUE(outcome.restore.flashValid);
+    EXPECT_TRUE(backend_ran);
+    EXPECT_EQ(opsLostTotal(system) - lost_before,
+              system.devices().devices().size() * kSentinelOpsPerDevice);
+    expectNoVolatileSentinel(system);
+    EXPECT_TRUE(checkPattern(system, 0, 512, 61));
+    EXPECT_TRUE(system.wsp().running());
+}
+
+TEST(WspCycle, FailedDimmSavesLeaveNoVolatileStateOnTheSameChassis)
+{
+    // The host save completes: the sentinel lines are flushed, every
+    // core saves its sentinel context into the resume block and halts
+    // still holding it. Both modules' banks are drained, so neither
+    // flash save finishes and the boot finds no usable image: the
+    // halted cores' registers and the flushed lines must go with it.
+    WspSystem system(testConfig(/*with_devices=*/true));
+    system.start();
+    FailureInjector injector(system);
+    for (size_t module = 0; module < system.memory().moduleCount(); ++module)
+        injector.drainUltracap(module, 5.0);
+    plantVolatileSentinels(system);
+    const uint64_t lost_before = opsLostTotal(system);
+
+    bool backend_ran = false;
+    const PowerFailureOutcome outcome = system.powerFailAndRestore(
+        fromMillis(1.0), fromSeconds(30.0), [&] { backend_ran = true; });
+
+    ASSERT_TRUE(outcome.save.has_value());
+    EXPECT_TRUE(outcome.save->completed);
+    EXPECT_FALSE(outcome.restore.usedWsp);
+    EXPECT_FALSE(outcome.restore.flashValid);
+    EXPECT_TRUE(backend_ran);
+    EXPECT_EQ(opsLostTotal(system) - lost_before,
+              system.devices().devices().size() * kSentinelOpsPerDevice);
+    expectNoVolatileSentinel(system);
+    EXPECT_TRUE(system.wsp().running());
 }
 
 // Failure injection -----------------------------------------------------

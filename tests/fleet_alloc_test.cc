@@ -2,13 +2,13 @@
  * @file
  * Host heap allocations of one storm victim's kill and reboot.
  *
- * A fleet storm kills every node mid-save and reboots it from its
- * captured NVDIMM image; the bookkeeping around that model (statistic
- * lookups, record buffers, report copies, save verification) used to
- * allocate about 400 times per victim. This binary replaces the global
- * operator new, as bench/sim_engine does, and pins a ceiling on the
- * allocations of one warmed node's FleetNode::crash and reboot. It
- * counts and times nothing else, so the verdict is deterministic.
+ * A fleet storm kills every node mid-save and power-cycles its chassis
+ * in place; the bookkeeping around that model (statistic lookups,
+ * record buffers, report copies, save verification) used to allocate
+ * about 400 times per victim. This binary replaces the global operator
+ * new, as bench/sim_engine does, and pins a ceiling on the allocations
+ * of one warmed node's FleetNode::crash and reboot. It counts and times
+ * nothing else, so the verdict is deterministic.
  * It is built only without sanitizers, whose runtimes own operator
  * new.
  */
@@ -61,12 +61,10 @@ operator delete(void *block, std::size_t) noexcept
 namespace wsp::fleet {
 namespace {
 
-// The kill's ceiling is pinned from its count (72) with a little room
-// for standard-library differences; the reboot's is its count (94).
-// Before statistics went through cached handles and records onto the
-// stack, the same node made 208 and 196.
-constexpr uint64_t kKillBudget = 80;
-constexpr uint64_t kRebootBudget = 94;
+// Both ceilings are the counts themselves, 40 for the kill and 20 for
+// the reboot, so any allocation added to a victim's path fails here.
+constexpr uint64_t kKillBudget = 40;
+constexpr uint64_t kRebootBudget = 20;
 
 TEST(FleetAllocations, WarmedStormVictimStaysWithinBudget)
 {

@@ -183,6 +183,59 @@ TEST(FleetNode, ColdRefillRebuildsFromSource)
     EXPECT_EQ(value, 32u * 11);
 }
 
+TEST(FleetNode, EveryBootPathLeavesAChassisThatResumesItsNextCycle)
+{
+    // A node power-cycles one chassis for its whole life, so whatever
+    // the last boot did — a cold boot after a torn save, a WSP resume,
+    // a refill onto blank DIMMs — the next kill must save the store
+    // and the next reboot resume it from the NVDIMMs alone.
+    FleetNodeConfig config;
+    config.id = 2;
+    config.seed = testSeed(0xf1ee72);
+    FleetNode node(config);
+    unsigned source_reads = 0;
+    node.setRefillSource([&](unsigned shard) {
+        ++source_reads;
+        std::vector<std::pair<uint64_t, uint64_t>> pairs;
+        for (uint64_t key = 1; key <= 32; ++key)
+            if (node.shardOf(key) == shard)
+                pairs.emplace_back(key, key * 11);
+        return pairs;
+    });
+    node.bootFresh();
+    uint64_t value = 0;
+
+    // A 2 ms window tears the save: the boot finds no valid marker
+    // and the store comes back from the source.
+    node.crash(fromMillis(2.0));
+    EXPECT_FALSE(node.reboot().usedWsp);
+    EXPECT_EQ(node.backendRefills(), 1u);
+    EXPECT_EQ(source_reads, node.shards());
+    ASSERT_TRUE(node.put(40, 400));
+    node.crash(fromMillis(80.0));
+    EXPECT_TRUE(node.reboot().usedWsp);
+    EXPECT_TRUE(node.get(40, &value));
+    EXPECT_EQ(value, 400u);
+
+    // Blank DIMMs: the write above is gone, the source's keys are back.
+    node.crash(fromMillis(80.0));
+    node.rebootColdRefill();
+    EXPECT_FALSE(node.lastRestore().usedWsp);
+    EXPECT_FALSE(node.lastRestore().flashValid);
+    EXPECT_EQ(node.backendRefills(), 2u);
+    EXPECT_FALSE(node.get(40));
+    ASSERT_TRUE(node.put(41, 410));
+    node.crash(fromMillis(80.0));
+    EXPECT_TRUE(node.reboot().usedWsp);
+    EXPECT_EQ(node.wspRecoveries(), 2u);
+    EXPECT_TRUE(node.get(41, &value));
+    EXPECT_EQ(value, 410u);
+    EXPECT_TRUE(node.get(32, &value));
+    EXPECT_EQ(value, 32u * 11);
+    // Only the two cold boots read the source.
+    EXPECT_EQ(source_reads, 2 * node.shards());
+}
+
 // Fleet client plane --------------------------------------------------
 
 TEST(Fleet, QuorumWritesReadsAndConvergence)

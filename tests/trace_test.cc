@@ -10,12 +10,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/system.h"
+#include "fleet/fleet.h"
 #include "sim/event_queue.h"
 #include "trace/export.h"
 #include "trace/json_lite.h"
@@ -269,6 +271,48 @@ TEST_F(TraceTest, TwoLiveMachinesKeepTheirOwnClocks)
     WspSystem c{SystemConfig{}};
     EXPECT_NE(c.queue().machineId(), id_a);
     EXPECT_NE(c.queue().machineId(), id_b);
+}
+
+TEST_F(TraceTest, EveryFleetNodeKeepsOneClockThroughItsStorms)
+{
+    // A fleet node power-cycles the one chassis it has, so a traced
+    // fleet holds one simulated-time process per node: through two
+    // whole-fleet storms, every simulated-time record of a 3-node fleet
+    // carries one of 3 machine ids, and each id carries both kills
+    // and both reboots of its node.
+    auto &manager = TraceManager::instance();
+    manager.setCapacity(1 << 16);
+    manager.enableAll();
+    fleet::FleetConfig config;
+    config.nodes = 3;
+    config.replication = 3;
+    config.seed = 0xf1ee7c10c;
+    fleet::Fleet fleet(config);
+    fleet.runTraffic(30, 0.7);
+    for (int storm = 0; storm < 2; ++storm) {
+        const fleet::StormOutcome outcome =
+            fleet.runStorm(/*mask=*/0, fromSeconds(2.0), fromMillis(80.0));
+        ASSERT_EQ(outcome.victims, 3u) << "storm " << storm;
+        ASSERT_EQ(outcome.wspRecoveries, 3u) << "storm " << storm;
+        fleet.runTraffic(10, 0.7);
+    }
+    ASSERT_EQ(manager.dropped(), 0u);
+
+    std::map<uint64_t, std::map<std::string, unsigned>> names_by_machine;
+    for (const Record &record : manager.snapshot())
+        if (record.machine != 0)
+            ++names_by_machine[record.machine][record.name];
+    EXPECT_EQ(names_by_machine.size(), 3u);
+    for (const auto &[machine, names] : names_by_machine) {
+        SCOPED_TRACE(::testing::Message() << "machine " << machine);
+        const auto count = [&names](const char *name) {
+            const auto found = names.find(name);
+            return found == names.end() ? 0u : found->second;
+        };
+        EXPECT_EQ(count("PWR_OK drop"), 2u);
+        EXPECT_EQ(count("SaveRoutine start"), 2u);
+        EXPECT_EQ(count("RestoreRoutine start"), 2u);
+    }
 }
 
 TEST_F(TraceTest, BootingOneMachineKeepsAnotherMachinesStats)
