@@ -37,6 +37,7 @@ execute_process(
     COMMAND ${CMAKE_COMMAND} --build ${OUT_DIR}
         --target test_salvage test_sim_property test_conditions test_fleet
                  test_machine_property test_apps test_util test_nvram
+                 test_flight_recorder
     RESULT_VARIABLE build_rc
     OUTPUT_VARIABLE build_out
     ERROR_VARIABLE build_out
@@ -163,5 +164,22 @@ if(NOT hist_rc EQUAL 0)
     message(FATAL_ERROR
         "asan_smoke: histogram ASan/UBSan run failed (rc=${hist_rc}):\n${hist_out}")
 endif()
+# The black-box decoder reads up to a whole ring of possibly-torn
+# NVRAM slots into one buffer and decodes them in place, falling back
+# to slot-by-slot reads into the same buffer; the decode differential
+# walks wrapped rings, rings read in several chunks, refused ranges and
+# every tear position, and a forged header claims a capacity whose
+# byte size wraps.
+execute_process(
+    COMMAND ${OUT_DIR}/tests/test_flight_recorder
+        --gtest_filter=FlightRecorderTest.*
+    RESULT_VARIABLE fr_rc
+    OUTPUT_VARIABLE fr_out
+    ERROR_VARIABLE fr_out
+)
+if(NOT fr_rc EQUAL 0)
+    message(FATAL_ERROR
+        "asan_smoke: flight recorder ASan/UBSan run failed (rc=${fr_rc}):\n${fr_out}")
+endif()
 message(STATUS
-    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + sparse memory + histogram suites clean under ASan + UBSan")
+    "asan_smoke: salvage + sim-property + conditions + fleet + cache fuzz + scan + sparse memory + histogram + flight recorder suites clean under ASan + UBSan")

@@ -5,7 +5,6 @@
 #include "apps/kv_store.h"
 #include "core/salvage_directory.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace wsp::crashsim::conditions {
 
@@ -119,21 +118,27 @@ KvConditionsChecker::prepareWorkload(WspSystem &system,
         }
     }
 
-    // Pre-draw the whole operation stream (and declare its history
-    // records) so determinism does not depend on how far the run gets
-    // before the lights go out.
-    Rng rng(schedule.seed ^ 0x6b76ull); // "kv"
+    // The stream is drawn as its slots reach a running machine
+    // (drawThrough), so a point pays only for the ops it ran.
+    rng_.reseed(schedule.seed ^ 0x6b76ull); // "kv"
     ops_.clear();
-    ops_.reserve(schedule.ops);
-    for (unsigned i = 0; i < schedule.ops; ++i) {
+}
+
+void
+KvConditionsChecker::drawThrough(unsigned i)
+{
+    // In stream order, whatever ran before: op i's operands and record
+    // id are the same however far the run got before the lights went
+    // out.
+    while (ops_.size() <= i) {
         Op op;
-        op.isPut = rng.chance(0.8);
-        op.key = rng.next(kKeyUniverse) + 1;
-        op.value = rng.next(1u << 20) + 1;
+        op.isPut = rng_.chance(0.8);
+        op.key = rng_.next(kKeyUniverse) + 1;
+        op.value = rng_.next(1u << 20) + 1;
         ops_.push_back(op);
         const uint64_t id =
             flit_->declareOp(op.isPut ? 0 : 1, op.key, op.value);
-        WSP_CHECK(id == i);
+        WSP_CHECK(id == ops_.size() - 1);
     }
 }
 
@@ -142,6 +147,7 @@ KvConditionsChecker::applyOp(WspSystem &system, unsigned i)
 {
     if (!powered(system))
         return;
+    drawThrough(i);
     auto store = attachCheckerStore(system, shards_);
     if (!store)
         return;
@@ -167,6 +173,7 @@ KvConditionsChecker::respondOp(WspSystem &system, unsigned i)
 {
     if (!powered(system))
         return;
+    drawThrough(i);
     if (ackBeforeApply_) {
         // Planted bug: acknowledge first, mutate later. A crash in the
         // gap completes an operation that never happened.
@@ -260,7 +267,8 @@ KvConditionsChecker::check(WspSystem &crashed, WspSystem &revived,
         return false;
     };
 
-    // Assemble the formal history from the FliT records.
+    // Assemble the formal history from the FliT records: the drawn
+    // ops, up to the last whose slot reached a running machine.
     history_.clear();
     history_.reserve(flit_->ops().size());
     for (const util::FlitOp &op : flit_->ops()) {

@@ -4,7 +4,7 @@
  * workload, re-grounded in formal persistency conditions.
  *
  * KvConditionsChecker drives the same sharded KV workload the old
- * KvPrefixChecker did — pre-drawn put/erase stream, tiered salvage
+ * KvPrefixChecker did — a seeded put/erase stream, tiered salvage
  * regions, per-shard recovery — but instead of the bespoke "store
  * equals applied prefix" predicate it emits a formal operation history
  * through a FliT tracker (invocation, response, persist point;
@@ -21,6 +21,10 @@
  * linearizability (correctly) forgives it. The whole stream keeps one
  * pending event on the queue: crashsim/op_stream_driver.h fires the
  * slots in reserved dispatch order and calls applyOp/respondOp.
+ * An op is drawn (and its history record declared) only when one of
+ * its slots reaches a running machine, every earlier op first, so the
+ * history holds the ops up to the last one a point ran — ops whose
+ * slots all fired into a dark machine after it are not in it.
  *
  * DetectableExecutionChecker rides on the battery's history and
  * asserts every operation — in-flight ones included — can report
@@ -37,6 +41,7 @@
 #include "crashsim/invariants.h"
 #include "crashsim/op_stream_driver.h"
 #include "util/flit.h"
+#include "util/rng.h"
 
 namespace wsp::crashsim::conditions {
 
@@ -77,12 +82,20 @@ class KvConditionsChecker : public InvariantChecker
   protected:
     /**
      * prepare() without starting the op stream: create the store,
-     * wire its FliT tracker, register the salvage regions and
-     * pre-draw the operations (declaring their history records).
-     * Protected, with the two actions below, so a test can hold the
-     * driver to a reference that fires the same actions its own way.
+     * wire its FliT tracker, register the salvage regions and seed
+     * the stream (nothing is drawn yet). Protected, with the actions
+     * below, so a test can hold the driver to a reference that fires
+     * the same actions its own way.
      */
     void prepareWorkload(WspSystem &system, const CrashSchedule &schedule);
+
+    /**
+     * Draw the stream through operation @p i, declaring each newly
+     * drawn op's history record, in stream order. The actions call it
+     * once their slot runs on a powered machine; a test may call it to
+     * draw the whole stream up front.
+     */
+    void drawThrough(unsigned i);
 
     /**
      * Operation @p i's two actions, fired by the op-stream driver in
@@ -104,7 +117,8 @@ class KvConditionsChecker : public InvariantChecker
         uint64_t value;
     };
 
-    std::vector<Op> ops_; ///< the pre-drawn stream
+    Rng rng_;             ///< the stream's generator
+    std::vector<Op> ops_; ///< the stream drawn so far
     OpStreamDriver driver_;
     std::map<uint64_t, uint64_t> model_; ///< applied ops (backend)
     uint64_t appliedOps_ = 0;

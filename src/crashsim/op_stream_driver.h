@@ -2,11 +2,12 @@
  * @file
  * The crash workload's op-stream driver: one pending event per stream.
  *
- * The conditions battery's KV workload is a pre-drawn stream of
- * operations, each with two dispatch slots: slot 2i fires at
- * t0 + (i+1) * opSpacing and slot 2i+1 ackDelay later, where t0 is the
- * tick the stream started. Apply-then-ack fills them with (apply,
- * respond); the planted ack-before-apply bug with (respond, apply).
+ * The conditions battery's KV workload is a seeded stream of
+ * operations, drawn as their slots reach a running machine, each with
+ * two dispatch slots: slot 2i fires at t0 + (i+1) * opSpacing and slot
+ * 2i+1 ackDelay later, where t0 is the tick the stream started.
+ * Apply-then-ack fills them with (apply, respond); the planted
+ * ack-before-apply bug with (respond, apply).
  *
  * Rather than scheduling all 2 x ops slot events up front, the driver
  * keeps exactly one pending: each slot fires its action and re-arms

@@ -26,8 +26,7 @@ repairShardReadsCounter()
 } // namespace
 
 Fleet::Fleet(FleetConfig config)
-    : config_(config), rng_(config.seed),
-      capacity_{"fleet up fraction", {}, {}}
+    : config_(config), rng_(config.seed)
 {
     WSP_CHECKF(config_.nodes >= 1 && config_.nodes <= 64,
                "fleet size must be 1..64 (kill masks are 64-bit)");
@@ -61,7 +60,6 @@ Fleet::Fleet(FleetConfig config)
     }
     masksOf_.resize(config_.nodes);
     digests_.resize(config_.shardsPerNode);
-    recordCapacity();
 }
 
 Fleet::~Fleet() = default;
@@ -146,23 +144,6 @@ Fleet::recordLatency(const std::vector<uint32_t> &replicas, Tick latency)
     if (replicas.empty())
         return;
     latency_[replicas.front()].add(latency);
-}
-
-void
-Fleet::recordCapacity()
-{
-    unsigned commissioned = 0;
-    unsigned up = 0;
-    for (const auto &node : nodes_) {
-        if (node->state() == NodeState::Decommissioned)
-            continue;
-        ++commissioned;
-        up += node->up() ? 1 : 0;
-    }
-    capacity_.add(toSeconds(now_),
-                  commissioned == 0
-                      ? 0.0
-                      : static_cast<double>(up) / commissioned);
 }
 
 // Client plane -------------------------------------------------------
@@ -457,7 +438,6 @@ Fleet::killSubset(uint64_t mask, Tick outage, Tick window)
         agenda_.insert({now_ + outage,
                         Event{EventKind::PowerRestored, id, epoch_[id]}});
     }
-    recordCapacity();
     return static_cast<unsigned>(victims.size());
 }
 
@@ -563,7 +543,6 @@ Fleet::processEvent(Tick when, const Event &event)
         storm_.shardsRepaired += repair.shards;
         repairShardReadsCounter().add(repair.shardReads);
         node.setState(NodeState::Up);
-        recordCapacity();
         if (storm_.remaining > 0)
             --storm_.remaining;
         storm_.lastReady = std::max(storm_.lastReady, when);
@@ -843,7 +822,6 @@ Fleet::decommission(uint32_t id)
     report.bytesMoved = report.keysMoved * kPairBytes;
     report.duration = fromSeconds(static_cast<double>(report.bytesMoved) /
                                   config_.antiEntropyBandwidth);
-    recordCapacity();
     return report;
 }
 

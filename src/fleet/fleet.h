@@ -257,9 +257,6 @@ class Fleet
     }
     Histogram fleetLatency() const;
 
-    /** (seconds, fraction of commissioned nodes Up) over the run. */
-    const Series &capacityTimeline() const { return capacity_; }
-
     // Modelled-time plane (shared with apps::correlatedOutage) -------
 
     /** The analytic cluster this fleet corresponds to. */
@@ -367,7 +364,6 @@ class Fleet
     Tick serviceDraw();
     Tick backoff(unsigned attempt);
     void recordLatency(const std::vector<uint32_t> &replicas, Tick latency);
-    void recordCapacity();
     void processEvent(Tick when, const Event &event);
     void trafficUntil(Tick t, double put_fraction);
     void oneRequest(double put_fraction);
@@ -473,7 +469,6 @@ class Fleet
 
     RequestStats stats_;
     std::vector<Histogram> latency_;
-    Series capacity_;
     uint64_t opCounter_ = 0;
 };
 

@@ -1,8 +1,10 @@
 #include "trace/flight_recorder.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "util/checksum.h"
 #include "util/logging.h"
@@ -18,6 +20,25 @@ constexpr uint64_t kFrVersion = 1;
 
 /** Payload bytes covered by the per-line CRC (the final 8 carry it). */
 constexpr size_t kCrcSpan = 56;
+
+// A never-written slot is all zero and cannot decode: the CRC of 56
+// zero bytes is not the 0 its CRC field holds. frDecode relies on this
+// to drop such slots without hashing them.
+static_assert(crc64(std::array<uint8_t, kCrcSpan>{}) ==
+              0x1ae4b37db877754cull);
+
+/** All of a slot's bytes are zero: it was never written. */
+bool
+neverWritten(std::span<const uint8_t> slot)
+{
+    uint64_t any = 0;
+    for (size_t i = 0; i < kFrRecordBytes; i += sizeof(uint64_t)) {
+        uint64_t word;
+        std::memcpy(&word, slot.data() + i, sizeof(word));
+        any |= word;
+    }
+    return any == 0;
+}
 
 void
 storeU64(std::span<uint8_t> out, size_t offset, uint64_t value)
@@ -299,9 +320,11 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
             "was provably published");
         return result;
     }
+    // Divide rather than multiply: capacity * kFrRecordBytes wraps for
+    // a capacity of 2^58 or more.
     if (header.capacity < 2 ||
         (header.capacity & (header.capacity - 1)) != 0 ||
-        header.capacity * kFrRecordBytes > header_addr) {
+        header.capacity > header_addr / kFrRecordBytes) {
         result.headerValid = false;
         result.notes.push_back("header carries an impossible capacity");
         return result;
@@ -321,18 +344,44 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
                                 : 0;
     window_start = std::max(window_start,
                             std::min(header.tailSeq, header.headSeq));
+    const uint64_t window_len = header.headSeq - window_start;
+    const uint64_t slot_mask = header.capacity - 1;
     // The slot the *next* record lands in: the only slot allowed to
     // be mid-overwrite (torn) or already holding the unpublished
     // record with seq == headSeq.
-    const uint64_t inflight_slot = header.headSeq % header.capacity;
+    const uint64_t inflight_slot = header.headSeq & slot_mask;
 
-    std::vector<bool> in_window(result.capacity, false);
+    // Slots are read a chunk at a time into one buffer and decoded in
+    // place there: a ring of the default size is one read, and the
+    // buffer stays that small whatever capacity a header claims. A
+    // chunk the reader refuses (part of it lies below the programmed
+    // flash suffix) is read slot by slot, so a slot the reader
+    // refuses still counts as unsaved.
+    const uint64_t chunk_slots =
+        std::min<uint64_t>(header.capacity, kFrDefaultRecords);
+    const size_t chunk_bytes = chunk_slots * kFrRecordBytes;
+    const auto chunk = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes);
+    uint64_t chunk_first = header.capacity; // no chunk read yet
+    bool chunk_whole = false;
+    const auto slotBytes = [&](uint64_t slot) -> std::span<const uint8_t> {
+        const uint64_t first = slot & ~(chunk_slots - 1);
+        if (first != chunk_first) {
+            chunk_first = first;
+            chunk_whole = read(result.base + first * kFrRecordBytes,
+                               {chunk.get(), chunk_bytes});
+        }
+        const std::span<uint8_t> bytes(
+            chunk.get() + (slot - first) * kFrRecordBytes, kFrRecordBytes);
+        if (chunk_whole || read(result.base + slot * kFrRecordBytes, bytes))
+            return bytes;
+        return {};
+    };
+
     for (uint64_t expected = window_start;
          expected < header.headSeq; ++expected) {
-        const uint64_t slot = expected % header.capacity;
-        in_window[slot] = true;
-        uint8_t bytes[kFrRecordBytes];
-        if (!read(result.base + slot * kFrRecordBytes, bytes)) {
+        const uint64_t slot = expected & slot_mask;
+        const std::span<const uint8_t> bytes = slotBytes(slot);
+        if (bytes.empty()) {
             ++result.unsavedSlots;
             continue;
         }
@@ -382,13 +431,15 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
         result.notes.push_back(note);
     }
 
-    // Outside the published window: residue from earlier boots (or
-    // never-written slots). Informational only.
+    // Outside the published window: residue from earlier boots, or
+    // never-written slots (dropped before their CRC). Informational
+    // only. The window holds the window_len slots from window_start
+    // on, wrapping at the ring's end.
     for (uint64_t slot = 0; slot < header.capacity; ++slot) {
-        if (in_window[static_cast<size_t>(slot)])
+        if (((slot - window_start) & slot_mask) < window_len)
             continue;
-        uint8_t bytes[kFrRecordBytes];
-        if (!read(result.base + slot * kFrRecordBytes, bytes))
+        const std::span<const uint8_t> bytes = slotBytes(slot);
+        if (bytes.empty() || neverWritten(bytes))
             continue;
         FrRecord record;
         if (frDecodeRecord(bytes, &record)) {
@@ -398,11 +449,7 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
                 ++result.staleSlots;
         }
     }
-
-    std::sort(result.records.begin(), result.records.end(),
-              [](const FrRecord &a, const FrRecord &b) {
-                  return a.seq < b.seq;
-              });
+    // The window was walked oldest first, so the records are in order.
     return result;
 }
 

@@ -228,7 +228,10 @@ frEmit(FlightRecorder *recorder, FrEvent event, Category category,
  * Byte reader over whatever holds the ring: a captured NvramImage's
  * flash, a live NvramSpace, or a file. @return false when the range
  * is not available (beyond the programmed flash suffix); the decoder
- * then counts the slot as unsaved rather than torn.
+ * then counts the slot as unsaved rather than torn. A reader that
+ * accepts a range must accept every range inside it: the decoder
+ * reads many slots at once and falls back to single slots only when
+ * that read is refused.
  */
 using FrByteReader =
     std::function<bool(uint64_t addr, std::span<uint8_t> out)>;
@@ -265,7 +268,10 @@ struct FrDecodeResult
 
 /**
  * Decode the ring whose header line sits at @p header_addr. Slots are
- * the @c capacity lines directly below the header.
+ * the @c capacity lines directly below the header. A ring of up to
+ * kFrDefaultRecords slots is read in one call to @p read; all-zero
+ * (never-written) slots outside the published window are dropped
+ * without computing their CRC.
  */
 FrDecodeResult frDecode(const FrByteReader &read, uint64_t header_addr);
 

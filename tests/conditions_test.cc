@@ -7,9 +7,10 @@
  * schedule plumbing for the new condition fields, the end-to-end
  * planted bug: acknowledge-before-apply is caught by the DL checker at
  * every enumerated crash point in the gap, minimizes, and replays —
- * while a buffered-only sweep (correctly) forgives it — and the
+ * while a buffered-only sweep (correctly) forgives it — the
  * op-stream driver held point for point to the eager schedule it
- * replaced.
+ * replaced, and the battery's lazily drawn history held to one drawn
+ * whole up front.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/failure_injector.h"
@@ -1179,12 +1181,13 @@ class EagerKvChecker : public KvConditionsChecker
 
 using Checkers = std::vector<std::unique_ptr<InvariantChecker>>;
 
-/** standardCheckers() with the battery swapped for the eager one. */
+/** standardCheckers() with the battery swapped for a @p Battery. */
+template <typename Battery>
 Checkers
-eagerCheckers()
+checkersWith()
 {
     Checkers checkers = standardCheckers();
-    auto battery = std::make_unique<EagerKvChecker>();
+    auto battery = std::make_unique<Battery>();
     checkers[1] =
         std::make_unique<DetectableExecutionChecker>(battery.get());
     checkers[0] = std::move(battery);
@@ -1239,10 +1242,14 @@ windowsOf(const ReferenceRun &run)
     return {points.begin(), points.end()};
 }
 
-/** CrashExplorer::runSchedule, call for call, with @p checkers. */
+/**
+ * CrashExplorer::runSchedule, call for call, with @p checkers; the
+ * battery's history lands in @p history when it is given.
+ */
 CrashPointResult
 runWithCheckers(const CrashSchedule &schedule, Checkers checkers,
-                NvramImage *image)
+                NvramImage *image,
+                std::vector<HistoryOp> *history = nullptr)
 {
     CrashPointResult result;
     result.schedule = schedule;
@@ -1304,6 +1311,8 @@ runWithCheckers(const CrashSchedule &schedule, Checkers checkers,
     for (auto &checker : checkers)
         checker->check(crashed, revived, result.restore, backend_ran,
                        &result.violations);
+    if (history != nullptr)
+        *history = kv->history();
     checkers.clear(); // checkers go before their systems
     return result;
 }
@@ -1372,7 +1381,8 @@ expectDriverMatchesEager(CrashSchedule base, size_t max_points,
 {
     base.blackBox = nvram_recorder;
     const ReferenceRun driven = observeReferenceRun(base, standardCheckers());
-    const ReferenceRun eager = observeReferenceRun(base, eagerCheckers());
+    const ReferenceRun eager =
+        observeReferenceRun(base, checkersWith<EagerKvChecker>());
     EXPECT_EQ(driven.dispatches, eager.dispatches);
     CrashExplorer explorer(base);
     const std::vector<Tick> all = explorer.enumerateCrashPoints(SIZE_MAX);
@@ -1395,7 +1405,8 @@ expectDriverMatchesEager(CrashSchedule base, size_t max_points,
         results.push_back(
             CrashExplorer::runSchedule(schedule, &driven_image));
         const CrashPointResult reference =
-            runWithCheckers(schedule, eagerCheckers(), &eager_image);
+            runWithCheckers(schedule, checkersWith<EagerKvChecker>(),
+                            &eager_image);
         const std::string diff =
             pointDifference(results.back(), driven_image, reference,
                             eager_image);
@@ -1544,6 +1555,131 @@ TEST(DriverDifferential, MarkerBeforeFlush)
     schedule.saveOrder = SaveOrder::MarkerBeforeFlush;
     const auto results = expectDriverMatchesEager(schedule, 160);
     EXPECT_GT(failingPoints(results), 0u); // the planted bug is caught
+}
+
+// The drawn history against one drawn up front ------------------------
+
+/**
+ * The reference for the battery's history: the whole stream drawn, and
+ * every op's record declared, at prepare time. Nothing outside this
+ * test can select it.
+ */
+class UpFrontKvChecker : public KvConditionsChecker
+{
+  public:
+    void prepare(WspSystem &system, const CrashSchedule &schedule) override
+    {
+        KvConditionsChecker::prepare(system, schedule);
+        if (schedule.ops > 0)
+            drawThrough(schedule.ops - 1);
+    }
+};
+
+bool
+sameOp(const HistoryOp &a, const HistoryOp &b)
+{
+    const auto fields = [](const HistoryOp &op) {
+        return std::tie(op.id, op.isErase, op.key, op.value, op.invoked,
+                        op.applied, op.responded, op.persisted);
+    };
+    return fields(a) == fields(b);
+}
+
+/** One past the last invoked op of @p history (0 if none ran). */
+size_t
+throughLastInvoked(const std::vector<HistoryOp> &history)
+{
+    size_t through = 0;
+    for (size_t i = 0; i < history.size(); ++i) {
+        if (history[i].invoked)
+            through = i + 1;
+    }
+    return through;
+}
+
+/**
+ * Runs @p base at @p points of its enumerated windows with the standard
+ * battery and with the up-front reference. The battery's history must
+ * hold exactly the ops through the last one a point invoked, each equal
+ * to the reference's record at its position; applied ops and verdicts
+ * must agree. Returns the battery's histories, window by window.
+ */
+std::vector<std::vector<HistoryOp>>
+expectHistoryIsTheDrawnPrefix(const CrashSchedule &base, size_t points)
+{
+    std::vector<std::vector<HistoryOp>> histories;
+    CrashExplorer explorer(base);
+    const std::vector<Tick> windows = explorer.enumerateCrashPoints(points);
+    EXPECT_EQ(windows.size(), points);
+    for (Tick window : windows) {
+        SCOPED_TRACE("window " + formatTime(window));
+        CrashSchedule schedule = base;
+        schedule.window = window;
+        NvramImage image;
+        NvramImage reference_image;
+        std::vector<HistoryOp> drawn;
+        std::vector<HistoryOp> reference;
+        const CrashPointResult got =
+            runWithCheckers(schedule, standardCheckers(), &image, &drawn);
+        const CrashPointResult want =
+            runWithCheckers(schedule, checkersWith<UpFrontKvChecker>(),
+                            &reference_image, &reference);
+        EXPECT_EQ(reference.size(), schedule.ops);
+        EXPECT_EQ(drawn.size(), throughLastInvoked(reference));
+        EXPECT_LT(drawn.size(), schedule.ops);
+        for (size_t i = 0; i < std::min(drawn.size(), reference.size());
+             ++i)
+            EXPECT_TRUE(sameOp(drawn[i], reference[i])) << "op " << i;
+        EXPECT_EQ(got.appliedOps, want.appliedOps);
+        EXPECT_EQ(got.violations, want.violations);
+        histories.push_back(std::move(drawn));
+    }
+    return histories;
+}
+
+TEST(ConditionsBattery, HistoryHoldsTheOpsThroughTheLastInvoked)
+{
+    // crash-sweep's schedule: the failure lands 5 ms into a 100 ms
+    // stream, so a point invokes about 100 of its 2000 ops.
+    CrashSchedule schedule;
+    schedule.ops = 2000;
+    for (const auto &history : expectHistoryIsTheDrawnPrefix(schedule, 8)) {
+        EXPECT_GE(history.size(), 100u);
+        EXPECT_LE(history.size(), 110u);
+    }
+}
+
+TEST(ConditionsBattery, HistoryKeepsTheDarkGapOfATrain)
+{
+    // The train's first cycle goes dark at 5 ms and resumes after a
+    // 200 ms outage: the ops whose slots fired into the dark gap are
+    // drawn, never invoked, and ops after them run.
+    CrashSchedule schedule;
+    schedule.ops = 2000;
+    schedule.trainCycles = 2;
+    schedule.outage = fromMillis(200.0);
+    schedule.opSpacing = fromMillis(1.0);
+    for (const auto &history : expectHistoryIsTheDrawnPrefix(schedule, 8)) {
+        const size_t dark = static_cast<size_t>(std::count_if(
+            history.begin(), history.end(),
+            [](const HistoryOp &op) { return !op.invoked; }));
+        EXPECT_GE(dark, 100u);
+        ASSERT_FALSE(history.empty());
+        EXPECT_TRUE(history.back().invoked);
+    }
+}
+
+TEST(ConditionsBattery, HistoryOfAnAckBeforeApplyStream)
+{
+    // The planted bug responds before it applies: an op the crash cut
+    // between the two slots is invoked, responded and never applied.
+    CrashSchedule schedule = ackBugSchedule();
+    schedule.ops = 2000;
+    for (const auto &history : expectHistoryIsTheDrawnPrefix(schedule, 8)) {
+        ASSERT_FALSE(history.empty());
+        EXPECT_TRUE(history.back().responded);
+        EXPECT_FALSE(history.back().applied);
+    }
 }
 
 } // namespace

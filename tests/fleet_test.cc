@@ -332,12 +332,6 @@ TEST(Fleet, StormWspLocalRecoversEveryVictim)
     for (uint32_t id = 0; id < 4; ++id)
         EXPECT_TRUE(fleet.node(id).up()) << id;
     EXPECT_TRUE(noReplicaDivergence(fleet).empty());
-
-    // The capacity timeline dips to zero (correlated kill-all) and
-    // returns to one.
-    const Series &capacity = fleet.capacityTimeline();
-    EXPECT_EQ(capacity.minY(), 0.0);
-    EXPECT_EQ(capacity.ys.back(), 1.0);
 }
 
 TEST(Fleet, LatencyCountsEveryRequestWithoutClamping)

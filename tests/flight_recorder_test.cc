@@ -9,6 +9,9 @@
  * overflows), contiguity restarts, and — the acceptance sweep — a
  * decode at every 64-byte tear position over the recorder region,
  * which must never report a torn slot inside the published window.
+ * The decoder reads many slots per reader call and skips never-written
+ * ones before their CRC; a per-slot reference decoder holds every
+ * field of its result, notes included, to the slot-by-slot reading.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "trace/flight_recorder.h"
@@ -24,20 +28,182 @@
 namespace wsp::trace {
 namespace {
 
+/** "WSPFLREC" read little-endian: the header line's magic. */
+constexpr uint64_t kHeaderMagic = 0x4345524c46505357ull;
+
+uint64_t
+loadU64(const uint8_t *bytes)
+{
+    uint64_t value = 0;
+    for (int i = 7; i >= 0; --i)
+        value = (value << 8) | bytes[i];
+    return value;
+}
+
+void
+storeU64(uint8_t *bytes, uint64_t value)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[i] = static_cast<uint8_t>(value >> (8 * i));
+}
+
+/**
+ * The reference decoder: frDecode's taxonomy read the plain way, one
+ * reader call per slot and a CRC over every readable slot, in window
+ * order and then slot order. frDecode must produce the same result.
+ */
+FrDecodeResult
+perSlotDecode(const FrByteReader &read, uint64_t header_addr)
+{
+    FrDecodeResult result;
+    uint8_t line[kFrHeaderBytes];
+    if (!read(header_addr, line)) {
+        result.notes.push_back("header line not in the saved image");
+        return result;
+    }
+    const bool magic_ok = loadU64(line) == kHeaderMagic;
+    const bool header_ok =
+        magic_ok && loadU64(line + 8) == 1 &&
+        crc64(std::span<const uint8_t>(line, 56)) == loadU64(line + 56);
+    result.headerFound = magic_ok;
+    result.headerValid = header_ok;
+    if (!magic_ok) {
+        result.notes.push_back("no recorder header magic");
+        return result;
+    }
+    if (!header_ok) {
+        result.notes.push_back(
+            "header line torn (magic intact, CRC mismatch): nothing "
+            "was provably published");
+        return result;
+    }
+    const uint64_t capacity = loadU64(line + 16);
+    const uint64_t head = loadU64(line + 32);
+    const uint64_t tail = loadU64(line + 48);
+    if (capacity < 2 || (capacity & (capacity - 1)) != 0 ||
+        capacity > header_addr / kFrRecordBytes) {
+        result.headerValid = false;
+        result.notes.push_back("header carries an impossible capacity");
+        return result;
+    }
+    result.generation = loadU64(line + 24);
+    result.headSeq = head;
+    result.tailSeq = tail;
+    result.totalEmitted = loadU64(line + 40);
+    result.capacity = static_cast<size_t>(capacity);
+    result.base = header_addr - capacity * kFrRecordBytes;
+
+    uint64_t window_start = head >= capacity ? head - capacity : 0;
+    window_start = std::max(window_start, std::min(tail, head));
+    const uint64_t inflight_slot = head % capacity;
+    std::vector<bool> in_window(result.capacity, false);
+    for (uint64_t expected = window_start; expected < head; ++expected) {
+        const uint64_t slot = expected % capacity;
+        in_window[slot] = true;
+        uint8_t bytes[kFrRecordBytes];
+        if (!read(result.base + slot * kFrRecordBytes, bytes)) {
+            ++result.unsavedSlots;
+            continue;
+        }
+        FrRecord record;
+        if (frDecodeRecord(bytes, &record)) {
+            if (record.seq == expected) {
+                result.records.push_back(record);
+                continue;
+            }
+            if (record.seq == head && slot == inflight_slot) {
+                result.unpublishedTail = true;
+                continue;
+            }
+            if (record.seq < expected) {
+                ++result.staleSlots;
+                result.notes.push_back(
+                    "slot " + std::to_string(slot) + " holds stale seq " +
+                    std::to_string(record.seq) + " where " +
+                    std::to_string(expected) + " was published");
+                ++result.tornSlots;
+                continue;
+            }
+        } else if (slot == inflight_slot) {
+            result.unpublishedTail = true;
+            continue;
+        }
+        ++result.tornSlots;
+        result.notes.push_back(
+            "slot " + std::to_string(slot) +
+            " torn inside the published window (expected seq " +
+            std::to_string(expected) + ")");
+    }
+    for (uint64_t slot = 0; slot < capacity; ++slot) {
+        if (in_window[slot])
+            continue;
+        uint8_t bytes[kFrRecordBytes];
+        if (!read(result.base + slot * kFrRecordBytes, bytes))
+            continue;
+        FrRecord record;
+        if (frDecodeRecord(bytes, &record)) {
+            if (record.seq == head && slot == inflight_slot)
+                result.unpublishedTail = true;
+            else
+                ++result.staleSlots;
+        }
+    }
+    std::sort(result.records.begin(), result.records.end(),
+              [](const FrRecord &a, const FrRecord &b) {
+                  return a.seq < b.seq;
+              });
+    return result;
+}
+
+/** Every field of two decodes is equal, records and notes included. */
+void
+expectSameDecode(const FrDecodeResult &got, const FrDecodeResult &want)
+{
+    EXPECT_EQ(got.headerFound, want.headerFound);
+    EXPECT_EQ(got.headerValid, want.headerValid);
+    EXPECT_EQ(got.generation, want.generation);
+    EXPECT_EQ(got.headSeq, want.headSeq);
+    EXPECT_EQ(got.tailSeq, want.tailSeq);
+    EXPECT_EQ(got.totalEmitted, want.totalEmitted);
+    EXPECT_EQ(got.capacity, want.capacity);
+    EXPECT_EQ(got.base, want.base);
+    EXPECT_EQ(got.unpublishedTail, want.unpublishedTail);
+    EXPECT_EQ(got.tornSlots, want.tornSlots);
+    EXPECT_EQ(got.unsavedSlots, want.unsavedSlots);
+    EXPECT_EQ(got.staleSlots, want.staleSlots);
+    EXPECT_EQ(got.notes, want.notes);
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (size_t i = 0; i < got.records.size(); ++i) {
+        const FrRecord &a = got.records[i];
+        const FrRecord &b = want.records[i];
+        EXPECT_EQ(a.seq, b.seq) << "record " << i;
+        EXPECT_EQ(a.generation, b.generation) << "record " << i;
+        EXPECT_EQ(a.simTick, b.simTick) << "record " << i;
+        EXPECT_EQ(a.a0, b.a0) << "record " << i;
+        EXPECT_EQ(a.a1, b.a1) << "record " << i;
+        EXPECT_EQ(a.event, b.event) << "record " << i;
+        EXPECT_EQ(a.category, b.category) << "record " << i;
+    }
+}
+
 class FlightRecorderTest : public ::testing::Test
 {
   protected:
     static constexpr size_t kCap = 16;        ///< ring records
     static constexpr uint64_t kBase = 4096;   ///< slot 0 address
 
+    void SetUp() override { build(kCap); }
+
+    /** A fresh all-zero NVRAM holding a ring of @p capacity records. */
     void
-    SetUp() override
+    build(size_t capacity)
     {
-        nvram_.assign(kBase + (kCap + 1) * kFrRecordBytes, 0);
+        cap_ = capacity;
+        nvram_.assign(kBase + (cap_ + 1) * kFrRecordBytes, 0);
 
         FlightRecorder::Backing backing;
         backing.base = kBase;
-        backing.capacityRecords = kCap;
+        backing.capacityRecords = cap_;
         backing.writeLine = [this](uint64_t addr,
                                    std::span<const uint8_t> bytes) {
             ASSERT_LE(addr + bytes.size(), nvram_.size());
@@ -52,7 +218,22 @@ class FlightRecorderTest : public ::testing::Test
     uint64_t
     headerAddr() const
     {
-        return kBase + kCap * kFrRecordBytes;
+        return kBase + cap_ * kFrRecordBytes;
+    }
+
+    /** Address of ring slot @p slot in the synthetic NVRAM. */
+    uint8_t *
+    slotAt(uint64_t slot)
+    {
+        return nvram_.data() + kBase + slot * kFrRecordBytes;
+    }
+
+    /** frDecode and the per-slot reference agree on the ring. */
+    void
+    expectDecodeMatchesReference(uint64_t floor = 0) const
+    {
+        expectSameDecode(frDecode(reader(floor), headerAddr()),
+                         perSlotDecode(reader(floor), headerAddr()));
     }
 
     /** Reader over the synthetic NVRAM, refusing below @p floor. */
@@ -80,6 +261,7 @@ class FlightRecorderTest : public ::testing::Test
             frEmit(recorder_.get(), event, Category::Apps, i, i * 10);
     }
 
+    size_t cap_ = kCap; ///< ring records of the recorder built last
     std::vector<uint8_t> nvram_;
     bool writable_ = true;
     uint64_t tick_ = 0; ///< simulated time the recorder stamps
@@ -349,6 +531,143 @@ TEST_F(FlightRecorderTest, RestartContiguityAfterColdBoot)
     EXPECT_TRUE(result.sound());
     ASSERT_EQ(result.records.size(), 2u);
     EXPECT_EQ(result.headSeq - result.tailSeq, 2u);
+}
+
+TEST_F(FlightRecorderTest, HeaderWhoseCapacityOverflowsIsRefused)
+{
+    // A CRC-valid header whose capacity cannot fit below it. From 2^58
+    // on, capacity * 64 wraps modulo 2^64 (to 0 for the powers of two
+    // here), so a guard that multiplies would take the ring to fit.
+    emitN(3);
+    uint8_t *line = nvram_.data() + headerAddr();
+    for (const uint64_t capacity :
+         {uint64_t{1} << 20, uint64_t{1} << 58, uint64_t{1} << 62,
+          uint64_t{1} << 63}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        storeU64(line + 16, capacity);
+        storeU64(line + 56, crc64(std::span<const uint8_t>(line, 56)));
+        const FrDecodeResult result = decode();
+        EXPECT_TRUE(result.headerFound);
+        EXPECT_FALSE(result.headerValid);
+        EXPECT_TRUE(result.records.empty());
+        EXPECT_EQ(result.notes,
+                  std::vector<std::string>{
+                      "header carries an impossible capacity"});
+    }
+}
+
+TEST_F(FlightRecorderTest, DecodeMatchesPerSlotReference)
+{
+    {
+        SCOPED_TRACE("mostly never-written ring");
+        emitN(5);
+        expectDecodeMatchesReference();
+    }
+    {
+        SCOPED_TRACE("wrapped ring");
+        emitN(static_cast<unsigned>(2 * kCap + 3));
+        expectDecodeMatchesReference();
+    }
+
+    // A full window: the slot the next record lands in holds the
+    // oldest published record, and may hold the next record whole,
+    // torn, or zeroed.
+    const uint64_t head = decode().headSeq;
+    const uint64_t inflight = head % kCap;
+    FrRecord next;
+    next.seq = head;
+    next.event = FrEvent::SaveHalt;
+    frEncodeRecord(next, {slotAt(inflight), kFrRecordBytes});
+    {
+        SCOPED_TRACE("complete in-flight tail");
+        expectDecodeMatchesReference();
+        EXPECT_TRUE(decode().unpublishedTail);
+    }
+    slotAt(inflight)[20] ^= 0xa5;
+    {
+        SCOPED_TRACE("torn in-flight tail");
+        expectDecodeMatchesReference();
+        EXPECT_TRUE(decode().unpublishedTail);
+    }
+    std::memset(slotAt(inflight), 0, kFrRecordBytes);
+    {
+        SCOPED_TRACE("zeroed in-flight slot");
+        expectDecodeMatchesReference();
+        EXPECT_TRUE(decode().sound());
+    }
+
+    // Published slots torn and zeroed: both are torn.
+    slotAt((head - 2) % kCap)[33] ^= 0xff;
+    std::memset(slotAt((head - 5) % kCap), 0, kFrRecordBytes);
+    {
+        SCOPED_TRACE("torn and zeroed published slots");
+        expectDecodeMatchesReference();
+        EXPECT_EQ(decode().tornSlots, 2u);
+    }
+
+    // A reader that refuses part of the ring refuses the many-slot
+    // read too, and the refused slots are unsaved.
+    for (const uint64_t floor_slot : {1u, 6u, 13u}) {
+        SCOPED_TRACE("reader refusing below slot " +
+                     std::to_string(floor_slot));
+        const uint64_t floor = kBase + floor_slot * kFrRecordBytes;
+        expectDecodeMatchesReference(floor);
+        EXPECT_GT(frDecode(reader(floor), headerAddr()).unsavedSlots, 0u);
+    }
+
+    // After a contiguity restart the header vouches only for the two
+    // newest records: the older records around them are stale, and a
+    // complete next record outside that window is the in-flight tail.
+    build(kCap);
+    emitN(static_cast<unsigned>(kCap + 3));
+    recorder_->restartContiguity();
+    emitN(2);
+    {
+        SCOPED_TRACE("stale records outside a short window");
+        expectDecodeMatchesReference();
+        EXPECT_EQ(decode().staleSlots, kCap - 2);
+    }
+    next.seq = decode().headSeq;
+    frEncodeRecord(next, {slotAt(next.seq % kCap), kFrRecordBytes});
+    {
+        SCOPED_TRACE("in-flight tail outside a short window");
+        expectDecodeMatchesReference();
+        EXPECT_TRUE(decode().unpublishedTail);
+    }
+
+    // Every tear position of TearPositionSweepNeverUnsound.
+    build(kCap);
+    emitN(static_cast<unsigned>(kCap + 7));
+    for (uint64_t tear = 0; tear <= nvram_.size(); tear += kFrRecordBytes) {
+        SCOPED_TRACE("tear position " + std::to_string(tear));
+        expectDecodeMatchesReference(tear);
+    }
+}
+
+TEST_F(FlightRecorderTest, DecodeMatchesPerSlotReferenceAcrossChunks)
+{
+    // A ring twice the default size is read a default-size chunk at a
+    // time. The published window wraps from the second chunk into the
+    // first, and the in-flight slot opens it.
+    build(2 * kFrDefaultRecords);
+    emitN(static_cast<unsigned>(3 * kFrDefaultRecords + 100));
+    {
+        SCOPED_TRACE("wrapped two-chunk ring");
+        expectDecodeMatchesReference();
+        EXPECT_EQ(decode().records.size(), cap_);
+    }
+    std::memset(slotAt(50), 0, kFrRecordBytes);
+    slotAt(1500)[9] ^= 0x01;
+    {
+        SCOPED_TRACE("zeroed and torn slots, one in each chunk");
+        expectDecodeMatchesReference();
+        EXPECT_EQ(decode().tornSlots, 2u);
+    }
+    for (const uint64_t floor_slot : {500u, 1024u, 1500u}) {
+        SCOPED_TRACE("reader refusing below slot " +
+                     std::to_string(floor_slot));
+        expectDecodeMatchesReference(kBase + floor_slot * kFrRecordBytes);
+    }
 }
 
 } // namespace
